@@ -3,17 +3,13 @@
 __version__ = "0.1.0"
 
 from pohst.signs import (
-    LevelProfile,
     Pair,
     PairInfo,
     SignVector,
     alpha_beta,
     boundary_counts,
     classify_pairs,
-    level_profile,
     min_heavy_target,
-    pair_order_cmp,
-    product_sign,
 )
 from pohst.partition import (
     ConstructionTrace,
@@ -28,7 +24,6 @@ from pohst.partition import (
     build_pi,
     check_construction_invariants,
     construct_eta,
-    heavy_count,
     search_partition,
     validate_partition,
 )

@@ -20,6 +20,7 @@ log-space accumulation when a side leaves the comfortable double range.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -27,8 +28,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
-from pohst.partition import SearchExhausted, validate_partition
-from pohst.certify import RealVectorY, partitions_for
+from pohst.partition import SearchExhausted
+from pohst.certify import RealVectorY, group_bound, partitions_for
 
 MAX_SWEEP_N = 24
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
@@ -88,11 +89,8 @@ def sweep_one(n: int, index: int) -> SweepRecord:
         eta, pi = partitions_for(sigma)
     except SearchExhausted:
         return SweepRecord(sigma.to_string(), len(jmap), len(kmap), -1, target, False, False)
-    valid = (
-        validate_partition(sigma, eta.partition).ok
-        and validate_partition(sigma, pi).ok
-        and eta.partition.heavy_count == target
-    )
+    # partitions_for hands out validated partitions only
+    valid = eta.partition.heavy_count == target
     return SweepRecord(
         sigma.to_string(),
         len(jmap),
@@ -119,13 +117,14 @@ def sweep(
 
     Parallel workers split the index list into contiguous chunks and the
     merge preserves the canonical order, so output is independent of
-    ``jobs``.
+    ``jobs``.  ``jobs`` is capped at the CPU count.
     """
     if not (0 <= n <= MAX_SWEEP_N):
         raise ValueError(f"sweep size must lie in 0..{MAX_SWEEP_N}, got {n}")
     if n == 0:
         return
     indices, _ = _sweep_indices(n, seed, exhaustive_cap)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(indices) < 64:
         for i in indices:
             yield sweep_one(n, i)
@@ -456,7 +455,7 @@ def bound_soundness_sample(
             for group in part.groups:
                 cols = [col[p] for p in group.members]
                 prod = F[:, cols].prod(axis=1)
-                gb = 2.0 if group.shape.value in ("NegativeSingleton", "LTriple") else 1.0
+                gb = group_bound(group)
                 gratio = prod / gb
                 max_group_ratio = max(max_group_ratio, float(gratio.max()))
                 group_violations += int((prod > gb * (1.0 + tolerance)).sum())

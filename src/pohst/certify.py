@@ -8,14 +8,13 @@ bounds each group by 1 or 2 through the four elementary product
 inequalities, and checks the total against ``2**min(p, m)``.
 
 All comparisons are relative with a default tolerance of 1e-12; products
-run in plain double precision, with an optional log-space accumulation
-mode intended for patterns longer than twenty entries.
+run in plain double precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -114,26 +113,9 @@ def factor_table(x: RealVectorX) -> dict[Pair, float]:
     return table
 
 
-def eval_f(x: RealVectorX, log_space: bool = False) -> float:
-    """Product of all factors; lexicographic multiplication order.
-
-    With ``log_space`` the magnitudes accumulate as logarithms and zero
-    factors short-circuit to 0.0 -- headroom for long patterns without
-    changing the default semantics.
-    """
-    table = factor_table(x)
-    if not log_space:
-        total = 1.0
-        for i in range(1, len(x) + 1):
-            for j in range(i, len(x) + 1):
-                total *= table[(i, j)]
-        return total
-    acc = 0.0
-    for value in table.values():
-        if value == 0.0:
-            return 0.0
-        acc += math.log(value)
-    return math.exp(acc)
+def eval_f(x: RealVectorX) -> float:
+    """Product of all factors, multiplied in the table's lexicographic order."""
+    return math.prod(factor_table(x).values(), start=1.0)
 
 
 def eval_P(y: RealVectorY) -> float:
@@ -254,7 +236,7 @@ class Certificate:
 
 @lru_cache(maxsize=65536)
 def partitions_for(sigma: SignVector) -> tuple[EtaBuild, GoodPartition]:
-    """Cached good partitions per sign pattern; both constructions are pure."""
+    """Cached validated good partitions per sign pattern; both constructions are pure."""
     return construct_eta(sigma), build_pi(sigma)
 
 
@@ -278,7 +260,7 @@ def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
             checks.append(
                 GroupCheck(target, group, product, bnd, product <= bnd * (1.0 + tolerance))
             )
-    total = eval_f(x)
+    total = math.prod(table.values(), start=1.0)
     exponent = min_heavy_target(sigma)
     bound = 2.0 ** exponent
     ok = total <= bound * (1.0 + tolerance) and all(c.ok for c in checks)
@@ -320,20 +302,4 @@ def certify_y(y: RealVectorY, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
         raise AssertionError(
             f"exponent mismatch: y signs give {min(p, m)}, pattern gives {cert.exponent}"
         )
-    return Certificate(
-        input_kind="y",
-        input_values=y.entries,
-        sign_pattern=cert.sign_pattern,
-        n_x=cert.n_x,
-        n_y=cert.n_y,
-        exponent=cert.exponent,
-        total=cert.total,
-        bound=cert.bound,
-        ok=cert.ok,
-        tolerance=cert.tolerance,
-        groups=cert.groups,
-        eta_method=cert.eta_method,
-        pi_method=cert.pi_method,
-        heavy_count=cert.heavy_count,
-        bounds_product_is_pow2_heavy=cert.bounds_product_is_pow2_heavy,
-    )
+    return replace(cert, input_kind="y", input_values=y.entries)

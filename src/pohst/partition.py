@@ -10,29 +10,33 @@ decomposed into groups of five admissible shapes:
   ``+ - / - +`` (positive on the main diagonal);
 * ``NegativeSingleton`` -- one pair of negative product sign;
 * ``LTriple`` -- a positive pair with a negative row-mate to its right and
-  a negative column-mate below it.
+  a negative column-mate below it that ends just before the row-mate starts.
 
 The last two shapes are *heavy*: their factor product is only bounded by 2
 rather than 1, and a good partition of K must contain exactly
 ``min(alpha + 1, beta)`` of them.  J admits the first three shapes only.
 
-``build_eta`` runs the deterministic case ladder: negatives are absorbed in
-construction order, each one either mated to a free positive singleton in
-its row tail (operation 1), parked as a heavy singleton at the first
-failure on an unstable level (operation 3), folded into an L-triple with
-the surviving heavy singleton one row below its start at the first failure
-on a stable level (operation 4), or -- at later failures -- mated down its
-column (operation 1) or completed into a rectangle through a blocking
-horizontal pair (operation 2).  ``search_partition`` is the independent
-backtracking oracle over the same move set, and ``validate_partition``
-checks any claimed partition against the shape and count rules.
+One deterministic case ladder builds both partitions: negatives are
+absorbed in construction order, each one either mated to a free positive
+singleton in its row tail (operation 1), mated down its column (operation
+1) or completed into a rectangle through a blocking horizontal pair
+(operation 2).  Only K has the heavy moves, tried at the first row failure
+on a level before the column mate: the negative is parked as a heavy
+singleton on an unstable level (operation 3), or folded into an L-triple
+with the surviving heavy singleton one row below its start on a stable
+level (operation 4).  ``build_eta`` runs the ladder over K;
+``construct_eta`` and ``build_pi`` validate the ladder's partition of K and
+J once and fall back to ``search_partition``, the independent backtracking
+oracle over the same move set, when it is stuck or invalid.
+``validate_partition`` checks any claimed partition against the shape and
+count rules.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from pohst.signs import (
     Pair,
@@ -160,11 +164,6 @@ class EtaBuild:
     ladder_used: bool
 
 
-def heavy_count(part: GoodPartition) -> int:
-    """Number of heavy (bound-2) groups in a partition."""
-    return part.heavy_count
-
-
 def _sorted_group(shape: Shape, members: Iterable[Pair]) -> PartitionGroup:
     return PartitionGroup(shape, tuple(sorted(members, key=pair_sort_key)))
 
@@ -239,6 +238,13 @@ def group_shape_violations(
                 out.append(
                     f"L-triple around {pos[0]} needs one row mate after it and one column mate below it"
                 )
+            elif col_mates[0][1] != row_mates[0][0] - 1:
+                # elementary case 3 needs the column mate and the row mate to
+                # split the positive pair's product exactly
+                out.append(
+                    f"L-triple column mate {col_mates[0]} does not end just before "
+                    f"row mate {row_mates[0]} starts"
+                )
     return out
 
 
@@ -305,19 +311,28 @@ def _column_mate(pos_free: set[Pair], i: int, j: int) -> Optional[Pair]:
     return None
 
 
-def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
-    """Run the case ladder over K.  Raises :class:`LadderStuck` on any gap.
+def _ladder(
+    sigma: SignVector, target: str
+) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
+    """Run the case ladder over K or J.  Raises :class:`LadderStuck` on any gap.
 
-    Negatives are processed in construction order.  The heavy budget takes
-    care of itself: operation 3 fires exactly at the first row failure on an
-    unstable level, operation 4 recycles one earlier heavy singleton at the
-    first row failure on a stable level, and everything else pairs or
-    completes rectangles without touching the count.
+    Negatives are processed in construction order and both targets share the
+    moves: a row mate, a column mate (operation 1) or a rectangle completed
+    through a blocking horizontal pair (operation 2).  Only K has the heavy
+    moves, and there the heavy budget takes care of itself: operation 3
+    fires exactly at the first row failure on an unstable level, operation 4
+    recycles one earlier heavy singleton at the first row failure on a
+    stable level, and nothing else touches the count.  K alone gets case
+    numbers and a trace; for J the trace is ``None``.
+
+    The result is not validated here; :func:`construct_eta` and
+    :func:`build_pi` validate it once.
     """
-    kmap = pair_sign_maps(sigma)[1]
-    stable = stable_levels(sigma)
+    heavy = target == "K"
+    signmap = pair_sign_maps(sigma)[1 if heavy else 0]
+    stable = stable_levels(sigma) if heavy else ()
 
-    pos_free: set[Pair] = {p for p, s in kmap.items() if s > 0}
+    pos_free: set[Pair] = {p for p, s in signmap.items() if s > 0}
     # positive member of each live horizontal mixed pair -> (gid, negative member)
     hpartner: dict[Pair, tuple[int, Pair]] = {}
     # row -> (gid, pair) for the single live heavy singleton a row can hold
@@ -332,11 +347,12 @@ def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
         groups[gid] = _sorted_group(shape, members)
         return gid
 
-    steps: list[TraceStep] = []
+    # TraceStep fields, built into a trace for K only
+    steps: list[tuple] = []
     failures: dict[int, int] = {}
     op3_uses = 0
 
-    negatives = sorted((p for p, s in kmap.items() if s < 0), key=pair_sort_key)
+    negatives = sorted((p for p, s in signmap.items() if s < 0), key=pair_sort_key)
     for neg in negatives:
         i, j = neg
 
@@ -345,51 +361,41 @@ def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
             pos_free.discard(mate)
             gid = add_group(Shape.MIXED_PAIR, (mate, neg))
             hpartner[mate] = (gid, neg)
-            steps.append(
-                TraceStep(neg, 1, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR)
-            )
+            steps.append((neg, 1, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR))
             continue
 
-        failures[j] = failures.get(j, 0) + 1
-        first_failure = failures[j] == 1
-        row_stable = stable[j]
-
-        if first_failure and not row_stable:
-            gid = add_group(Shape.NEGATIVE_SINGLETON, (neg,))
-            heavy_in_row[j] = (gid, neg)
-            op3_uses += 1
-            steps.append(TraceStep(neg, 2, 3, (), (neg,), Shape.NEGATIVE_SINGLETON))
-            continue
-
-        if first_failure and row_stable:
-            entry = heavy_in_row.get(i - 1)
-            if entry is not None:
-                gid_low, low = entry
-                top = (low[0], j)
-                if low[0] < i and top in pos_free:
-                    pos_free.discard(top)
-                    del groups[gid_low]
-                    del heavy_in_row[i - 1]
-                    gid = add_group(Shape.L_TRIPLE, (low, top, neg))
-                    steps.append(
-                        TraceStep(
-                            neg, 5, 4, ((low,), (top,)), groups[gid].members, Shape.L_TRIPLE
-                        )
-                    )
-                    continue
-            raise LadderStuck(
-                sigma, neg, "no heavy singleton survives one row below the start"
-            )
-
-        case = (3 if failures[j] == 2 else 4) if not row_stable else 6
+        case = 0
+        if heavy:
+            failures[j] = failures.get(j, 0) + 1
+            if failures[j] == 1 and not stable[j]:
+                gid = add_group(Shape.NEGATIVE_SINGLETON, (neg,))
+                heavy_in_row[j] = (gid, neg)
+                op3_uses += 1
+                steps.append((neg, 2, 3, (), (neg,), Shape.NEGATIVE_SINGLETON))
+                continue
+            if failures[j] == 1:
+                entry = heavy_in_row.get(i - 1)
+                if entry is not None:
+                    gid_low, low = entry
+                    top = (low[0], j)
+                    if low[0] < i and top in pos_free:
+                        pos_free.discard(top)
+                        del groups[gid_low]
+                        del heavy_in_row[i - 1]
+                        gid = add_group(Shape.L_TRIPLE, (low, top, neg))
+                        members = groups[gid].members
+                        steps.append((neg, 5, 4, ((low,), (top,)), members, Shape.L_TRIPLE))
+                        continue
+                raise LadderStuck(
+                    sigma, neg, "no heavy singleton survives one row below the start"
+                )
+            case = 6 if stable[j] else (3 if failures[j] == 2 else 4)
 
         mate = _column_mate(pos_free, i, j)
         if mate is not None:
             pos_free.discard(mate)
             gid = add_group(Shape.MIXED_PAIR, (mate, neg))
-            steps.append(
-                TraceStep(neg, case, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR)
-            )
+            steps.append((neg, case, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR))
             continue
 
         completed = False
@@ -405,9 +411,7 @@ def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
                 del groups[gid_pair]
                 del hpartner[(i, ell)]
                 gid = add_group(Shape.RECTANGLE_QUAD, ((i, ell), low_neg, neg, corner))
-                steps.append(
-                    TraceStep(neg, case, 2, consumed, groups[gid].members, Shape.RECTANGLE_QUAD)
-                )
+                steps.append((neg, case, 2, consumed, groups[gid].members, Shape.RECTANGLE_QUAD))
                 completed = True
                 break
         if completed:
@@ -419,103 +423,52 @@ def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
     for p in pos_free:
         add_group(Shape.POSITIVE_SINGLETON, (p,))
 
-    part = _canonical_partition("K", groups.values(), "ladder")
-    trace = ConstructionTrace(tuple(steps), op3_uses)
-    report = validate_partition(sigma, part)
-    if not report.ok:
-        raise LadderStuck(
-            sigma, None, "construction finished but failed validation: "
-            + "; ".join(report.violations[:3])
-        )
-    return part, trace
+    if not heavy:
+        return _canonical_partition(target, groups.values(), "greedy"), None
+    trace = ConstructionTrace(tuple(TraceStep(*step) for step in steps), op3_uses)
+    return _canonical_partition(target, groups.values(), "ladder"), trace
 
 
-def construct_eta(sigma: SignVector) -> EtaBuild:
-    """Ladder first, backtracking search as fallback; the result is validated."""
-    try:
-        part, trace = build_eta(sigma)
-        return EtaBuild(part, trace, True)
-    except LadderStuck:
-        pass
-    part = search_partition(sigma, "K", min_heavy_target(sigma))
-    if part is None:
-        raise SearchExhausted(sigma, "K")
-    report = validate_partition(sigma, part)
-    if not report.ok:  # would mean the search itself is broken
-        raise SearchExhausted(sigma, "K")
-    return EtaBuild(part, None, False)
+def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
+    """The case ladder over K, unvalidated.  Raises :class:`LadderStuck` on any gap."""
+    return _ladder(sigma, "K")
 
 
-def build_pi(sigma: SignVector) -> GoodPartition:
-    """Good partition of J: greedy pass first, search with heavy budget 0 after.
+def _validated(
+    sigma: SignVector,
+    target: str,
+    ladder: Callable[[SignVector], tuple[GoodPartition, Optional[ConstructionTrace]]],
+) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
+    """Ladder, one validation, and the search as fallback on a stuck or invalid result.
 
-    Raises :class:`SearchExhausted` when even the search finds nothing; any
+    The trace is ``None`` when the search supplied the partition.  Raises
+    :class:`SearchExhausted` when even the search finds nothing valid; any
     such witness would contradict the partition guarantee and is surfaced
     rather than swallowed.
     """
-    part = _pi_greedy(sigma)
-    if part is not None:
-        report = validate_partition(sigma, part)
-        if report.ok:
-            return part
-    part = search_partition(sigma, "J", 0)
-    if part is None:
-        raise SearchExhausted(sigma, "J")
-    report = validate_partition(sigma, part)
-    if not report.ok:
-        raise SearchExhausted(sigma, "J")
-    return part
+    try:
+        part, trace = ladder(sigma)
+    except LadderStuck:
+        pass
+    else:
+        if validate_partition(sigma, part).ok:
+            return part, trace
+    budget = min_heavy_target(sigma) if target == "K" else 0
+    part = search_partition(sigma, target, budget)
+    if part is None or not validate_partition(sigma, part).ok:
+        raise SearchExhausted(sigma, target)
+    return part, None
 
 
-def _pi_greedy(sigma: SignVector) -> Optional[GoodPartition]:
-    """Mirror of the ladder without heavy moves: row mate, column mate, rectangle."""
-    jmap = pair_sign_maps(sigma)[0]
-    pos_free: set[Pair] = {p for p, s in jmap.items() if s > 0}
-    hpartner: dict[Pair, tuple[int, Pair]] = {}
-    groups: dict[int, PartitionGroup] = {}
-    next_gid = 0
+def construct_eta(sigma: SignVector) -> EtaBuild:
+    """Validated good partition of K: the ladder first, the search after."""
+    part, trace = _validated(sigma, "K", build_eta)
+    return EtaBuild(part, trace, trace is not None)
 
-    def add_group(shape: Shape, members: Iterable[Pair]) -> int:
-        nonlocal next_gid
-        gid = next_gid
-        next_gid += 1
-        groups[gid] = _sorted_group(shape, members)
-        return gid
 
-    negatives = sorted((p for p, s in jmap.items() if s < 0), key=pair_sort_key)
-    for neg in negatives:
-        i, j = neg
-        mate = _row_mate(pos_free, i, j)
-        if mate is not None:
-            pos_free.discard(mate)
-            gid = add_group(Shape.MIXED_PAIR, (mate, neg))
-            hpartner[mate] = (gid, neg)
-            continue
-        mate = _column_mate(pos_free, i, j)
-        if mate is not None:
-            pos_free.discard(mate)
-            add_group(Shape.MIXED_PAIR, (mate, neg))
-            continue
-        completed = False
-        for ell in range(j - 1, i - 1, -1):
-            entry = hpartner.get((i, ell))
-            if entry is None:
-                continue
-            gid_pair, low_neg = entry
-            corner = (low_neg[0], j)
-            if corner in pos_free:
-                pos_free.discard(corner)
-                del groups[gid_pair]
-                del hpartner[(i, ell)]
-                add_group(Shape.RECTANGLE_QUAD, ((i, ell), low_neg, neg, corner))
-                completed = True
-                break
-        if not completed:
-            return None
-
-    for p in pos_free:
-        add_group(Shape.POSITIVE_SINGLETON, (p,))
-    return _canonical_partition("J", groups.values(), "greedy")
+def build_pi(sigma: SignVector) -> GoodPartition:
+    """Validated good partition of J: the ladder without heavy moves, the search after."""
+    return _validated(sigma, "J", lambda s: _ladder(s, "J"))[0]
 
 
 def search_partition(

@@ -81,34 +81,9 @@ class PairInfo:
         }
 
 
-@dataclass(frozen=True)
-class LevelProfile:
-    """Counts of positive/negative y-values through level ``j``.
-
-    ``p + m == j + 1`` always holds; ``stable`` compares ``min(p, m)``
-    against the previous level (level 0 is stable by convention: there is
-    no earlier level to jump from).
-    """
-
-    j: int
-    p: int
-    m: int
-    stable: bool
-
-
 def pair_sort_key(pair: Pair) -> tuple[int, int]:
     """Sort key realising the construction order: rows ascend, starts descend."""
     return (pair[1], -pair[0])
-
-
-def pair_order_cmp(a: Pair, b: Pair) -> int:
-    """Three-way comparison in the construction order (-1, 0 or +1)."""
-    ka, kb = pair_sort_key(a), pair_sort_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def pairs_in_order(n: int) -> Iterator[Pair]:
@@ -126,19 +101,6 @@ def prefix_signs(sigma: SignVector) -> tuple[int, ...]:
         t *= s
         out.append(t)
     return tuple(out)
-
-
-def _check_pair(sigma: SignVector, pair: Pair) -> None:
-    i, j = pair
-    if not (1 <= i <= j <= len(sigma)):
-        raise IndexError(f"pair {pair} out of range for a length-{len(sigma)} pattern")
-
-
-def product_sign(sigma: SignVector, pair: Pair) -> int:
-    """Sign of ``x_i * ... * x_j``, computed from the prefix array."""
-    _check_pair(sigma, pair)
-    t = prefix_signs(sigma)
-    return t[pair[0] - 1] * t[pair[1]]
 
 
 def classify_pairs(sigma: SignVector) -> tuple[list[PairInfo], list[PairInfo]]:
@@ -196,22 +158,13 @@ def min_heavy_target(sigma: SignVector) -> int:
     return min(p, m)
 
 
-def level_profile(sigma: SignVector, j: int) -> LevelProfile:
-    """Profile of level ``j``: counts over ``y_1..y_{j+1}`` plus stability."""
-    if not (0 <= j <= len(sigma)):
-        raise IndexError(f"level {j} out of range for a length-{len(sigma)} pattern")
-    t = prefix_signs(sigma)
-    p = sum(1 for r in range(j + 1) if t[r] > 0)
-    m = j + 1 - p
-    if j == 0:
-        return LevelProfile(0, p, m, True)
-    p_prev = p - (1 if t[j] > 0 else 0)
-    m_prev = j - p_prev
-    return LevelProfile(j, p, m, min(p_prev, m_prev) == min(p, m))
-
-
 def stable_levels(sigma: SignVector) -> tuple[bool, ...]:
-    """Stability flags indexed by level ``0..n`` (level 0 stable by convention)."""
+    """Stability flags indexed by level ``0..n``.
+
+    Level ``j`` counts the signs of ``y_1..y_{j+1}``; it is stable when
+    ``min(p, m)`` did not grow from level ``j - 1`` (level 0 is stable by
+    convention: there is no earlier level to jump from).
+    """
     t = prefix_signs(sigma)
     flags = [True]
     p = 1

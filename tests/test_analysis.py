@@ -84,6 +84,37 @@ class TestSweep:
         parallel = list(sweep(7, jobs=2))
         assert serial == parallel
 
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        # the fake pool runs chunks inline, so a huge jobs value starts nothing
+        import pohst.analysis as analysis
+
+        seen = []
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                return self.value
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def submit(self, fn, arg):
+                return Done(fn(arg))
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        assert list(sweep(7, jobs=10 ** 9)) == list(sweep(7))
+        assert seen == [2]
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
+        assert list(sweep(7, jobs=10 ** 9)) == list(sweep(7))
+        assert seen == [2]
+
     def test_construction_failure_yields_flagged_record(self, monkeypatch):
         import pohst.analysis as analysis
         from pohst.partition import SearchExhausted

@@ -22,7 +22,7 @@ from pohst.certify import (
     x_from_y,
 )
 from pohst.partition import PartitionGroup, Shape
-from pohst.signs import SignVector, min_heavy_target
+from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
 
 
 def random_x(rng, n):
@@ -76,6 +76,7 @@ class TestEvaluation:
         assert eval_f(RealVectorX((-1.0,))) == 2.0
         assert eval_f(RealVectorX((-0.5, 0.5))) == 0.9375
         assert eval_f(RealVectorX(())) == 1.0
+        assert eval_f(RealVectorX((1.0, 0.5))) == 0.0
 
     def test_x_from_y_examples(self):
         assert x_from_y(RealVectorY((1.0, -2.0, 4.0))).entries == (-0.5, -0.5)
@@ -99,25 +100,14 @@ class TestEvaluation:
         rng = random.Random(5)
         for _ in range(200):
             x = random_x(rng, rng.randint(1, 8))
-            sigma = x.sign_vector()
+            jmap, kmap = pair_sign_maps(x.sign_vector())
+            signs = {**jmap, **kmap}
             for pair, value in factor_table(x).items():
                 assert 0.0 <= value <= 2.0
-                from pohst.signs import product_sign
-                if product_sign(sigma, pair) > 0:
+                if signs[pair] > 0:
                     assert 0.0 <= value < 1.0
                 else:
                     assert 1.0 < value <= 2.0
-
-    def test_log_space_matches_plain(self):
-        rng = random.Random(3)
-        x = random_x(rng, 12)
-        plain = eval_f(x)
-        logged = eval_f(x, log_space=True)
-        assert abs(plain - logged) <= 1e-9 * plain
-
-    def test_log_space_zero_factor(self):
-        x = RealVectorX((1.0, 0.5))
-        assert eval_f(x, log_space=True) == 0.0 == eval_f(x)
 
 
 class TestPohstCases:

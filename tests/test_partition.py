@@ -1,6 +1,8 @@
 """Good-partition construction, validation, search oracle and trace checks."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -16,7 +18,6 @@ from pohst.partition import (
     check_construction_invariants,
     construct_eta,
     group_shape_violations,
-    heavy_count,
     search_partition,
     validate_partition,
 )
@@ -107,6 +108,20 @@ class TestValidate:
         bad = group(Shape.L_TRIPLE, (1, 1), (2, 2), (1, 2))
         # same members, shape inference must not depend on member order
         assert not group_shape_violations(bad, pair_sign_maps(sigma)[1])
+        # column mate (1,1) and row mate (4,4) are not adjacent, so the
+        # triple is not elementary case 3: at x = (-1, 1e-3, 1e-3, -1) its
+        # product is about 4 against a bound of 2
+        sigma = SignVector.from_string("-++-")
+        gapped = group(Shape.L_TRIPLE, (1, 1), (1, 4), (4, 4))
+        assert group_shape_violations(gapped, pair_sign_maps(sigma)[1])
+        part = GoodPartition("K", (
+            gapped,
+            group(Shape.MIXED_PAIR, (2, 3), (1, 3)),
+            group(Shape.NEGATIVE_SINGLETON, (2, 4)),
+        ))
+        report = validate_partition(sigma, part)
+        assert not report.ok
+        assert any("does not end just before" in v for v in report.violations)
 
 
 class TestBuildEta:
@@ -262,8 +277,8 @@ class TestConstructEta:
             group(Shape.NEGATIVE_SINGLETON, (1, 1)),
             group(Shape.POSITIVE_SINGLETON, (1, 2)),
         ))
-        assert heavy_count(part) == 1
-        assert heavy_count(GoodPartition("K", ())) == 0
+        assert part.heavy_count == 1
+        assert GoodPartition("K", ()).heavy_count == 0
 
 
 class TestTraceChecks:
@@ -311,7 +326,30 @@ class TestTraceChecks:
                 assert check_construction_invariants(sigma, trace) == []
 
 
+# SHA-256 over the K ladder's partition and trace and the J partition of
+# every pattern with n <= 9, recorded before the two constructions were
+# merged into one ladder
+GOLDEN_PARTITION_DIGEST = (
+    "ac8891e6c19972f4b490f9766e0a4a6dc3bff0ba36ebedfd90ad9167f011cc26"
+)
+
+
 class TestSerialization:
+    def test_golden_partition_digest(self):
+        digest = hashlib.sha256()
+        for n in range(10):
+            for sigma in all_sigmas(n):
+                part, trace = build_eta(sigma)
+                doc = {
+                    "sigma": sigma.to_string(),
+                    "eta": part.to_json_dict(),
+                    "trace": trace.to_json_dict(),
+                    "pi": build_pi(sigma).to_json_dict(),
+                }
+                digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_PARTITION_DIGEST
+
     def test_partition_json_schema(self):
         part, trace = build_eta(SignVector.from_string("--"))
         doc = part.to_json_dict()

@@ -10,12 +10,11 @@ from pohst.signs import (
     alpha_beta,
     boundary_counts,
     classify_pairs,
-    level_profile,
     min_heavy_target,
-    pair_order_cmp,
     pair_sign_maps,
+    pair_sort_key,
     prefix_signs,
-    product_sign,
+    stable_levels,
     y_sign_counts,
 )
 
@@ -68,37 +67,6 @@ class TestSignVector:
         assert SignVector.from_reals([-0.5, 0.5]).to_string() == "-+"
 
 
-class TestProductSign:
-    def test_examples(self):
-        assert product_sign(SignVector.from_string("+-"), (1, 2)) == -1
-        assert product_sign(SignVector.from_string("+-+"), (1, 3)) == -1
-        assert product_sign(SignVector.from_string("-+-"), (1, 3)) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            product_sign(SignVector.from_string("+-"), (1, 3))
-        with pytest.raises(IndexError):
-            product_sign(SignVector.from_string("+-"), (0, 1))
-
-    def test_matches_direct_multiplication(self):
-        for n in range(1, 7):
-            for sigma in all_sigmas(n):
-                for i in range(1, n + 1):
-                    for j in range(i, n + 1):
-                        assert product_sign(sigma, (i, j)) == brute_product_sign(
-                            sigma, (i, j)
-                        )
-
-    @given(sign_vectors.filter(lambda s: len(s) >= 2))
-    def test_adjacent_pairs_extend_by_one_entry(self, sigma):
-        n = len(sigma)
-        for i in range(1, n + 1):
-            for j in range(i, n):
-                assert product_sign(sigma, (i, j + 1)) == product_sign(
-                    sigma, (i, j)
-                ) * sigma.entries[j]
-
-
 class TestClassify:
     def test_example_mixed(self):
         j_set, k_set = classify_pairs(SignVector.from_string("-+-"))
@@ -125,6 +93,13 @@ class TestClassify:
                 assert len(pairs) == len(set(pairs)) == n * (n + 1) // 2
                 assert all(not p.canonical for p in j_set)
                 assert all(p.canonical for p in k_set)
+                for part in (j_set, k_set):
+                    order = [p.pair for p in part]
+                    assert order == sorted(order, key=pair_sort_key)
+        # construction order: rows ascend, starts descend within a row
+        assert sorted([(1, 2), (3, 3), (2, 2), (1, 1)], key=pair_sort_key) == [
+            (1, 1), (2, 2), (1, 2), (3, 3)
+        ]
 
     def test_matches_brute_force(self):
         for n in range(1, 7):
@@ -133,6 +108,9 @@ class TestClassify:
                 bj, bk = brute_classify(sigma)
                 assert {(p.pair, p.product_sign) for p in j_set} == bj
                 assert {(p.pair, p.product_sign) for p in k_set} == bk
+                jmap, kmap = pair_sign_maps(sigma)
+                assert set(jmap.items()) == bj
+                assert set(kmap.items()) == bk
 
     def test_maps_agree_with_lists(self):
         sigma = SignVector.from_string("-++-+")
@@ -140,29 +118,10 @@ class TestClassify:
         jmap, kmap = pair_sign_maps(sigma)
         assert jmap == {p.pair: p.product_sign for p in j_set}
         assert kmap == {p.pair: p.product_sign for p in k_set}
-
-
-class TestPairOrder:
-    def test_figure_facts(self):
-        assert pair_order_cmp((1, 1), (2, 2)) == -1
-        assert pair_order_cmp((2, 2), (1, 2)) == -1
-        assert pair_order_cmp((1, 2), (3, 3)) == -1
-
-    pairs = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
-        lambda t: (min(t), max(t))
-    )
-
-    @given(pairs, pairs)
-    def test_antisymmetric_and_total(self, a, b):
-        if a == b:
-            assert pair_order_cmp(a, b) == 0
-        else:
-            assert pair_order_cmp(a, b) == -pair_order_cmp(b, a) != 0
-
-    @given(pairs, pairs, pairs)
-    def test_transitive(self, a, b, c):
-        if pair_order_cmp(a, b) <= 0 and pair_order_cmp(b, c) <= 0:
-            assert pair_order_cmp(a, c) <= 0
+        for text, pair, sign in (("+-", (1, 2), -1), ("+-+", (1, 3), -1),
+                                 ("-+-", (1, 3), 1)):
+            jmap, kmap = pair_sign_maps(SignVector.from_string(text))
+            assert {**jmap, **kmap}[pair] == sign
 
 
 class TestAlphaBeta:
@@ -180,26 +139,26 @@ class TestAlphaBeta:
         assert min_heavy_target(sigma) == min(alpha + 1, beta)
 
 
-class TestLevelProfile:
+class TestStableLevels:
     def test_examples(self):
-        prof = level_profile(SignVector.from_string("-+-"), 2)
-        assert (prof.p, prof.m) == (1, 2)
-        prof = level_profile(SignVector.from_string("-+-"), 3)
-        assert (prof.p, prof.m, prof.stable) == (2, 2, False)
-        prof = level_profile(SignVector.from_string("+-+"), 0)
-        assert (prof.p, prof.m) == (1, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            level_profile(SignVector.from_string("+"), 2)
+        assert stable_levels(SignVector.from_string("-+-")) == (True, False, True, False)
+        assert stable_levels(SignVector.from_string("+-+")) == (True, True, False, False)
+        assert stable_levels(SignVector(())) == (True,)
 
     @given(sign_vectors)
     def test_counts_sum(self, sigma):
+        # level j counts the signs of y_1..y_{j+1}, i.e. of the prefix t_0..t_j
+        t = prefix_signs(sigma)
+        flags = stable_levels(sigma)
+        assert len(flags) == len(sigma) + 1 and flags[0]
+        prev_min = 0
         for j in range(len(sigma) + 1):
-            prof = level_profile(sigma, j)
-            assert prof.p + prof.m == j + 1
-            t = prefix_signs(sigma)
-            assert prof.p == sum(1 for r in range(j + 1) if t[r] > 0)
+            p = sum(1 for r in range(j + 1) if t[r] > 0)
+            m = j + 1 - p
+            if j:
+                assert flags[j] == (min(p, m) == prev_min)
+            prev_min = min(p, m)
+        assert (p, m) == y_sign_counts(sigma)
 
 
 class TestBoundaryCounts:
