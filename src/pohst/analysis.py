@@ -29,9 +29,10 @@ import numpy as np
 
 from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
 from pohst.partition import SearchExhausted
-from pohst.certify import RealVectorY, group_bound, partitions_for
+from pohst.certify import RealVectorY, factor_matrix, group_bound, partitions_for
 
 MAX_SWEEP_N = 24
+MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 SUBSAMPLE_RANDOM_COUNT = 10 ** 5
 
@@ -418,51 +419,49 @@ def bound_soundness_sample(
     uniform signs, shares the cached partitions across each sign pattern
     and verifies every group product against its shape bound and the total
     against ``2**min(p, m)``, relatively to ``tolerance``.
-    """
-    rng = np.random.default_rng(seed)
-    mags = 1.0 - rng.random((samples, n))
-    signs = np.where(rng.random((samples, n)) < 0.5, -1.0, 1.0)
-    X = mags * signs
-    codes = (X < 0).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
 
+    One stable sort of the pattern codes makes each pattern a contiguous
+    block of samples; per block, ``factor_matrix`` builds the factors and
+    one ``reduceat`` forms every group product of both partitions.  ``n``
+    must lie in 0..63, where a pattern code fits a non-negative int64.
+    """
+    if not (0 <= n <= MAX_SOUNDNESS_N):
+        raise ValueError(f"soundness size must lie in 0..{MAX_SOUNDNESS_N}, got {n}")
+    rng = np.random.default_rng(seed)
+    X = 1.0 - rng.random((samples, n))
+    negative = rng.random((samples, n)) < 0.5
+    np.negative(X, out=X, where=negative)
+    codes = negative.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    order = np.argsort(codes, kind="stable")
+    codes, heads, sizes = np.unique(codes[order], return_index=True, return_counts=True)
+
+    col = {pair: k for k, pair in enumerate(
+        (i, j) for i in range(1, n + 1) for j in range(i, n + 1))}
     total_violations = 0
     group_violations = 0
     max_total_ratio = 0.0
     max_group_ratio = 0.0
-    patterns = 0
-    pair_count = n * (n + 1) // 2
-    for code in np.unique(codes):
-        patterns += 1
-        sub = X[codes == code]
-        sigma = pattern_from_index(n, int(code))
+    for code, head, size in zip(codes.tolist(), heads.tolist(), sizes.tolist()):
+        sigma = pattern_from_index(n, code)
         eta, pi = partitions_for(sigma)
-        F = np.empty((sub.shape[0], pair_count))
-        col: dict[tuple[int, int], int] = {}
-        idx = 0
-        for i in range(n):
-            running = np.ones(sub.shape[0])
-            for j in range(i, n):
-                running = running * sub[:, j]
-                F[:, idx] = 1.0 - running
-                col[(i + 1, j + 1)] = idx
-                idx += 1
+        F = factor_matrix(X[order[head: head + size]])
         total = F.prod(axis=1)
         bound = 2.0 ** min_heavy_target(sigma)
-        ratio = total / bound
-        max_total_ratio = max(max_total_ratio, float(ratio.max()))
+        max_total_ratio = max(max_total_ratio, float((total / bound).max()))
         total_violations += int((total > bound * (1.0 + tolerance)).sum())
-        for part in (eta.partition, pi):
-            for group in part.groups:
-                cols = [col[p] for p in group.members]
-                prod = F[:, cols].prod(axis=1)
-                gb = group_bound(group)
-                gratio = prod / gb
-                max_group_ratio = max(max_group_ratio, float(gratio.max()))
-                group_violations += int((prod > gb * (1.0 + tolerance)).sum())
+        groups = eta.partition.groups + pi.groups
+        if not groups:  # n = 0: the triangle is empty
+            continue
+        cols = [col[p] for group in groups for p in group.members]
+        offsets = np.cumsum([0] + [len(group.members) for group in groups[:-1]])
+        gb = np.array([group_bound(group) for group in groups], dtype=float)
+        prods = np.multiply.reduceat(F[:, cols], offsets, axis=1)
+        max_group_ratio = max(max_group_ratio, float((prods / gb).max()))
+        group_violations += int((prods > gb * (1.0 + tolerance)).sum())
     return SoundnessReport(
         n=n,
         samples=samples,
-        patterns=patterns,
+        patterns=len(codes),
         total_violations=total_violations,
         group_violations=group_violations,
         max_total_ratio=max_total_ratio,

@@ -2,7 +2,13 @@
 
 ``eval_f`` evaluates the full product over the index triangle for a box
 vector x, ``eval_P`` the pair product for a modulus-ordered vector y; the
-two agree under the change of variables ``x_i = y_i / y_{i+1}``.  A
+two agree under the change of variables ``x_i = y_i / y_{i+1}``.
+
+The factors ``1 - x_i * ... * x_j`` come from one row-running-product
+kernel in two forms: ``factor_table`` for one vector and
+``factor_matrix`` for a batch of vectors, one per row.  Both run the
+products of start row i left to right and list the pairs in lexicographic
+``(i, j)`` order, so a batch row equals the scalar table bit for bit.  A
 certificate groups the factors by the good partitions of the sign pattern,
 bounds each group by 1 or 2 through the four elementary product
 inequalities, and checks the total against ``2**min(p, m)``.
@@ -17,6 +23,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from pohst.signs import Pair, SignVector, min_heavy_target
 from pohst.partition import (
@@ -111,6 +119,28 @@ def factor_table(x: RealVectorX) -> dict[Pair, float]:
             running *= x.entries[j - 1]
             table[(i, j)] = 1.0 - running
     return table
+
+
+def factor_matrix(X: np.ndarray) -> np.ndarray:
+    """Batch ``factor_table``: a ``(rows, n)`` array to ``(rows, n(n+1)/2)`` factors.
+
+    Columns follow the table's lexicographic ``(i, j)`` order, and each
+    running product extends the previous column by one entry exactly as
+    the scalar loop does, so every row equals ``factor_table`` of that row
+    bit for bit.  The result is Fortran-ordered: the factors of one pair
+    are contiguous, which keeps the running products, column gathers and
+    row products vectorized over the rows.
+    """
+    rows, n = X.shape
+    FT = np.empty((n * (n + 1) // 2, rows))
+    col = 0
+    for i in range(n):
+        FT[col] = X[:, i]
+        for j in range(i + 1, n):
+            np.multiply(FT[col], X[:, j], out=FT[col + 1])
+            col += 1
+        col += 1
+    return np.subtract(1.0, FT, out=FT).T
 
 
 def eval_f(x: RealVectorX) -> float:

@@ -19,6 +19,7 @@ the launcher inserts the separator automatically for plain patterns.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -186,19 +187,23 @@ def cmd_certify(ns) -> int:
     return EXIT_OK if cert.ok else EXIT_BOUND
 
 
+def _written(handle, records):
+    """Write each record as one JSON line and pass it on, keeping none."""
+    for record in records:
+        handle.write(json.dumps(record.to_json_dict(), sort_keys=True))
+        handle.write("\n")
+        yield record
+
+
 def cmd_sweep(ns) -> int:
     if not (0 <= ns.n <= MAX_SWEEP_N):
         return _fail(ns, EXIT_USAGE, f"sweep size must lie in 0..{MAX_SWEEP_N}, got {ns.n}")
-    records = []
     try:
         with open(ns.out, "w", encoding="utf-8") as handle:
-            for record in sweep(ns.n, jobs=ns.jobs, seed=ns.seed):
-                records.append(record)
-                handle.write(json.dumps(record.to_json_dict(), sort_keys=True))
-                handle.write("\n")
+            records = _written(handle, sweep(ns.n, jobs=ns.jobs, seed=ns.seed))
+            summary = sweep_summary(records, ns.n, sampled=sweep_is_sampled(ns.n))
     except OSError as exc:
         return _fail(ns, EXIT_IO, f"cannot write sweep output: {exc}")
-    summary = sweep_summary(records, ns.n, sampled=sweep_is_sampled(ns.n))
     _emit(ns, {
         "manifest": _manifest(
             "sweep", {"n": ns.n, "out": ns.out, "jobs": ns.jobs, "seed": ns.seed},
@@ -264,7 +269,13 @@ def cmd_identity(ns) -> int:
     return EXIT_OK if residual <= ns.tolerance else EXIT_BOUND
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged (every call starts from a fresh
+    namespace filled with the declared defaults), so calls cannot leak state.
+    """
     parser = argparse.ArgumentParser(
         prog="pohst",
         description="Certification engine for the generalized Pohst product inequality.",

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pohst.analysis import (
@@ -229,3 +230,47 @@ class TestSoundnessSample:
         report = bound_soundness_sample(1, 2000, seed=3)
         assert report.total_violations == 0 and report.group_violations == 0
         assert report.patterns == 2
+
+    # Every field of the report, max ratios as float.hex, recorded with the
+    # per-pattern mask-and-column kernel that preceded the sorted pass.
+    GOLDEN = {
+        (0, 10, 0): (1, 0, 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+        (1, 2000, 3): (2, 0, 0, "0x1.ffeb02a1a1ce9p-1", "0x1.ffeb02a1a1ce9p-1"),
+        (4, 3000, 2): (16, 0, 0, "0x1.c9b1a07c85c30p-1", "0x1.ffffffe9345fep-1"),
+        (6, 5000, 1): (64, 0, 0, "0x1.8c7c70fba4cd5p-1", "0x1.ffffff8af9977p-1"),
+        (10, 20000, 5): (1024, 0, 0, "0x1.0972904e14306p-1", "0x1.fffffffff8c0cp-1"),
+        (0, 0, 0): (0, 0, 0, "0x0.0p+0", "0x0.0p+0"),
+        (5, 0, 7): (0, 0, 0, "0x0.0p+0", "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize("n, samples, seed", sorted(GOLDEN))
+    def test_golden_reports(self, n, samples, seed):
+        report = bound_soundness_sample(n, samples, seed=seed)
+        assert (report.n, report.samples) == (n, samples)
+        assert (
+            report.patterns,
+            report.total_violations,
+            report.group_violations,
+            report.max_total_ratio.hex(),
+            report.max_group_ratio.hex(),
+        ) == self.GOLDEN[(n, samples, seed)]
+
+    # at n = 1 each pattern has exactly one group, so groups == samples
+    @pytest.mark.parametrize("n, samples, seed, groups", [
+        (1, 500, 4, 500), (3, 700, 1, 2643), (6, 2000, 2, 20848),
+    ])
+    def test_negative_tolerance_counts_every_positive_product(self, n, samples, seed, groups):
+        # magnitudes lie in (0, 1], so every factor, group product and total
+        # is positive and a tolerance of -1 turns each of them into a violation
+        report = bound_soundness_sample(n, samples, seed=seed, tolerance=-1.0)
+        assert report.total_violations == samples
+        assert report.group_violations == groups
+
+    @pytest.mark.parametrize("n", [-1, 64, 65])
+    def test_rejects_sizes_whose_codes_overflow(self, n, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("samples drawn before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="0..63"):
+            bound_soundness_sample(n, 200)

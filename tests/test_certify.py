@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from pohst.certify import (
     eval_P,
     eval_f,
     eval_factor,
+    factor_matrix,
     factor_table,
     group_bound,
     x_from_y,
@@ -95,6 +97,16 @@ class TestEvaluation:
             P = eval_P(y)
             f = eval_f(x_from_y(y))
             assert abs(P - f) <= 1e-12 * max(abs(P), abs(f))
+
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    def test_factor_matrix_rows_equal_factor_table(self, n):
+        rng = np.random.default_rng(n)
+        X = (1.0 - rng.random((300, n))) * np.where(rng.random((300, n)) < 0.5, -1.0, 1.0)
+        F = factor_matrix(X)
+        assert F.shape == (300, n * (n + 1) // 2)
+        for row, values in zip(X, F):
+            table = factor_table(RealVectorX(tuple(float(v) for v in row)))
+            assert [v.hex() for v in table.values()] == [float(v).hex() for v in values]
 
     def test_factor_sign_ranges(self):
         rng = random.Random(5)

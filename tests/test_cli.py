@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from pohst import cli
+from pohst.analysis import sweep_summary
 from pohst.cli import main
 
 
@@ -85,6 +87,20 @@ class TestCertify:
         assert code == 2
         assert "error" in doc
 
+    def test_consecutive_calls_leak_no_state(self, capsys):
+        # the parser is built once per process; options of one call must
+        # not survive into the next
+        code, doc = run(capsys, "certify", "--x", "0.5", "--tolerance", "0.25")
+        assert code == 0 and doc["tolerance"] == 0.25
+        code, doc = run(capsys, "certify", "--x", "0.5")
+        assert code == 0 and doc["tolerance"] == 1e-12
+        assert doc["manifest"]["args"] == {"x": "0.5", "y": None, "tolerance": 1e-12}
+        code, doc = run(capsys, "certify", "--y", "1,-2,4")
+        assert code == 0 and doc["input"]["kind"] == "y"
+        assert doc["manifest"]["args"]["x"] is None
+        code, doc = run(capsys, "classify", "-+-")
+        assert code == 0 and "tolerance" not in doc["manifest"]["args"]
+
     def test_requires_exactly_one_vector(self, capsys):
         code, _ = run(capsys, "certify", "--x", "0.5", "--y", "1,2")
         assert code == 2
@@ -115,6 +131,23 @@ class TestSweep:
     def test_unwritable_path(self, capsys):
         code, doc = run(capsys, "sweep", "2", "--out", "/nonexistent-dir/x.jsonl")
         assert code == 1
+
+    def test_summary_streams_records(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def summary(records, n, sampled=False):
+            seen.append(type(records))
+            return sweep_summary(records, n, sampled)
+
+        monkeypatch.setattr(cli, "sweep_summary", summary)
+        out = tmp_path / "s.jsonl"
+        code, doc = run(capsys, "sweep", "5", "--out", str(out))
+        assert code == 0 and len(seen) == 1
+        assert not issubclass(seen[0], (list, tuple))  # no record list is kept
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert doc["patterns"] == len(lines) == 32
+        assert doc["valid"] == sum(rec["valid"] for rec in lines)
+        assert doc["ladder_used"] == sum(rec["ladder"] for rec in lines)
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         serial, parallel = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
