@@ -2,8 +2,8 @@
 
 ``sweep`` grinds through sign patterns (exhaustively up to a configurable
 cap, by deterministic subsample beyond it) and emits one record per
-pattern: set sizes, the constructed heavy count, the required count, which
-construction path succeeded and whether everything validated.
+pattern: set sizes, the constructed heavy count, the required count,
+whether the ladder succeeded and whether everything validated.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -19,6 +19,7 @@ log-space accumulation when a side leaves the comfortable double range.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -28,13 +29,17 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
-from pohst.partition import SearchExhausted
+from pohst.partition import LadderStuck
 from pohst.certify import RealVectorY, factor_matrix, group_bound, partitions_for
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 SUBSAMPLE_RANDOM_COUNT = 10 ** 5
+# maximize_f line search: grid points over the whole range, then the
+# refinement radii as fractions of the range
+COARSE_POINTS = 17
+STEP_SCHEDULE = (0.1, 0.01, 0.001)
 
 
 class DegenerateInput(ValueError):
@@ -82,13 +87,13 @@ def _sweep_indices(
 
 
 def sweep_one(n: int, index: int) -> SweepRecord:
-    """Record for one pattern; construction failures surface as heavy = -1."""
+    """Record for one pattern; a stuck ladder surfaces as heavy = -1, ladder = False."""
     sigma = pattern_from_index(n, index)
     jmap, kmap = pair_sign_maps(sigma)
     target = min_heavy_target(sigma)
     try:
         eta, pi = partitions_for(sigma)
-    except SearchExhausted:
+    except LadderStuck:
         return SweepRecord(sigma.to_string(), len(jmap), len(kmap), -1, target, False, False)
     # partitions_for hands out validated partitions only
     valid = eta.partition.heavy_count == target
@@ -179,18 +184,12 @@ class MaximizeConfig:
     iterations: int = 40
     seed: int = 0
     delta: float = 1e-6
-    schedule: tuple[float, ...] = (0.1, 0.01, 0.001)
-    coarse_points: int = 17
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"magnitude floor must lie in (0, 1), got {self.delta}")
-        if any(s <= 0 for s in self.schedule):
-            raise ValueError("step schedule entries must be positive")
-        if self.coarse_points < 3:
-            raise ValueError("need at least 3 coarse line-search points")
 
 
 @dataclass(frozen=True)
@@ -255,8 +254,6 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
     evaluations = 0
 
     def line_points(a: float, b: float, count: int) -> list[float]:
-        if count == 1:
-            return [a]
         pts = [a + (b - a) * k / (count - 1) for k in range(count)]
         pts[0], pts[-1] = a, b
         return pts
@@ -280,13 +277,13 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
             for k in range(n):
                 cand_best = mags[k]
                 local_best = value
-                for m in line_points(lo, hi, cfg.coarse_points):
+                for m in line_points(lo, hi, COARSE_POINTS):
                     x[k] = signs[k] * m
                     v = _objective(x)
                     evaluations += 1
                     if v > local_best:
                         local_best, cand_best = v, m
-                for frac in cfg.schedule:
+                for frac in STEP_SCHEDULE:
                     radius = (hi - lo) * frac
                     a = max(lo, cand_best - radius)
                     b = min(hi, cand_best + radius)
@@ -343,40 +340,12 @@ def _relative_residual(
     return abs(math.expm1(lhs_log - rhs_log))
 
 
-def identity_residual(y: RealVectorY) -> float:
-    """Relative residual of ``P**(n-2)`` against the leave-one-out product."""
+def _leave_out_residual(y: RealVectorY, d: int) -> float:
+    """Relative residual of ``P**comb(n-2, d)`` against the product, over
+    every choice of ``d`` left-out positions, of the remaining pair factors."""
     n = len(y)
-    if n < 3:
-        raise ValueError(f"the identity needs at least 3 entries, got {n}")
     factors = _pair_factors(y)
-    lhs = 1.0
-    lhs_log = 0.0
-    for f in factors.values():
-        lhs *= f
-        lhs_log += math.log(f)
-    lhs, lhs_log = lhs ** (n - 2), lhs_log * (n - 2)
-    rhs = 1.0
-    rhs_log = 0.0
-    for k in range(n):
-        sub = 1.0
-        sub_log = 0.0
-        for (i, j), f in factors.items():
-            if i == k or j == k:
-                continue
-            sub *= f
-            sub_log += math.log(f)
-        rhs *= sub
-        rhs_log += sub_log
-    return _relative_residual(lhs, rhs, lhs_log, rhs_log)
-
-
-def iterated_identity_residual(y: RealVectorY) -> float:
-    """Relative residual of ``P**((n-2)(n-3)/2)`` against the leave-two-out product."""
-    n = len(y)
-    if n < 4:
-        raise ValueError(f"the iterated identity needs at least 4 entries, got {n}")
-    factors = _pair_factors(y)
-    exponent = (n - 2) * (n - 3) // 2
+    exponent = math.comb(n - 2, d)
     lhs = 1.0
     lhs_log = 0.0
     for f in factors.values():
@@ -385,18 +354,33 @@ def iterated_identity_residual(y: RealVectorY) -> float:
     lhs, lhs_log = lhs ** exponent, lhs_log * exponent
     rhs = 1.0
     rhs_log = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            sub = 1.0
-            sub_log = 0.0
-            for (i, j), f in factors.items():
-                if i in (k, l) or j in (k, l):
-                    continue
-                sub *= f
-                sub_log += math.log(f)
-            rhs *= sub
-            rhs_log += sub_log
+    for left_out in itertools.combinations(range(n), d):
+        sub = 1.0
+        sub_log = 0.0
+        for (i, j), f in factors.items():
+            if i in left_out or j in left_out:
+                continue
+            sub *= f
+            sub_log += math.log(f)
+        rhs *= sub
+        rhs_log += sub_log
     return _relative_residual(lhs, rhs, lhs_log, rhs_log)
+
+
+def identity_residual(y: RealVectorY) -> float:
+    """Relative residual of ``P**(n-2)`` against the leave-one-out product."""
+    n = len(y)
+    if n < 3:
+        raise ValueError(f"the identity needs at least 3 entries, got {n}")
+    return _leave_out_residual(y, 1)
+
+
+def iterated_identity_residual(y: RealVectorY) -> float:
+    """Relative residual of ``P**((n-2)(n-3)/2)`` against the leave-two-out product."""
+    n = len(y)
+    if n < 4:
+        raise ValueError(f"the iterated identity needs at least 4 entries, got {n}")
+    return _leave_out_residual(y, 2)
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,7 @@ class Certificate:
 
 @lru_cache(maxsize=65536)
 def partitions_for(sigma: SignVector) -> tuple[EtaBuild, GoodPartition]:
-    """Cached validated good partitions per sign pattern; both constructions are pure."""
+    """Cached validated ladder partitions per sign pattern; raises ``LadderStuck``."""
     return construct_eta(sigma), build_pi(sigma)
 
 

@@ -6,7 +6,8 @@ files) and reports through the exit code:
     0  success
     1  I/O failure
     2  usage or precondition violation
-    3  partition-existence failure (a would-be counterexample witness)
+    3  partition-existence failure: the ladder failed or the search found
+       nothing (a would-be counterexample, reported with sigma and target)
     4  bound or identity violation
     5  sweep produced invalid records
 
@@ -14,6 +15,8 @@ Sign patterns are compact ``'+'``/``'-'`` strings; numeric vectors are
 comma-separated decimals.  A leading ``-`` in a pattern would normally read
 as an option, so place flags before the pattern or separate it with ``--``;
 the launcher inserts the separator automatically for plain patterns.
+``partition``'s search and both modes take at most ``MAX_SEARCH_N`` = 48
+signs (the search recurses once per negative pair); longer patterns exit 2.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from pohst.analysis import (
 )
 from pohst.certify import DomainError, RealVectorX, RealVectorY, certify_x, certify_y
 from pohst.partition import (
+    LadderStuck,
     SearchExhausted,
     check_construction_invariants,
     construct_eta,
@@ -81,6 +85,12 @@ def _manifest(command: str, args: dict, seed=None) -> dict:
         "input_digest": hashlib.sha256(canonical.encode()).hexdigest(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+
+
+def _no_partition(ns, exc: LadderStuck | SearchExhausted) -> int:
+    return _fail(
+        ns, EXIT_NO_PARTITION, str(exc), sigma=exc.sigma.to_string(), target=exc.target
+    )
 
 
 def _parse_pattern(text: str) -> SignVector:
@@ -135,18 +145,20 @@ def cmd_partition(ns) -> int:
             if target == "K":
                 eta = construct_eta(sigma)
                 constructed = eta.partition
-                if eta.trace is not None:
-                    doc["trace"] = eta.trace.to_json_dict()
-                    doc["trace_check_violations"] = check_construction_invariants(
-                        sigma, eta.trace
-                    )
+                doc["trace"] = eta.trace.to_json_dict()
+                doc["trace_check_violations"] = check_construction_invariants(
+                    sigma, eta.trace
+                )
             else:
                 constructed = build_pi(sigma)
             doc["partition"] = constructed.to_json_dict()
             doc["validation"] = list(validate_partition(sigma, constructed).violations)
         if ns.mode in ("search", "both"):
             budget = min_heavy_target(sigma) if target == "K" else 0
-            searched = search_partition(sigma, target, budget)
+            try:
+                searched = search_partition(sigma, target, budget)
+            except ValueError as exc:  # the pattern is too long for the search
+                return _fail(ns, EXIT_USAGE, str(exc))
             if searched is None:
                 raise SearchExhausted(sigma, target)
             key = "search_partition" if ns.mode == "both" else "partition"
@@ -160,12 +172,8 @@ def cmd_partition(ns) -> int:
                 "constructed": constructed.heavy_count,
                 "search": searched.heavy_count,
             }
-    except SearchExhausted as exc:
-        return _fail(
-            ns, EXIT_NO_PARTITION,
-            f"no good partition of {exc.target} exists for this pattern",
-            sigma=exc.sigma.to_string(), target=exc.target,
-        )
+    except (LadderStuck, SearchExhausted) as exc:
+        return _no_partition(ns, exc)
     _emit(ns, doc)
     return EXIT_OK
 
@@ -180,6 +188,8 @@ def cmd_certify(ns) -> int:
             cert = certify_y(RealVectorY(_parse_floats(ns.y)), ns.tolerance)
     except (DomainError, ValueError) as exc:
         return _fail(ns, EXIT_USAGE, str(exc))
+    except LadderStuck as exc:
+        return _no_partition(ns, exc)
     doc = {"manifest": _manifest(
         "certify", {"x": ns.x, "y": ns.y, "tolerance": ns.tolerance})}
     doc.update(cert.to_json_dict())

@@ -26,17 +26,18 @@ singleton on an unstable level (operation 3), or folded into an L-triple
 with the surviving heavy singleton one row below its start on a stable
 level (operation 4).  ``build_eta`` runs the ladder over K;
 ``construct_eta`` and ``build_pi`` validate the ladder's partition of K and
-J once and fall back to ``search_partition``, the independent backtracking
-oracle over the same move set, when it is stuck or invalid.
-``validate_partition`` checks any claimed partition against the shape and
-count rules.
+J once and raise :class:`LadderStuck` when it is stuck or invalid: the
+ladder is the only construction path.  ``search_partition``, the
+independent backtracking oracle over the same move set, serves the tests
+and the CLI's search modes only.  ``validate_partition`` checks any claimed
+partition against the shape and count rules.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from pohst.signs import (
     Pair,
@@ -58,6 +59,11 @@ class Shape(enum.Enum):
 
 HEAVY_SHAPES = (Shape.NEGATIVE_SINGLETON, Shape.L_TRIPLE)
 
+# search_partition recurses once per negative pair: at most 600 at this
+# length (the all-minus pattern, ceil(49/2) * floor(49/2), all in K), well
+# inside the interpreter's default recursion limit of 1000
+MAX_SEARCH_N = 48
+
 _MEMBER_COUNT = {
     Shape.POSITIVE_SINGLETON: 1,
     Shape.MIXED_PAIR: 2,
@@ -68,14 +74,16 @@ _MEMBER_COUNT = {
 
 
 class LadderStuck(RuntimeError):
-    """The case ladder found no applicable operation for a negative pair."""
+    """The case ladder left a negative pair of ``target`` unabsorbed, or built
+    a partition that fails validation (``negative`` is then ``None``)."""
 
-    def __init__(self, sigma: SignVector, negative: Optional[Pair], reason: str):
+    def __init__(self, sigma: SignVector, target: str, negative: Optional[Pair], reason: str):
         self.sigma = sigma
+        self.target = target
         self.negative = negative
         self.reason = reason
         super().__init__(
-            f"ladder stuck on {sigma.to_string()!r} at {negative}: {reason}"
+            f"ladder stuck on {target} of {sigma.to_string()!r} at {negative}: {reason}"
         )
 
 
@@ -157,10 +165,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class EtaBuild:
-    """Outcome of the checked K construction: partition, trace, which path won."""
+    """Outcome of the checked K construction; ``ladder_used`` is always true."""
 
     partition: GoodPartition
-    trace: Optional[ConstructionTrace]
+    trace: ConstructionTrace
     ladder_used: bool
 
 
@@ -387,7 +395,7 @@ def _ladder(
                         steps.append((neg, 5, 4, ((low,), (top,)), members, Shape.L_TRIPLE))
                         continue
                 raise LadderStuck(
-                    sigma, neg, "no heavy singleton survives one row below the start"
+                    sigma, target, neg, "no heavy singleton survives one row below the start"
                 )
             case = 6 if stable[j] else (3 if failures[j] == 2 else 4)
 
@@ -417,7 +425,7 @@ def _ladder(
         if completed:
             continue
         raise LadderStuck(
-            sigma, neg, "no row mate, column mate, or rectangle completion applies"
+            sigma, target, neg, "no row mate, column mate, or rectangle completion applies"
         )
 
     for p in pos_free:
@@ -435,40 +443,30 @@ def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
 
 
 def _validated(
-    sigma: SignVector,
-    target: str,
-    ladder: Callable[[SignVector], tuple[GoodPartition, Optional[ConstructionTrace]]],
+    sigma: SignVector, target: str
 ) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
-    """Ladder, one validation, and the search as fallback on a stuck or invalid result.
+    """The ladder's partition of ``target``, validated once.
 
-    The trace is ``None`` when the search supplied the partition.  Raises
-    :class:`SearchExhausted` when even the search finds nothing valid; any
-    such witness would contradict the partition guarantee and is surfaced
-    rather than swallowed.
+    Raises :class:`LadderStuck` when the ladder leaves a gap or its partition
+    fails validation: either contradicts the construction's guarantee.
     """
-    try:
-        part, trace = ladder(sigma)
-    except LadderStuck:
-        pass
-    else:
-        if validate_partition(sigma, part).ok:
-            return part, trace
-    budget = min_heavy_target(sigma) if target == "K" else 0
-    part = search_partition(sigma, target, budget)
-    if part is None or not validate_partition(sigma, part).ok:
-        raise SearchExhausted(sigma, target)
-    return part, None
+    # K goes through build_eta, the K ladder's public (and profiled) name
+    part, trace = build_eta(sigma) if target == "K" else _ladder(sigma, target)
+    report = validate_partition(sigma, part)
+    if not report.ok:
+        raise LadderStuck(sigma, target, None, "; ".join(report.violations))
+    return part, trace
 
 
 def construct_eta(sigma: SignVector) -> EtaBuild:
-    """Validated good partition of K: the ladder first, the search after."""
-    part, trace = _validated(sigma, "K", build_eta)
-    return EtaBuild(part, trace, trace is not None)
+    """Validated good partition of K from the ladder.  Raises :class:`LadderStuck`."""
+    part, trace = _validated(sigma, "K")
+    return EtaBuild(part, trace, True)
 
 
 def build_pi(sigma: SignVector) -> GoodPartition:
-    """Validated good partition of J: the ladder without heavy moves, the search after."""
-    return _validated(sigma, "J", lambda s: _ladder(s, "J"))[0]
+    """Validated good partition of J from the ladder.  Raises :class:`LadderStuck`."""
+    return _validated(sigma, "J")[0]
 
 
 def search_partition(
@@ -480,7 +478,8 @@ def search_partition(
     operation-1 mate (row then column), every rectangle completion, every
     triple completion and finally a heavy singleton (while budget remains)
     is branched on.  The first complete cover whose heavy-group count equals
-    ``heavy_budget`` exactly is returned.
+    ``heavy_budget`` exactly is returned.  Patterns longer than
+    ``MAX_SEARCH_N`` raise ``ValueError``.
 
     The move set reaches every admissible partition: within any group the
     negatives occupy strictly earlier positions than the pairs completing
@@ -491,6 +490,10 @@ def search_partition(
     """
     if target not in ("J", "K"):
         raise ValueError(f"unknown partition target {target!r}")
+    if len(sigma) > MAX_SEARCH_N:
+        raise ValueError(
+            f"the search handles patterns of length at most {MAX_SEARCH_N}, got {len(sigma)}"
+        )
     signmap = pair_sign_maps(sigma)[0 if target == "J" else 1]
     allow_heavy = target == "K"
     if not allow_heavy and heavy_budget:

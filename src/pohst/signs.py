@@ -86,13 +86,6 @@ def pair_sort_key(pair: Pair) -> tuple[int, int]:
     return (pair[1], -pair[0])
 
 
-def pairs_in_order(n: int) -> Iterator[Pair]:
-    """All pairs of the index triangle in construction order."""
-    for j in range(1, n + 1):
-        for i in range(j, 0, -1):
-            yield (i, j)
-
-
 def prefix_signs(sigma: SignVector) -> tuple[int, ...]:
     """Cumulative signs ``t_0..t_n`` with ``t_0 = +1``."""
     out = [1]
@@ -103,25 +96,12 @@ def prefix_signs(sigma: SignVector) -> tuple[int, ...]:
     return tuple(out)
 
 
-def classify_pairs(sigma: SignVector) -> tuple[list[PairInfo], list[PairInfo]]:
-    """Split the index triangle into the non-canonical set J and canonical set K.
-
-    Both lists come back in construction order.  Every pair lands in exactly
-    one list, so ``len(J) + len(K) == n*(n+1)/2``.
-    """
-    t = prefix_signs(sigma)
-    j_set: list[PairInfo] = []
-    k_set: list[PairInfo] = []
-    for i, j in pairs_in_order(len(sigma)):
-        s = t[i - 1] * t[j]
-        canonical = s == (1 if (i + j) % 2 == 1 else -1)
-        info = PairInfo((i, j), s, canonical)
-        (k_set if canonical else j_set).append(info)
-    return j_set, k_set
-
-
 def pair_sign_maps(sigma: SignVector) -> tuple[dict[Pair, int], dict[Pair, int]]:
-    """Pair-to-sign dictionaries for J and K; the hot-loop form of classify."""
+    """Pair-to-sign dictionaries for J and K, each in construction order.
+
+    The one place that applies the canonical rule; every other split of the
+    triangle derives from these maps.
+    """
     t = prefix_signs(sigma)
     jmap: dict[Pair, int] = {}
     kmap: dict[Pair, int] = {}
@@ -138,11 +118,23 @@ def pair_sign_maps(sigma: SignVector) -> tuple[dict[Pair, int], dict[Pair, int]]
     return jmap, kmap
 
 
+def classify_pairs(sigma: SignVector) -> tuple[list[PairInfo], list[PairInfo]]:
+    """Split the index triangle into the non-canonical set J and canonical set K.
+
+    Both lists come back in construction order.  Every pair lands in exactly
+    one list, so ``len(J) + len(K) == n*(n+1)/2``.
+    """
+    jmap, kmap = pair_sign_maps(sigma)
+    return (
+        [PairInfo(p, s, False) for p, s in jmap.items()],
+        [PairInfo(p, s, True) for p, s in kmap.items()],
+    )
+
+
 def alpha_beta(sigma: SignVector) -> tuple[int, int]:
     """Counts of positive and negative prefix products of the pattern."""
-    t = prefix_signs(sigma)
-    alpha = sum(1 for r in range(1, len(sigma) + 1) if t[r] > 0)
-    return alpha, len(sigma) - alpha
+    p, m = y_sign_counts(sigma)
+    return p - 1, m  # t_0 = +1 is a y-sign but not a prefix product
 
 
 def y_sign_counts(sigma: SignVector) -> tuple[int, int]:
@@ -183,17 +175,7 @@ def boundary_counts(sigma: SignVector) -> tuple[int, int]:
     n = len(sigma)
     if n < 1:
         raise IndexError("boundary counts need a nonempty pattern")
-    t = prefix_signs(sigma)
-    b_plus = b_minus = 0
-    seen = set()
-    for i, j in [(1, j) for j in range(1, n + 1)] + [(i, n) for i in range(1, n + 1)]:
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        s = t[i - 1] * t[j]
-        if s == (1 if (i + j) % 2 == 1 else -1):
-            if s > 0:
-                b_plus += 1
-            else:
-                b_minus += 1
-    return b_plus, b_minus
+    kmap = pair_sign_maps(sigma)[1]
+    signs = [s for (i, j), s in kmap.items() if i == 1 or j == n]
+    b_plus = sum(1 for s in signs if s > 0)
+    return b_plus, len(signs) - b_plus

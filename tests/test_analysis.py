@@ -118,11 +118,11 @@ class TestSweep:
 
     def test_construction_failure_yields_flagged_record(self, monkeypatch):
         import pohst.analysis as analysis
-        from pohst.partition import SearchExhausted
+        from pohst.partition import LadderStuck
         from pohst.signs import SignVector
 
         def refuse(sigma):
-            raise SearchExhausted(sigma, "K")
+            raise LadderStuck(sigma, "K", None, "refused")
 
         monkeypatch.setattr(analysis, "partitions_for", refuse)
         records = list(sweep(1))

@@ -71,6 +71,19 @@ class TestPartition:
         assert doc["partition"]["method"] == "search"
 
 
+    @pytest.mark.parametrize("mode", ["search", "both"])
+    def test_search_length_limit(self, capsys, mode):
+        # 1056 negative pairs: deeper than the default recursion limit
+        code, doc = run(capsys, "partition", "-" * 64, "k", mode)
+        assert code == 2
+        assert "at most 48" in doc["error"]
+
+    def test_ladder_mode_has_no_length_limit(self, capsys):
+        code, doc = run(capsys, "partition", "-" * 64, "k", "ladder")
+        assert code == 0
+        assert doc["validation"] == []
+
+
 class TestCertify:
     def test_x_vector(self, capsys):
         code, doc = run(capsys, "certify", "--x", "-0.5,0.5")
@@ -244,16 +257,30 @@ class TestExitCodeSurfaces:
 
     def test_partition_existence_failure_exits_three(self, capsys, monkeypatch):
         import pohst.cli as cli
-        from pohst.partition import SearchExhausted
-        from pohst.signs import SignVector
 
-        def refuse(sigma):
-            raise SearchExhausted(sigma, "J")
-
-        monkeypatch.setattr(cli, "build_pi", refuse)
-        code, doc = run(capsys, "partition", "-+-", "j", "ladder")
+        monkeypatch.setattr(cli, "search_partition", lambda sigma, target, budget: None)
+        code, doc = run(capsys, "partition", "-+-", "j", "search")
         assert code == 3
         assert doc["sigma"] == "-+-" and doc["target"] == "J"
+
+    @pytest.mark.parametrize("argv, target", [
+        (("certify", "--x", "-0.5,0.5"), "K"),
+        (("partition", "-+", "k", "ladder"), "K"),
+        (("partition", "-+", "j", "ladder"), "J"),
+    ])
+    def test_stuck_ladder_exits_three(self, capsys, monkeypatch, argv, target):
+        import pohst.partition as partition
+        from pohst.certify import partitions_for
+
+        def stuck(sigma, target):
+            raise partition.LadderStuck(sigma, target, (1, 1), "forced gap")
+
+        monkeypatch.setattr(partition, "_ladder", stuck)
+        partitions_for.cache_clear()
+        code, doc = run(capsys, *argv)
+        assert code == 3
+        assert doc["sigma"] == "-+" and doc["target"] == target
+        assert "forced gap" in doc["error"]
 
     def test_bound_violation_exits_four(self, capsys, monkeypatch):
         import dataclasses

@@ -8,8 +8,10 @@ import pytest
 
 from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
 from pohst.partition import (
+    MAX_SEARCH_N,
     ConstructionTrace,
     GoodPartition,
+    LadderStuck,
     PartitionGroup,
     Shape,
     TraceStep,
@@ -250,6 +252,13 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_partition(SignVector.from_string("+"), "J", 1)
 
+    def test_length_limit(self):
+        longest = SignVector((-1,) * MAX_SEARCH_N)
+        found = search_partition(longest, "K", min_heavy_target(longest))
+        assert validate_partition(longest, found).ok
+        with pytest.raises(ValueError, match="at most"):
+            search_partition(SignVector((-1,) * (MAX_SEARCH_N + 1)), "K", 0)
+
     def test_randomized_large_patterns(self):
         import random
 
@@ -271,6 +280,30 @@ class TestConstructEta:
         result = construct_eta(SignVector.from_string("-+-"))
         assert result.ladder_used and result.trace is not None
         assert result.partition.method == "ladder"
+
+    def test_ladder_is_the_only_path(self, monkeypatch):
+        import pohst.partition as partition
+
+        def refuse(*args):
+            raise AssertionError("the search must not run")
+
+        def empty(sigma, target):
+            return GoodPartition(target, ()), None
+
+        def stuck(sigma, target):
+            raise LadderStuck(sigma, target, (1, 1), "forced gap")
+
+        monkeypatch.setattr(partition, "search_partition", refuse)
+        sigma = SignVector.from_string("-+-")
+        for ladder, negative, reason in ((empty, None, "uncovered"),
+                                         (stuck, (1, 1), "forced gap")):
+            monkeypatch.setattr(partition, "_ladder", ladder)
+            for build, target in ((construct_eta, "K"), (build_pi, "J")):
+                with pytest.raises(LadderStuck) as info:
+                    build(sigma)
+                assert info.value.sigma == sigma and info.value.target == target
+                assert info.value.negative == negative
+                assert reason in info.value.reason
 
     def test_heavy_count_helper(self):
         part = GoodPartition("K", (
