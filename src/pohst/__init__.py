@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from pohst.signs import (
     Pair,
     PairInfo,
+    PatternContext,
     SignVector,
     alpha_beta,
     boundary_counts,
@@ -37,7 +38,6 @@ from pohst.certify import (
     check_pohst_case,
     eval_P,
     eval_f,
-    eval_factor,
     group_bound,
     x_from_y,
 )

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
+from pohst.signs import PatternContext, SignVector, min_heavy_target
 from pohst.partition import LadderStuck
 from pohst.certify import RealVectorY, factor_matrix, group_bound, partitions_for
 
@@ -89,18 +89,18 @@ def _sweep_indices(
 def sweep_one(n: int, index: int) -> SweepRecord:
     """Record for one pattern; a stuck ladder surfaces as heavy = -1, ladder = False."""
     sigma = pattern_from_index(n, index)
-    jmap, kmap = pair_sign_maps(sigma)
-    target = min_heavy_target(sigma)
+    ctx = PatternContext(sigma)
+    target = ctx.target
+    sizes = ctx.size("J"), ctx.size("K")
     try:
         eta, pi = partitions_for(sigma)
     except LadderStuck:
-        return SweepRecord(sigma.to_string(), len(jmap), len(kmap), -1, target, False, False)
+        return SweepRecord(sigma.to_string(), *sizes, -1, target, False, False)
     # partitions_for hands out validated partitions only
     valid = eta.partition.heavy_count == target
     return SweepRecord(
         sigma.to_string(),
-        len(jmap),
-        len(kmap),
+        *sizes,
         eta.partition.heavy_count,
         target,
         eta.ladder_used,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from pohst.signs import Pair, SignVector, min_heavy_target
+from pohst.signs import Pair, PatternContext, SignVector, min_heavy_target
 from pohst.partition import (
     EtaBuild,
     GoodPartition,
@@ -37,6 +37,10 @@ from pohst.partition import (
 )
 
 DEFAULT_TOLERANCE = 1e-12
+
+# a certificate costs O(n^2) time and memory: longer x vectors, and y
+# vectors longer by one, are rejected before any partition is built
+MAX_CERTIFY_N = 1024
 
 
 class DomainError(ValueError):
@@ -96,17 +100,6 @@ def x_from_y(y: RealVectorY) -> RealVectorX:
     """Consecutive ratios ``y_i / y_{i+1}``; strict modulus growth keeps them in (-1, 1)."""
     ys = y.entries
     return RealVectorX(tuple(ys[i] / ys[i + 1] for i in range(len(ys) - 1)))
-
-
-def eval_factor(x: RealVectorX, pair: Pair) -> float:
-    """The factor ``1 - x_i * ... * x_j``; always lies in [0, 2]."""
-    i, j = pair
-    if not (1 <= i <= j <= len(x)):
-        raise IndexError(f"pair {pair} out of range for a length-{len(x)} vector")
-    prod = 1.0
-    for k in range(i - 1, j):
-        prod *= x.entries[k]
-    return 1.0 - prod
 
 
 def factor_table(x: RealVectorX) -> dict[Pair, float]:
@@ -266,8 +259,13 @@ class Certificate:
 
 @lru_cache(maxsize=65536)
 def partitions_for(sigma: SignVector) -> tuple[EtaBuild, GoodPartition]:
-    """Cached validated ladder partitions per sign pattern; raises ``LadderStuck``."""
-    return construct_eta(sigma), build_pi(sigma)
+    """Cached validated ladder partitions per sign pattern; raises ``LadderStuck``.
+
+    Both constructions share one :class:`PatternContext`; the cache keeps the
+    partitions only, not the context.
+    """
+    ctx = PatternContext(sigma)
+    return construct_eta(ctx), build_pi(ctx)
 
 
 def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certificate:
@@ -275,8 +273,14 @@ def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
 
     Builds the partitions for the sign pattern of x, bounds every group by
     its shape bound and the total by ``2**min(p, m)``, all relatively to
-    ``tolerance``.
+    ``tolerance``.  Vectors longer than ``MAX_CERTIFY_N`` raise
+    :class:`DomainError` before any partition is built.
     """
+    if len(x) > MAX_CERTIFY_N:
+        raise DomainError(
+            f"certificates take at most {MAX_CERTIFY_N} x entries "
+            f"({MAX_CERTIFY_N + 1} y entries), got {len(x)} x entries"
+        )
     sigma = x.sign_vector()
     eta, pi = partitions_for(sigma)
     table = factor_table(x)

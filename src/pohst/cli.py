@@ -17,6 +17,8 @@ as an option, so place flags before the pattern or separate it with ``--``;
 the launcher inserts the separator automatically for plain patterns.
 ``partition``'s search and both modes take at most ``MAX_SEARCH_N`` = 48
 signs (the search recurses once per negative pair); longer patterns exit 2.
+``certify`` takes at most ``MAX_CERTIFY_N`` = 1024 x entries (1025 y
+entries; a certificate costs O(n^2)); longer vectors exit 2.
 """
 
 from __future__ import annotations

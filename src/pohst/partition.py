@@ -31,6 +31,16 @@ ladder is the only construction path.  ``search_partition``, the
 independent backtracking oracle over the same move set, serves the tests
 and the CLI's search modes only.  ``validate_partition`` checks any claimed
 partition against the shape and count rules.
+
+The ladder and the validator work on the bit rows of a
+:class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
+are found by lowest/highest-set-bit scans, every group's members come out
+already in construction order, so the partition needs one sort on an int
+key and no per-group sort, and the validator checks membership, signs,
+disjointness and coverage by bit tests.  ``construct_eta``, ``build_pi``,
+``build_eta`` and ``validate_partition`` take a context or a
+:class:`~pohst.signs.SignVector`; ``partitions_for`` builds one context per
+pattern for both constructions.
 """
 
 from __future__ import annotations
@@ -41,11 +51,10 @@ from typing import Iterable, Optional
 
 from pohst.signs import (
     Pair,
+    PatternContext,
     SignVector,
-    min_heavy_target,
     pair_sign_maps,
     pair_sort_key,
-    stable_levels,
 )
 
 
@@ -185,142 +194,138 @@ def _canonical_partition(
     return GoodPartition(target=target, groups=ordered, method=method)
 
 
+def _context(sigma: SignVector | PatternContext) -> PatternContext:
+    return sigma if isinstance(sigma, PatternContext) else PatternContext(sigma)
+
+
+def _shape_findings(shape: Shape, members: tuple[Pair, ...], signs: list[int]) -> list[str]:
+    """Shape and sign rules for one group, as human-readable findings.
+
+    ``signs[k]`` is the product sign of ``members[k]``, or 0 when that pair
+    lies outside the target set.
+    """
+    count = len(members)
+    if count > 1 and len(set(members)) != count:
+        return ["repeated member"]
+    if count != _MEMBER_COUNT[shape]:
+        return [f"{shape.value} needs {_MEMBER_COUNT[shape]} members, has {count}"]
+    if 0 in signs:
+        return ["member outside the target set"]
+    if count == 1:
+        if shape is Shape.POSITIVE_SINGLETON:
+            return [] if signs[0] > 0 else [f"singleton {members[0]} has negative product sign"]
+        return [] if signs[0] < 0 else [f"singleton {members[0]} has positive product sign"]
+    if shape is Shape.MIXED_PAIR:
+        if signs[0] == signs[1]:
+            return ["mixed pair needs one positive and one negative member"]
+        (pi, pj), (ni, nj) = members if signs[0] > 0 else members[::-1]
+        if (ni <= pi and nj == pj) or (ni == pi and pj <= nj):
+            return []
+        return [f"negative {(ni, nj)} does not enclose positive {(pi, pj)} along a row or column"]
+    if shape is Shape.RECTANGLE_QUAD:
+        # four distinct members on two columns and two rows fill the rectangle
+        cols = sorted({p[0] for p in members})
+        rows = sorted({p[1] for p in members})
+        if len(cols) != 2 or len(rows) != 2:
+            return ["rectangle needs two columns and two rows"]
+        (a, b), (u, v) = cols, rows
+        sign = dict(zip(members, signs))
+        return [
+            f"rectangle corner {p} has sign {sign[p]}, wants {w}"
+            for p, w in (((b, u), 1), ((a, u), -1), ((b, v), -1), ((a, v), 1))
+            if sign[p] != w
+        ]
+    # Shape.L_TRIPLE
+    pos = [p for p, s in zip(members, signs) if s > 0]
+    neg = [p for p, s in zip(members, signs) if s < 0]
+    if len(pos) != 1:
+        return ["L-triple needs one positive and two negative members"]
+    i, j = pos[0]
+    row_mates = [p for p in neg if p[1] == j and p[0] > i]
+    col_mates = [p for p in neg if p[0] == i and p[1] < j]
+    if len(row_mates) != 1 or len(col_mates) != 1:
+        return [
+            f"L-triple around {pos[0]} needs one row mate after it and one column mate below it"
+        ]
+    if col_mates[0][1] != row_mates[0][0] - 1:
+        # elementary case 3 needs the column mate and the row mate to split
+        # the positive pair's product exactly
+        return [
+            f"L-triple column mate {col_mates[0]} does not end just before "
+            f"row mate {row_mates[0]} starts"
+        ]
+    return []
+
+
 def group_shape_violations(
     group: PartitionGroup, signmap: dict[Pair, int]
 ) -> list[str]:
     """Shape and sign rules for a single group, as human-readable findings."""
-    out: list[str] = []
-    members = group.members
-    if len(set(members)) != len(members):
-        out.append("repeated member")
-        return out
-    if len(members) != _MEMBER_COUNT[group.shape]:
-        out.append(
-            f"{group.shape.value} needs {_MEMBER_COUNT[group.shape]} members, has {len(members)}"
-        )
-        return out
-    if any(p not in signmap for p in members):
-        out.append("member outside the target set")
-        return out
-    signs = {p: signmap[p] for p in members}
-    pos = [p for p in members if signs[p] > 0]
-    neg = [p for p in members if signs[p] < 0]
-    shape = group.shape
-    if shape is Shape.POSITIVE_SINGLETON:
-        if neg:
-            out.append(f"singleton {members[0]} has negative product sign")
-    elif shape is Shape.NEGATIVE_SINGLETON:
-        if pos:
-            out.append(f"singleton {members[0]} has positive product sign")
-    elif shape is Shape.MIXED_PAIR:
-        if len(pos) != 1:
-            out.append("mixed pair needs one positive and one negative member")
-        else:
-            (pi, pj), (ni, nj) = pos[0], neg[0]
-            if not ((ni <= pi and nj == pj) or (ni == pi and pj <= nj)):
-                out.append(
-                    f"negative {neg[0]} does not enclose positive {pos[0]} along a row or column"
-                )
-    elif shape is Shape.RECTANGLE_QUAD:
-        cols = sorted({p[0] for p in members})
-        rows = sorted({p[1] for p in members})
-        if len(cols) != 2 or len(rows) != 2:
-            out.append("rectangle needs two columns and two rows")
-        elif set(members) != {(c, r) for c in cols for r in rows}:
-            out.append("members do not fill the rectangle")
-        else:
-            a, b = cols
-            u, v = rows
-            want = {(b, u): 1, (a, u): -1, (b, v): -1, (a, v): 1}
-            for p, w in want.items():
-                if signs[p] != w:
-                    out.append(f"rectangle corner {p} has sign {signs[p]}, wants {w}")
-    elif shape is Shape.L_TRIPLE:
-        if len(pos) != 1 or len(neg) != 2:
-            out.append("L-triple needs one positive and two negative members")
-        else:
-            i, j = pos[0]
-            row_mates = [p for p in neg if p[1] == j and p[0] > i]
-            col_mates = [p for p in neg if p[0] == i and p[1] < j]
-            if len(row_mates) != 1 or len(col_mates) != 1:
-                out.append(
-                    f"L-triple around {pos[0]} needs one row mate after it and one column mate below it"
-                )
-            elif col_mates[0][1] != row_mates[0][0] - 1:
-                # elementary case 3 needs the column mate and the row mate to
-                # split the positive pair's product exactly
-                out.append(
-                    f"L-triple column mate {col_mates[0]} does not end just before "
-                    f"row mate {row_mates[0]} starts"
-                )
-    return out
+    return _shape_findings(
+        group.shape, group.members, [signmap.get(p, 0) for p in group.members]
+    )
 
 
-def validate_partition(sigma: SignVector, part: GoodPartition) -> ValidationReport:
+def validate_partition(
+    sigma: SignVector | PatternContext, part: GoodPartition
+) -> ValidationReport:
     """Check coverage, disjointness, shapes, signs and the heavy-group count.
 
-    Violations are returned as data; nothing raises except out-of-range
-    member pairs, which break the precondition.
+    Every member of every group is checked against the bit rows of the
+    pattern's context.  Violations are returned as data; nothing raises
+    except out-of-range member pairs, which break the precondition.
     """
-    if part.target not in ("J", "K"):
-        raise ValueError(f"unknown partition target {part.target!r}")
-    jmap, kmap = pair_sign_maps(sigma)
-    signmap = jmap if part.target == "J" else kmap
-    n = len(sigma)
+    target = part.target
+    if target not in ("J", "K"):
+        raise ValueError(f"unknown partition target {target!r}")
+    ctx = _context(sigma)
+    n = ctx.n
+    rows, pos = ctx.rows(target)
+    seen = [0] * (n + 1)
     violations: list[str] = []
-    seen: dict[Pair, int] = {}
+    heavy = 0
     for idx, group in enumerate(part.groups):
-        for p in group.members:
+        members = group.members
+        signs = []
+        for p in members:
             i, j = p
             if not (1 <= i <= j <= n):
                 raise IndexError(f"group {idx} member {p} out of range for n={n}")
-            if p in seen:
-                violations.append(
-                    f"pair {p} appears in groups {seen[p]} and {idx}"
-                )
+            bit = 1 << i
+            if seen[j] & bit:
+                first = next(k for k, g in enumerate(part.groups) if p in g.members)
+                violations.append(f"pair {p} appears in groups {first} and {idx}")
             else:
-                seen[p] = idx
-            if p not in signmap:
-                violations.append(
-                    f"group {idx}: pair {p} is not in the {part.target} set"
-                )
-        for finding in group_shape_violations(group, signmap):
+                seen[j] |= bit
+            if rows[j] & bit:
+                signs.append(1 if pos[j] & bit else -1)
+            else:
+                signs.append(0)
+                violations.append(f"group {idx}: pair {p} is not in the {target} set")
+        for finding in _shape_findings(group.shape, members, signs):
             violations.append(f"group {idx} ({group.shape.value}): {finding}")
-        if part.target == "J" and group.shape in HEAVY_SHAPES:
-            violations.append(
-                f"group {idx}: {group.shape.value} is not admissible in a J partition"
-            )
-    missing = [p for p in signmap if p not in seen]
-    if missing:
-        missing.sort(key=pair_sort_key)
-        violations.append(f"uncovered pairs: {missing}")
-    if part.target == "K":
-        want = min_heavy_target(sigma)
-        if part.heavy_count != want:
-            violations.append(
-                f"heavy group count {part.heavy_count} differs from required {want}"
-            )
+        if group.shape in HEAVY_SHAPES:
+            heavy += 1
+            if target == "J":
+                violations.append(
+                    f"group {idx}: {group.shape.value} is not admissible in a J partition"
+                )
+    if tuple(seen) != rows:
+        missing = [
+            (i, j)
+            for j in range(1, n + 1)
+            for i in range(j, 0, -1)
+            if (rows[j] & ~seen[j]) >> i & 1
+        ]
+        if missing:
+            violations.append(f"uncovered pairs: {missing}")
+    if target == "K" and heavy != ctx.target:
+        violations.append(f"heavy group count {heavy} differs from required {ctx.target}")
     return ValidationReport(not violations, tuple(violations))
 
 
-def _row_mate(pos_free: set[Pair], i: int, j: int) -> Optional[Pair]:
-    # within a row the construction order descends in the start index, so
-    # the maximal candidate is the one with the smallest start after i
-    for i2 in range(i + 1, j + 1):
-        if (i2, j) in pos_free:
-            return (i2, j)
-    return None
-
-
-def _column_mate(pos_free: set[Pair], i: int, j: int) -> Optional[Pair]:
-    for j2 in range(j - 1, i - 1, -1):
-        if (i, j2) in pos_free:
-            return (i, j2)
-    return None
-
-
 def _ladder(
-    sigma: SignVector, target: str
+    ctx: PatternContext, target: str
 ) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
     """Run the case ladder over K or J.  Raises :class:`LadderStuck` on any gap.
 
@@ -333,117 +338,154 @@ def _ladder(
     stable level, and nothing else touches the count.  K alone gets case
     numbers and a trace; for J the trace is ``None``.
 
+    The free positive pairs live in bit rows (bit i of ``free_row[j]``) and
+    bit columns (bit j of ``free_col[i]``): the row mate is the lowest free
+    bit above i, the column mate the highest free bit below j.  Members are
+    emitted in construction order, and the live groups are keyed by the
+    position of their first member, so one sort on an int key orders the
+    partition.
+
     The result is not validated here; :func:`construct_eta` and
     :func:`build_pi` validate it once.
     """
     heavy = target == "K"
-    signmap = pair_sign_maps(sigma)[1 if heavy else 0]
-    stable = stable_levels(sigma) if heavy else ()
-
-    pos_free: set[Pair] = {p for p, s in signmap.items() if s > 0}
-    # positive member of each live horizontal mixed pair -> (gid, negative member)
-    hpartner: dict[Pair, tuple[int, Pair]] = {}
-    # row -> (gid, pair) for the single live heavy singleton a row can hold
-    heavy_in_row: dict[int, tuple[int, Pair]] = {}
-    groups: dict[int, PartitionGroup] = {}
-    next_gid = 0
-
-    def add_group(shape: Shape, members: Iterable[Pair]) -> int:
-        nonlocal next_gid
-        gid = next_gid
-        next_gid += 1
-        groups[gid] = _sorted_group(shape, members)
-        return gid
-
-    # TraceStep fields, built into a trace for K only
-    steps: list[tuple] = []
-    failures: dict[int, int] = {}
+    n = ctx.n
+    rows, pos = ctx.rows(target)
+    stable = ctx.stable
+    free_row = list(pos)
+    free_col = [0] * (n + 1)
+    for j in range(1, n + 1):
+        row = pos[j]
+        while row:
+            low = row & -row
+            free_col[low.bit_length() - 1] |= 1 << j
+            row ^= low
+    # live groups keyed by their first member (i, j) as j * stride - i,
+    # which ascends in construction order
+    stride = n + 1
+    groups: dict[int, tuple[Shape, tuple[Pair, ...]]] = {}
+    # bit ell of row_pairs[i]: (i, ell) is the positive member of a live
+    # row-mate pair, which a rectangle may still complete
+    row_pairs = [0] * (n + 1)
+    # start of the live heavy singleton of each row (at most one), 0 if none
+    heavy_start = [0] * (n + 1)
+    steps: list[TraceStep] = []
     op3_uses = 0
 
-    negatives = sorted((p for p, s in signmap.items() if s < 0), key=pair_sort_key)
-    for neg in negatives:
-        i, j = neg
+    for j in range(1, n + 1):
+        negatives = rows[j] & ~pos[j]
+        failures = 0
+        while negatives:
+            i = negatives.bit_length() - 1
+            negatives ^= 1 << i
+            neg = (i, j)
 
-        mate = _row_mate(pos_free, i, j)
-        if mate is not None:
-            pos_free.discard(mate)
-            gid = add_group(Shape.MIXED_PAIR, (mate, neg))
-            hpartner[mate] = (gid, neg)
-            steps.append((neg, 1, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR))
-            continue
-
-        case = 0
-        if heavy:
-            failures[j] = failures.get(j, 0) + 1
-            if failures[j] == 1 and not stable[j]:
-                gid = add_group(Shape.NEGATIVE_SINGLETON, (neg,))
-                heavy_in_row[j] = (gid, neg)
-                op3_uses += 1
-                steps.append((neg, 2, 3, (), (neg,), Shape.NEGATIVE_SINGLETON))
+            above = free_row[j] >> (i + 1) << (i + 1)
+            if above:
+                i2 = (above & -above).bit_length() - 1
+                free_row[j] ^= 1 << i2
+                free_col[i2] ^= 1 << j
+                row_pairs[i2] |= 1 << j
+                mate = (i2, j)
+                members = (mate, neg)
+                groups[j * stride - i2] = (Shape.MIXED_PAIR, members)
+                if heavy:
+                    steps.append(TraceStep(neg, 1, 1, ((mate,),), members, Shape.MIXED_PAIR))
                 continue
-            if failures[j] == 1:
-                entry = heavy_in_row.get(i - 1)
-                if entry is not None:
-                    gid_low, low = entry
-                    top = (low[0], j)
-                    if low[0] < i and top in pos_free:
-                        pos_free.discard(top)
-                        del groups[gid_low]
-                        del heavy_in_row[i - 1]
-                        gid = add_group(Shape.L_TRIPLE, (low, top, neg))
-                        members = groups[gid].members
-                        steps.append((neg, 5, 4, ((low,), (top,)), members, Shape.L_TRIPLE))
+
+            case = 0
+            if heavy:
+                failures += 1
+                if failures == 1 and not stable[j]:
+                    groups[j * stride - i] = (Shape.NEGATIVE_SINGLETON, (neg,))
+                    heavy_start[j] = i
+                    op3_uses += 1
+                    steps.append(TraceStep(neg, 2, 3, (), (neg,), Shape.NEGATIVE_SINGLETON))
+                    continue
+                if failures == 1:
+                    ell = heavy_start[i - 1]
+                    if ell and free_row[j] >> ell & 1:
+                        free_row[j] ^= 1 << ell
+                        free_col[ell] ^= 1 << j
+                        heavy_start[i - 1] = 0
+                        key = (i - 1) * stride - ell
+                        low, top = groups[key][1][0], (ell, j)
+                        members = (low, neg, top)
+                        # replaces the heavy singleton (ell, i - 1), same key
+                        groups[key] = (Shape.L_TRIPLE, members)
+                        steps.append(
+                            TraceStep(neg, 5, 4, ((low,), (top,)), members, Shape.L_TRIPLE)
+                        )
                         continue
-                raise LadderStuck(
-                    sigma, target, neg, "no heavy singleton survives one row below the start"
-                )
-            case = 6 if stable[j] else (3 if failures[j] == 2 else 4)
+                    raise LadderStuck(
+                        ctx.sigma, target, neg,
+                        "no heavy singleton survives one row below the start",
+                    )
+                case = 6 if stable[j] else (3 if failures == 2 else 4)
 
-        mate = _column_mate(pos_free, i, j)
-        if mate is not None:
-            pos_free.discard(mate)
-            gid = add_group(Shape.MIXED_PAIR, (mate, neg))
-            steps.append((neg, case, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR))
-            continue
-
-        completed = False
-        for ell in range(j - 1, i - 1, -1):
-            entry = hpartner.get((i, ell))
-            if entry is None:
+            below = free_col[i] & ((1 << j) - 1)
+            if below:
+                j2 = below.bit_length() - 1
+                free_col[i] ^= 1 << j2
+                free_row[j2] ^= 1 << i
+                mate = (i, j2)
+                members = (mate, neg)
+                groups[j2 * stride - i] = (Shape.MIXED_PAIR, members)
+                if heavy:
+                    steps.append(TraceStep(neg, case, 1, ((mate,),), members, Shape.MIXED_PAIR))
                 continue
-            gid_pair, low_neg = entry
-            corner = (low_neg[0], j)
-            if corner in pos_free:
-                pos_free.discard(corner)
-                consumed = (groups[gid_pair].members, (corner,))
-                del groups[gid_pair]
-                del hpartner[(i, ell)]
-                gid = add_group(Shape.RECTANGLE_QUAD, ((i, ell), low_neg, neg, corner))
-                steps.append((neg, case, 2, consumed, groups[gid].members, Shape.RECTANGLE_QUAD))
-                completed = True
-                break
-        if completed:
-            continue
-        raise LadderStuck(
-            sigma, target, neg, "no row mate, column mate, or rectangle completion applies"
-        )
 
-    for p in pos_free:
-        add_group(Shape.POSITIVE_SINGLETON, (p,))
+            candidates = row_pairs[i] & ((1 << j) - 1)
+            while candidates:
+                ell = candidates.bit_length() - 1
+                candidates ^= 1 << ell
+                key = ell * stride - i
+                pair_members = groups[key][1]
+                low_neg = pair_members[1]
+                c = low_neg[0]
+                if free_row[j] >> c & 1:
+                    free_row[j] ^= 1 << c
+                    free_col[c] ^= 1 << j
+                    row_pairs[i] ^= 1 << ell
+                    corner = (c, j)
+                    members = (pair_members[0], low_neg, neg, corner)
+                    # the rectangle starts with the pair's positive member
+                    groups[key] = (Shape.RECTANGLE_QUAD, members)
+                    if heavy:
+                        steps.append(TraceStep(
+                            neg, case, 2, (pair_members, (corner,)), members,
+                            Shape.RECTANGLE_QUAD,
+                        ))
+                    break
+            else:
+                raise LadderStuck(
+                    ctx.sigma, target, neg,
+                    "no row mate, column mate, or rectangle completion applies",
+                )
 
+    for j in range(1, n + 1):
+        row = free_row[j]
+        while row:
+            low = row & -row
+            i = low.bit_length() - 1
+            groups[j * stride - i] = (Shape.POSITIVE_SINGLETON, ((i, j),))
+            row ^= low
+
+    ordered = tuple(PartitionGroup(*groups[key]) for key in sorted(groups))
     if not heavy:
-        return _canonical_partition(target, groups.values(), "greedy"), None
-    trace = ConstructionTrace(tuple(TraceStep(*step) for step in steps), op3_uses)
-    return _canonical_partition(target, groups.values(), "ladder"), trace
+        return GoodPartition(target, ordered, "greedy"), None
+    return GoodPartition(target, ordered, "ladder"), ConstructionTrace(tuple(steps), op3_uses)
 
 
-def build_eta(sigma: SignVector) -> tuple[GoodPartition, ConstructionTrace]:
+def build_eta(
+    sigma: SignVector | PatternContext,
+) -> tuple[GoodPartition, ConstructionTrace]:
     """The case ladder over K, unvalidated.  Raises :class:`LadderStuck` on any gap."""
-    return _ladder(sigma, "K")
+    return _ladder(_context(sigma), "K")
 
 
 def _validated(
-    sigma: SignVector, target: str
+    ctx: PatternContext, target: str
 ) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
     """The ladder's partition of ``target``, validated once.
 
@@ -451,22 +493,22 @@ def _validated(
     fails validation: either contradicts the construction's guarantee.
     """
     # K goes through build_eta, the K ladder's public (and profiled) name
-    part, trace = build_eta(sigma) if target == "K" else _ladder(sigma, target)
-    report = validate_partition(sigma, part)
+    part, trace = build_eta(ctx) if target == "K" else _ladder(ctx, target)
+    report = validate_partition(ctx, part)
     if not report.ok:
-        raise LadderStuck(sigma, target, None, "; ".join(report.violations))
+        raise LadderStuck(ctx.sigma, target, None, "; ".join(report.violations))
     return part, trace
 
 
-def construct_eta(sigma: SignVector) -> EtaBuild:
+def construct_eta(sigma: SignVector | PatternContext) -> EtaBuild:
     """Validated good partition of K from the ladder.  Raises :class:`LadderStuck`."""
-    part, trace = _validated(sigma, "K")
+    part, trace = _validated(_context(sigma), "K")
     return EtaBuild(part, trace, True)
 
 
-def build_pi(sigma: SignVector) -> GoodPartition:
+def build_pi(sigma: SignVector | PatternContext) -> GoodPartition:
     """Validated good partition of J from the ladder.  Raises :class:`LadderStuck`."""
-    return _validated(sigma, "J")[0]
+    return _validated(_context(sigma), "J")[0]
 
 
 def search_partition(

@@ -12,7 +12,9 @@ name the factor ``1 - x_i * ... * x_j``.  The product sign of ``(i, j)`` is
 ``t_{i-1} * t_j``, an O(1) lookup in the prefix array.  A pair is
 *canonical* when its product sign equals ``(-1)**(i + j + 1)`` and
 *non-canonical* when it equals ``(-1)**(i + j)``; the canonical set K and
-the non-canonical set J partition the index triangle.
+the non-canonical set J partition the index triangle.  A
+:class:`PatternContext` holds that split once per pattern as bit rows, the
+form the constructions and the validator read.
 """
 
 from __future__ import annotations
@@ -96,26 +98,85 @@ def prefix_signs(sigma: SignVector) -> tuple[int, ...]:
     return tuple(out)
 
 
-def pair_sign_maps(sigma: SignVector) -> tuple[dict[Pair, int], dict[Pair, int]]:
-    """Pair-to-sign dictionaries for J and K, each in construction order.
+class PatternContext:
+    """Everything the constructions and the validator read off one pattern.
 
-    The one place that applies the canonical rule; every other split of the
-    triangle derives from these maps.
+    Built once per pattern: the pattern ``sigma``, its prefix signs ``t``,
+    the heavy target ``min(p, m)``, the level stability flags ``stable``
+    (as :func:`stable_levels`) and four bit rows per row ``j`` (index 0 is
+    an empty row): ``k_rows[j]``, ``k_pos[j]``, ``j_rows[j]`` and
+    ``j_pos[j]``, where bit ``i`` stands for pair ``(i, j)`` and the rows
+    hold the pairs of K, the positive pairs of K, the pairs of J and the
+    positive pairs of J.
+
+    This constructor is the one place that applies the canonical rule;
+    every other split of the triangle derives from it.  Pair ``(i, j)`` is
+    canonical exactly when ``a_i == b_j`` with ``a_i = t_{i-1} (-1)**i`` and
+    ``b_j = t_j (-1)**(j+1)``, and positive exactly when
+    ``t_{i-1} == t_j``, so each row costs a few big-int operations.
     """
-    t = prefix_signs(sigma)
-    jmap: dict[Pair, int] = {}
-    kmap: dict[Pair, int] = {}
-    for j in range(1, len(sigma) + 1):
-        tj = t[j]
-        odd = j % 2
-        for i in range(j, 0, -1):
-            s = t[i - 1] * tj
-            # canonical exactly when s == (-1)**(i+j+1)
-            if s == (1 if (i + odd) % 2 == 1 else -1):
-                kmap[(i, j)] = s
-            else:
-                jmap[(i, j)] = s
-    return jmap, kmap
+
+    __slots__ = ("sigma", "n", "t", "target", "stable", "k_rows", "k_pos", "j_rows", "j_pos")
+
+    def __init__(self, sigma: SignVector) -> None:
+        n = len(sigma)
+        t = prefix_signs(sigma)
+        a_plus = 0  # bit i set when a_i = +1
+        t_plus = 0  # bit i set when t_{i-1} = +1
+        k_rows, k_pos, j_rows, j_pos = [0], [0], [0], [0]
+        stable = [True]
+        p = 1
+        prev_min = 0
+        for j in range(1, n + 1):
+            bit = 1 << j
+            if t[j - 1] > 0:
+                t_plus |= bit
+            if (t[j - 1] > 0) == (j % 2 == 0):
+                a_plus |= bit
+            tri = (bit << 1) - 2
+            k = (a_plus if (t[j] > 0) == (j % 2 == 1) else ~a_plus) & tri
+            pos = (t_plus if t[j] > 0 else ~t_plus) & tri
+            k_rows.append(k)
+            k_pos.append(k & pos)
+            j_rows.append(tri ^ k)
+            j_pos.append(pos & ~k)
+            if t[j] > 0:
+                p += 1
+            cur_min = min(p, j + 1 - p)
+            stable.append(cur_min == prev_min)
+            prev_min = cur_min
+        self.sigma = sigma
+        self.n = n
+        self.t = t
+        self.target = min(p, n + 1 - p)
+        self.stable = tuple(stable)
+        self.k_rows = tuple(k_rows)
+        self.k_pos = tuple(k_pos)
+        self.j_rows = tuple(j_rows)
+        self.j_pos = tuple(j_pos)
+
+    def rows(self, target: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(rows, positive rows)`` of ``"K"`` or ``"J"``."""
+        if target == "K":
+            return self.k_rows, self.k_pos
+        return self.j_rows, self.j_pos
+
+    def size(self, target: str) -> int:
+        """Number of pairs in ``"K"`` or ``"J"``."""
+        return sum(row.bit_count() for row in self.rows(target)[0])
+
+
+def pair_sign_maps(sigma: SignVector) -> tuple[dict[Pair, int], dict[Pair, int]]:
+    """Pair-to-sign dictionaries for J and K, each in construction order."""
+    ctx = PatternContext(sigma)
+    maps: tuple[dict[Pair, int], dict[Pair, int]] = ({}, {})
+    for out, (rows, pos) in zip(maps, (ctx.rows("J"), ctx.rows("K"))):
+        for j in range(1, ctx.n + 1):
+            row = rows[j]
+            for i in range(j, 0, -1):
+                if row >> i & 1:
+                    out[(i, j)] = 1 if pos[j] >> i & 1 else -1
+    return maps
 
 
 def classify_pairs(sigma: SignVector) -> tuple[list[PairInfo], list[PairInfo]]:
@@ -157,17 +218,7 @@ def stable_levels(sigma: SignVector) -> tuple[bool, ...]:
     ``min(p, m)`` did not grow from level ``j - 1`` (level 0 is stable by
     convention: there is no earlier level to jump from).
     """
-    t = prefix_signs(sigma)
-    flags = [True]
-    p = 1
-    prev_min = 0
-    for j in range(1, len(sigma) + 1):
-        if t[j] > 0:
-            p += 1
-        cur_min = min(p, j + 1 - p)
-        flags.append(cur_min == prev_min)
-        prev_min = cur_min
-    return tuple(flags)
+    return PatternContext(sigma).stable
 
 
 def boundary_counts(sigma: SignVector) -> tuple[int, int]:

@@ -17,7 +17,6 @@ from pohst.certify import (
     check_pohst_case,
     eval_P,
     eval_f,
-    eval_factor,
     factor_matrix,
     factor_table,
     group_bound,
@@ -66,13 +65,9 @@ class TestVectors:
 
 class TestEvaluation:
     def test_factor_examples(self):
-        assert eval_factor(RealVectorX((-1.0,)), (1, 1)) == 2.0
-        assert eval_factor(RealVectorX((0.5,)), (1, 1)) == 0.5
-        assert eval_factor(RealVectorX((-0.5, 0.5)), (1, 2)) == 1.25
-
-    def test_factor_range_error(self):
-        with pytest.raises(IndexError):
-            eval_factor(RealVectorX((0.5,)), (1, 2))
+        assert factor_table(RealVectorX((-1.0,)))[(1, 1)] == 2.0
+        assert factor_table(RealVectorX((0.5,)))[(1, 1)] == 0.5
+        assert factor_table(RealVectorX((-0.5, 0.5)))[(1, 2)] == 1.25
 
     def test_eval_f_examples(self):
         assert eval_f(RealVectorX((-1.0,))) == 2.0

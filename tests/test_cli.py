@@ -114,6 +114,28 @@ class TestCertify:
         code, doc = run(capsys, "classify", "-+-")
         assert code == 0 and "tolerance" not in doc["manifest"]["args"]
 
+    def test_input_length_cap(self, capsys, monkeypatch):
+        import pohst.certify as certify
+
+        class Reached(Exception):
+            pass
+
+        def refuse(sigma):
+            raise Reached
+
+        monkeypatch.setattr(certify, "partitions_for", refuse)
+        cap = certify.MAX_CERTIFY_N
+        xs = ",".join(["0.5"] * (cap + 1))
+        ys = ",".join(str(k) for k in range(1, cap + 3))
+        for flag, values in (("--x", xs), ("--y", ys)):
+            code, doc = run(capsys, "certify", flag, values)
+            assert code == 2
+            assert f"at most {cap} x entries" in doc["error"]
+        # at the cap the input passes the length check
+        for flag, values in (("--x", xs[4:]), ("--y", ys[: ys.rindex(",")])):
+            with pytest.raises(Reached):
+                main(["certify", flag, values])
+
     def test_requires_exactly_one_vector(self, capsys):
         code, _ = run(capsys, "certify", "--x", "0.5", "--y", "1,2")
         assert code == 2
@@ -272,8 +294,8 @@ class TestExitCodeSurfaces:
         import pohst.partition as partition
         from pohst.certify import partitions_for
 
-        def stuck(sigma, target):
-            raise partition.LadderStuck(sigma, target, (1, 1), "forced gap")
+        def stuck(ctx, target):
+            raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
 
         monkeypatch.setattr(partition, "_ladder", stuck)
         partitions_for.cache_clear()

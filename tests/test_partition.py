@@ -3,12 +3,21 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
-from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
+from pohst.signs import (
+    PatternContext,
+    SignVector,
+    min_heavy_target,
+    pair_sign_maps,
+    pair_sort_key,
+    stable_levels,
+)
 from pohst.partition import (
     MAX_SEARCH_N,
+    _ladder,
     ConstructionTrace,
     GoodPartition,
     LadderStuck,
@@ -102,6 +111,15 @@ class TestValidate:
                 SignVector.from_string("+"),
                 GoodPartition("J", (group(Shape.POSITIVE_SINGLETON, (1, 2)),)),
             )
+
+    def test_mixed_pair_geometry(self):
+        # in K of "--" the negative (1, 1) lies below the positive (1, 2) in
+        # its column instead of enclosing it
+        kmap = pair_sign_maps(SignVector.from_string("--"))[1]
+        findings = group_shape_violations(group(Shape.MIXED_PAIR, (1, 2), (1, 1)), kmap)
+        assert findings == ["negative (1, 1) does not enclose positive (1, 2) along a row or column"]
+        jmap = pair_sign_maps(SignVector.from_string("+-"))[0]
+        assert not group_shape_violations(group(Shape.MIXED_PAIR, (1, 1), (1, 2)), jmap)
 
     def test_l_triple_geometry(self):
         sigma = SignVector.from_string("--")
@@ -211,6 +229,89 @@ class TestBuildPi:
                 assert part.heavy_count == 0
 
 
+def reference_ladder(sigma, target):
+    """The set-based case ladder that the bit-row ladder replaced: pairs in
+    sets and dicts, members sorted per group.  It serves as the reference
+    for partitions and traces; where the ladder would be stuck it fails
+    with a ``KeyError`` or ``AssertionError``."""
+    heavy = target == "K"
+    signmap = pair_sign_maps(sigma)[1 if heavy else 0]
+    stable = stable_levels(sigma)
+    pos_free = {p for p, s in signmap.items() if s > 0}
+    hpartner, heavy_in_row, groups, steps, failures = {}, {}, {}, [], {}
+    op3_uses = 0
+    ids = itertools.count()
+
+    def add_group(shape, members):
+        gid = next(ids)
+        groups[gid] = PartitionGroup(shape, tuple(sorted(members, key=pair_sort_key)))
+        return gid
+
+    for neg in sorted((p for p, s in signmap.items() if s < 0), key=pair_sort_key):
+        i, j = neg
+        mate = next(((i2, j) for i2 in range(i + 1, j + 1) if (i2, j) in pos_free), None)
+        if mate is not None:
+            pos_free.discard(mate)
+            gid = add_group(Shape.MIXED_PAIR, (mate, neg))
+            hpartner[mate] = (gid, neg)
+            steps.append(TraceStep(neg, 1, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR))
+            continue
+        case = 0
+        if heavy:
+            failures[j] = failures.get(j, 0) + 1
+            if failures[j] == 1 and not stable[j]:
+                gid = add_group(Shape.NEGATIVE_SINGLETON, (neg,))
+                heavy_in_row[j] = (gid, neg)
+                op3_uses += 1
+                steps.append(TraceStep(neg, 2, 3, (), (neg,), Shape.NEGATIVE_SINGLETON))
+                continue
+            if failures[j] == 1:
+                gid_low, low = heavy_in_row.pop(i - 1)
+                top = (low[0], j)
+                pos_free.remove(top)
+                del groups[gid_low]
+                gid = add_group(Shape.L_TRIPLE, (low, top, neg))
+                steps.append(TraceStep(
+                    neg, 5, 4, ((low,), (top,)), groups[gid].members, Shape.L_TRIPLE))
+                continue
+            case = 6 if stable[j] else (3 if failures[j] == 2 else 4)
+        mate = next(((i, j2) for j2 in range(j - 1, i - 1, -1) if (i, j2) in pos_free), None)
+        if mate is not None:
+            pos_free.discard(mate)
+            gid = add_group(Shape.MIXED_PAIR, (mate, neg))
+            steps.append(TraceStep(neg, case, 1, ((mate,),), groups[gid].members, Shape.MIXED_PAIR))
+            continue
+        for ell in range(j - 1, i - 1, -1):
+            entry = hpartner.get((i, ell))
+            if entry is not None and (entry[1][0], j) in pos_free:
+                gid_pair, low_neg = entry
+                corner = (low_neg[0], j)
+                pos_free.discard(corner)
+                consumed = (groups.pop(gid_pair).members, (corner,))
+                del hpartner[(i, ell)]
+                gid = add_group(Shape.RECTANGLE_QUAD, ((i, ell), low_neg, neg, corner))
+                steps.append(TraceStep(
+                    neg, case, 2, consumed, groups[gid].members, Shape.RECTANGLE_QUAD))
+                break
+        else:
+            raise AssertionError(f"reference ladder stuck at {neg}")
+    for p in pos_free:
+        add_group(Shape.POSITIVE_SINGLETON, (p,))
+    ordered = tuple(sorted(groups.values(), key=lambda g: pair_sort_key(g.members[0])))
+    if not heavy:
+        return GoodPartition(target, ordered, "greedy"), None
+    return GoodPartition(target, ordered, "ladder"), ConstructionTrace(tuple(steps), op3_uses)
+
+
+class TestBitRowLadder:
+    def test_matches_reference_ladder(self):
+        for n in range(11):
+            for sigma in all_sigmas(n):
+                ctx = PatternContext(sigma)
+                for target in ("K", "J"):
+                    assert _ladder(ctx, target) == reference_ladder(sigma, target)
+
+
 class TestSearch:
     def test_agrees_with_ladder_example(self):
         sigma = SignVector.from_string("-+-")
@@ -287,11 +388,11 @@ class TestConstructEta:
         def refuse(*args):
             raise AssertionError("the search must not run")
 
-        def empty(sigma, target):
+        def empty(ctx, target):
             return GoodPartition(target, ()), None
 
-        def stuck(sigma, target):
-            raise LadderStuck(sigma, target, (1, 1), "forced gap")
+        def stuck(ctx, target):
+            raise LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
 
         monkeypatch.setattr(partition, "search_partition", refuse)
         sigma = SignVector.from_string("-+-")
@@ -366,6 +467,41 @@ GOLDEN_PARTITION_DIGEST = (
     "ac8891e6c19972f4b490f9766e0a4a6dc3bff0ba36ebedfd90ad9167f011cc26"
 )
 
+# SHA-256 over the verdicts and violation messages of validate_partition on
+# seeded mutations of every K and J ladder partition with n <= 8, recorded
+# before the validator moved onto bit rows
+GOLDEN_VIOLATION_DIGEST = (
+    "4ee1596f33f073f8fbc014d8450d306f8c8c9d2a59fb353f804a542c0dd84fc9"
+)
+
+MUTATIONS = ("drop", "relabel", "duplicate", "shift", "append")
+
+
+def mutate(part, kind, rng):
+    """One seeded corruption of ``part``, or ``None`` when ``kind`` cannot apply."""
+    groups = list(part.groups)
+    if not groups or (kind == "append" and len(groups) < 2):
+        return None
+    k = rng.randrange(len(groups))
+    shape, members = groups[k].shape, groups[k].members
+    if kind == "drop":
+        del groups[k]
+    elif kind == "relabel":
+        shape = rng.choice([s for s in Shape if s is not shape])
+    elif kind == "duplicate":
+        members += (rng.choice(members),)
+    elif kind == "shift":
+        m = rng.randrange(len(members))
+        di, dj = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        i, j = members[m]
+        members = members[:m] + ((i + di, j + dj),) + members[m + 1:]
+    else:
+        other = rng.choice([g for idx, g in enumerate(groups) if idx != k])
+        members += (rng.choice(other.members),)
+    if kind != "drop":
+        groups[k] = PartitionGroup(shape, members)
+    return GoodPartition(part.target, tuple(groups), part.method)
+
 
 class TestSerialization:
     def test_golden_partition_digest(self):
@@ -382,6 +518,26 @@ class TestSerialization:
                 digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
                 digest.update(b"\n")
         assert digest.hexdigest() == GOLDEN_PARTITION_DIGEST
+
+    def test_golden_violation_digest(self):
+        digest = hashlib.sha256()
+        rng = random.Random(20221)
+        for n in range(1, 9):
+            for sigma in all_sigmas(n):
+                for part in (build_eta(sigma)[0], build_pi(sigma)):
+                    for kind in MUTATIONS:
+                        for _ in range(2):
+                            mutated = mutate(part, kind, rng)
+                            if mutated is None:
+                                continue
+                            try:
+                                verdict = list(validate_partition(sigma, mutated).violations)
+                            except IndexError as exc:
+                                verdict = f"IndexError: {exc}"
+                            doc = [sigma.to_string(), part.target, kind, verdict]
+                            digest.update(json.dumps(doc).encode())
+                            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_VIOLATION_DIGEST
 
     def test_partition_json_schema(self):
         part, trace = build_eta(SignVector.from_string("--"))

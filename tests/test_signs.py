@@ -1,11 +1,13 @@
 """Sign bookkeeping: pair classification, order, counts, levels."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pohst.signs import (
+    PatternContext,
     SignVector,
     alpha_beta,
     boundary_counts,
@@ -122,6 +124,34 @@ class TestClassify:
                                  ("-+-", (1, 3), 1)):
             jmap, kmap = pair_sign_maps(SignVector.from_string(text))
             assert {**jmap, **kmap}[pair] == sign
+
+
+class TestPatternContext:
+    def test_rows_match_direct_multiplication(self):
+        for n in range(0, 13):
+            tri = [0] + [(1 << (j + 1)) - 2 for j in range(1, n + 1)]
+            for sigma in all_sigmas(n):
+                ctx = PatternContext(sigma)
+                k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
+                for i in range(1, n + 1):
+                    s = 1
+                    for j in range(i, n + 1):
+                        s *= sigma.entries[j - 1]
+                        bit = 1 << i
+                        rows, pos = (k_rows, k_pos) if s == (-1) ** (i + j + 1) else (j_rows, j_pos)
+                        rows[j] |= bit
+                        if s > 0:
+                            pos[j] |= bit
+                assert ctx.k_rows == tuple(k_rows) and ctx.k_pos == tuple(k_pos)
+                assert ctx.j_rows == tuple(j_rows) and ctx.j_pos == tuple(j_pos)
+                for j in range(n + 1):
+                    assert ctx.k_rows[j] & ctx.j_rows[j] == 0
+                    assert ctx.k_rows[j] | ctx.j_rows[j] == tri[j]
+                assert ctx.size("K") + ctx.size("J") == n * (n + 1) // 2
+                # y_{r+1} carries the sign of the first r entries' product
+                p = sum(1 for r in range(n + 1) if math.prod(sigma.entries[:r]) > 0)
+                assert ctx.target == min(p, n + 1 - p)
+                assert len(ctx.stable) == n + 1
 
 
 class TestAlphaBeta:
