@@ -29,12 +29,16 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pohst.signs import PatternContext, SignVector, min_heavy_target
-from pohst.partition import LadderStuck
-from pohst.certify import RealVectorY, factor_matrix, group_bound, partitions_for
+from pohst.partition import LadderStuck, build_pi, construct_eta
+from pohst.certify import (
+    RealVectorY, factor_matrix, group_bound, pair_factor_table, partitions_for)
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
+# the leave-two-out residual visits about n**4 / 4 factors: 1.5 s at this
+# length on a 2-vCPU x86 host with CPython 3.11, 3.6 s at n = 80
+MAX_IDENTITY_N = 64
 SUBSAMPLE_RANDOM_COUNT = 10 ** 5
 # maximize_f line search: grid points over the whole range, then the
 # refinement radii as fractions of the range
@@ -73,39 +77,33 @@ def pattern_from_index(n: int, index: int) -> SignVector:
     return SignVector(tuple(-1 if (index >> k) & 1 else 1 for k in range(n)))
 
 
-def _sweep_indices(
-    n: int, seed: int, exhaustive_cap: int
-) -> tuple[list[int], bool]:
+def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> list[int]:
     total = 1 << n
-    if total <= exhaustive_cap:
-        return list(range(total)), False
+    if not sweep_is_sampled(n, exhaustive_cap):
+        return list(range(total))
     stride = total // exhaustive_cap
     picked = set(range(0, total, stride))
     rng = np.random.default_rng(seed)
     picked.update(int(v) for v in rng.integers(0, total, SUBSAMPLE_RANDOM_COUNT))
-    return sorted(picked), True
+    return sorted(picked)
 
 
 def sweep_one(n: int, index: int) -> SweepRecord:
-    """Record for one pattern; a stuck ladder surfaces as heavy = -1, ladder = False."""
-    sigma = pattern_from_index(n, index)
-    ctx = PatternContext(sigma)
-    target = ctx.target
+    """Record for one pattern; a stuck ladder surfaces as heavy = -1, ladder = False.
+
+    Each pattern is new to a sweep, so one context feeds both constructions
+    directly, bypassing the ``partitions_for`` cache."""
+    ctx = PatternContext(pattern_from_index(n, index))
+    sigma, target = ctx.sigma.to_string(), ctx.target
     sizes = ctx.size("J"), ctx.size("K")
     try:
-        eta, pi = partitions_for(sigma)
+        eta = construct_eta(ctx)
+        build_pi(ctx)
     except LadderStuck:
-        return SweepRecord(sigma.to_string(), *sizes, -1, target, False, False)
-    # partitions_for hands out validated partitions only
-    valid = eta.partition.heavy_count == target
-    return SweepRecord(
-        sigma.to_string(),
-        *sizes,
-        eta.partition.heavy_count,
-        target,
-        eta.ladder_used,
-        valid,
-    )
+        return SweepRecord(sigma, *sizes, -1, target, False, False)
+    # both constructions hand out validated partitions only
+    heavy = eta.partition.heavy_count
+    return SweepRecord(sigma, *sizes, heavy, target, eta.ladder_used, heavy == target)
 
 
 def _sweep_chunk(args: tuple[int, list[int]]) -> list[SweepRecord]:
@@ -129,7 +127,7 @@ def sweep(
         raise ValueError(f"sweep size must lie in 0..{MAX_SWEEP_N}, got {n}")
     if n == 0:
         return
-    indices, _ = _sweep_indices(n, seed, exhaustive_cap)
+    indices = _sweep_indices(n, seed, exhaustive_cap)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(indices) < 64:
         for i in indices:
@@ -316,18 +314,6 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
     )
 
 
-def _pair_factors(y: RealVectorY) -> dict[tuple[int, int], float]:
-    ys = y.entries
-    out: dict[tuple[int, int], float] = {}
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            f = 1.0 - ys[i] / ys[j]
-            if f == 0.0:
-                raise DegenerateInput(f"zero factor at positions ({i + 1}, {j + 1})")
-            out[(i, j)] = f
-    return out
-
-
 _SAFE_LOW, _SAFE_HIGH = 1e-250, 1e250
 
 
@@ -344,17 +330,23 @@ def _leave_out_residual(y: RealVectorY, d: int) -> float:
     """Relative residual of ``P**comb(n-2, d)`` against the product, over
     every choice of ``d`` left-out positions, of the remaining pair factors."""
     n = len(y)
-    factors = _pair_factors(y)
+    factors = pair_factor_table(y)
     exponent = math.comb(n - 2, d)
     lhs = 1.0
     lhs_log = 0.0
-    for f in factors.values():
+    for (i, j), f in factors.items():
+        if f == 0.0:
+            raise DegenerateInput(f"zero factor at positions ({i}, {j})")
         lhs *= f
         lhs_log += math.log(f)
-    lhs, lhs_log = lhs ** exponent, lhs_log * exponent
+    try:
+        lhs **= exponent
+    except OverflowError:  # float ** raises where float * gives inf
+        lhs = math.inf
+    lhs_log *= exponent
     rhs = 1.0
     rhs_log = 0.0
-    for left_out in itertools.combinations(range(n), d):
+    for left_out in itertools.combinations(range(1, n + 1), d):
         sub = 1.0
         sub_log = 0.0
         for (i, j), f in factors.items():
@@ -367,20 +359,24 @@ def _leave_out_residual(y: RealVectorY, d: int) -> float:
     return _relative_residual(lhs, rhs, lhs_log, rhs_log)
 
 
+def _checked_residual(y: RealVectorY, d: int, name: str) -> float:
+    """``_leave_out_residual`` once ``y`` holds ``d + 2`` to ``MAX_IDENTITY_N`` entries."""
+    n = len(y)
+    if n < d + 2:
+        raise ValueError(f"{name} needs at least {d + 2} entries, got {n}")
+    if n > MAX_IDENTITY_N:
+        raise ValueError(f"the identities take at most {MAX_IDENTITY_N} entries, got {n}")
+    return _leave_out_residual(y, d)
+
+
 def identity_residual(y: RealVectorY) -> float:
     """Relative residual of ``P**(n-2)`` against the leave-one-out product."""
-    n = len(y)
-    if n < 3:
-        raise ValueError(f"the identity needs at least 3 entries, got {n}")
-    return _leave_out_residual(y, 1)
+    return _checked_residual(y, 1, "the identity")
 
 
 def iterated_identity_residual(y: RealVectorY) -> float:
     """Relative residual of ``P**((n-2)(n-3)/2)`` against the leave-two-out product."""
-    n = len(y)
-    if n < 4:
-        raise ValueError(f"the iterated identity needs at least 4 entries, got {n}")
-    return _leave_out_residual(y, 2)
+    return _checked_residual(y, 2, "the iterated identity")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 ``eval_f`` evaluates the full product over the index triangle for a box
 vector x, ``eval_P`` the pair product for a modulus-ordered vector y; the
-two agree under the change of variables ``x_i = y_i / y_{i+1}``.
+two agree under the change of variables ``x_i = y_i / y_{i+1}``.  The
+product identities read the same y-side ``pair_factor_table`` as ``eval_P``.
 
 The factors ``1 - x_i * ... * x_j`` come from one row-running-product
 kernel in two forms: ``factor_table`` for one vector and
@@ -19,6 +20,7 @@ run in plain double precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -141,14 +143,16 @@ def eval_f(x: RealVectorX) -> float:
     return math.prod(factor_table(x).values(), start=1.0)
 
 
-def eval_P(y: RealVectorY) -> float:
-    """Product of ``1 - y_i / y_j`` over ``i < j``; each factor lies in (0, 2)."""
+def pair_factor_table(y: RealVectorY) -> dict[Pair, float]:
+    """All factors ``1 - y_i / y_j`` with ``1 <= i < j <= n``, in lexicographic order."""
     ys = y.entries
-    total = 1.0
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            total *= 1.0 - ys[i] / ys[j]
-    return total
+    pairs = itertools.combinations(range(1, len(ys) + 1), 2)
+    return {(i, j): 1.0 - ys[i - 1] / ys[j - 1] for i, j in pairs}
+
+
+def eval_P(y: RealVectorY) -> float:
+    """Product of ``1 - y_i / y_j`` over ``i < j`` in table order; each factor lies in (0, 2)."""
+    return math.prod(pair_factor_table(y).values(), start=1.0)
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,9 @@ class Certificate:
 def partitions_for(sigma: SignVector) -> tuple[EtaBuild, GoodPartition]:
     """Cached validated ladder partitions per sign pattern; raises ``LadderStuck``.
 
-    Both constructions share one :class:`PatternContext`; the cache keeps the
+    The cache serves ``certify_x`` and the soundness sampler, which meet a
+    pattern many times; a sweep meets each once and builds directly.  Both
+    constructions share one :class:`PatternContext`; the cache keeps the
     partitions only, not the context.
     """
     ctx = PatternContext(sigma)

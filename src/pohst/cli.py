@@ -18,7 +18,9 @@ the launcher inserts the separator automatically for plain patterns.
 ``partition``'s search and both modes take at most ``MAX_SEARCH_N`` = 48
 signs (the search recurses once per negative pair); longer patterns exit 2.
 ``certify`` takes at most ``MAX_CERTIFY_N`` = 1024 x entries (1025 y
-entries; a certificate costs O(n^2)); longer vectors exit 2.
+entries; a certificate costs O(n^2)); longer vectors exit 2.  ``identity``
+takes at most ``MAX_IDENTITY_N`` = 64 y entries (the leave-two-out side
+costs O(n^4)); longer vectors exit 2.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from pohst.partition import (
     search_partition,
     validate_partition,
 )
-from pohst.signs import SignVector, alpha_beta, classify_pairs, min_heavy_target
+from pohst.signs import PatternContext, SignVector, alpha_beta, classify_pairs, min_heavy_target
 from pohst.regulator import RegulatorQuery, regulator_report
 
 EXIT_OK = 0
@@ -141,22 +143,23 @@ def cmd_partition(ns) -> int:
         "target": target,
         "mode": ns.mode,
     }
+    ctx = PatternContext(sigma)
+    doc["validation"] = []  # construct_eta and build_pi raise on any violation
     try:
         constructed = searched = None
         if ns.mode in ("ladder", "both"):
             if target == "K":
-                eta = construct_eta(sigma)
+                eta = construct_eta(ctx)
                 constructed = eta.partition
                 doc["trace"] = eta.trace.to_json_dict()
                 doc["trace_check_violations"] = check_construction_invariants(
-                    sigma, eta.trace
+                    ctx, eta.trace
                 )
             else:
-                constructed = build_pi(sigma)
+                constructed = build_pi(ctx)
             doc["partition"] = constructed.to_json_dict()
-            doc["validation"] = list(validate_partition(sigma, constructed).violations)
         if ns.mode in ("search", "both"):
-            budget = min_heavy_target(sigma) if target == "K" else 0
+            budget = ctx.target if target == "K" else 0
             try:
                 searched = search_partition(sigma, target, budget)
             except ValueError as exc:  # the pattern is too long for the search
@@ -165,9 +168,7 @@ def cmd_partition(ns) -> int:
                 raise SearchExhausted(sigma, target)
             key = "search_partition" if ns.mode == "both" else "partition"
             doc[key] = searched.to_json_dict()
-            doc.setdefault(
-                "validation", list(validate_partition(sigma, searched).violations)
-            )
+            doc["validation"] = list(validate_partition(ctx, searched).violations)
         if ns.mode == "both":
             doc["agreement"] = constructed.heavy_count == searched.heavy_count
             doc["heavy_counts"] = {

@@ -38,9 +38,9 @@ are found by lowest/highest-set-bit scans, every group's members come out
 already in construction order, so the partition needs one sort on an int
 key and no per-group sort, and the validator checks membership, signs,
 disjointness and coverage by bit tests.  ``construct_eta``, ``build_pi``,
-``build_eta`` and ``validate_partition`` take a context or a
-:class:`~pohst.signs.SignVector`; ``partitions_for`` builds one context per
-pattern for both constructions.
+``build_eta``, ``validate_partition`` and ``check_construction_invariants``
+take a context or a :class:`~pohst.signs.SignVector`, so a caller builds one
+context per pattern and hands it to all of them.
 """
 
 from __future__ import annotations
@@ -649,24 +649,10 @@ def search_partition(
     return None
 
 
-def _tail_counts(signmap: dict[Pair, int], i: int, j: int) -> tuple[int, int]:
-    """(negatives, positives) among the tail ``(i+1, j)..(j, j)`` of a row."""
-    neg = pos = 0
-    for i2 in range(i + 1, j + 1):
-        s = signmap.get((i2, j))
-        if s is None:
-            continue
-        if s < 0:
-            neg += 1
-        else:
-            pos += 1
-    return neg, pos
-
-
 def check_construction_invariants(
-    sigma: SignVector, trace: ConstructionTrace
+    sigma: SignVector | PatternContext, trace: ConstructionTrace
 ) -> list[str]:
-    """Replay a ladder trace and test the structural claims behind it.
+    """Replay a ladder trace of a pattern or its context and test the claims behind it.
 
     Checked per step: the row tail beyond a first-failure negative balances
     positives against negatives exactly (cases 2 and 5); at a second
@@ -678,10 +664,11 @@ def check_construction_invariants(
     Tail counts run over all pairs in the tail, canonical or not; the
     canonical-only tally is logged alongside whenever a count check fails.
     The surplus-2 claim is false under canonical-only counting (exhaustive
-    for n <= 12), so all-pair counting is the primary convention.
+    for n <= 12), so all-pair counting is the primary convention.  Counts
+    are popcounts of the context's bit rows masked to the tail.
     """
     issues: list[str] = []
-    jmap, kmap = pair_sign_maps(sigma)
+    ctx = _context(sigma)
     minimal_cols: dict[int, Pair] = {}
     lower: dict[int, set[int]] = {}
     upper: dict[int, set[int]] = {}
@@ -698,9 +685,11 @@ def check_construction_invariants(
             op3_seen += 1
 
         if step.case in (2, 3, 5):
-            k_n, k_p = _tail_counts(kmap, i, j)
-            j_n, j_p = _tail_counts(jmap, i, j)
-            neg_c, pos_c = k_n + j_n, k_p + j_p
+            tail = (1 << (j + 1)) - (1 << (i + 1))  # pairs (i+1, j)..(j, j)
+            k_p = (ctx.k_pos[j] & tail).bit_count()
+            k_n = (ctx.k_rows[j] & tail).bit_count() - k_p
+            pos_c = k_p + (ctx.j_pos[j] & tail).bit_count()
+            neg_c = j - i - pos_c  # J and K split the tail's j - i pairs
             surplus = 2 if step.case == 3 else 0
             if neg_c != pos_c + surplus:
                 issues.append(

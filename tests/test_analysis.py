@@ -1,5 +1,6 @@
 """Sweeps, sharpness probing, identities and randomized soundness."""
 
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from pohst.analysis import (
+    MAX_IDENTITY_N,
     DegenerateInput,
     MaximizeConfig,
     bound_soundness_sample,
@@ -17,16 +19,16 @@ from pohst.analysis import (
     sweep,
     sweep_summary,
 )
-from pohst.certify import RealVectorY
+from pohst.certify import RealVectorY, eval_P, partitions_for
 from pohst.signs import SignVector, min_heavy_target
 
 
-def random_y(rng, n):
+def random_y(rng, n, growth=(0.1, 2.0)):
     mag = rng.uniform(0.5, 2.0)
     out = []
     for _ in range(n):
         out.append(rng.choice((1, -1)) * mag)
-        mag *= 1.0 + rng.uniform(0.1, 2.0)
+        mag *= 1.0 + rng.uniform(*growth)
     return RealVectorY(tuple(out))
 
 
@@ -119,15 +121,22 @@ class TestSweep:
     def test_construction_failure_yields_flagged_record(self, monkeypatch):
         import pohst.analysis as analysis
         from pohst.partition import LadderStuck
-        from pohst.signs import SignVector
 
-        def refuse(sigma):
-            raise LadderStuck(sigma, "K", None, "refused")
+        def refuse(ctx):
+            raise LadderStuck(ctx.sigma, "K", None, "refused")
 
-        monkeypatch.setattr(analysis, "partitions_for", refuse)
+        monkeypatch.setattr(analysis, "construct_eta", refuse)
         records = list(sweep(1))
         assert all(not r.valid and r.heavy == -1 for r in records)
         assert sweep_summary(records, 1)["invalid"] == 2
+
+    def test_leaves_partition_cache_untouched(self):
+        # every pattern of a sweep is new, so the sweep builds its partitions
+        # directly and the cache neither grows nor counts a lookup
+        partitions_for.cache_clear()
+        list(sweep(6))
+        info = partitions_for.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_ladder_fraction_baseline(self):
         # pinned regression baseline: the case ladder covers every pattern
@@ -196,6 +205,26 @@ class TestIdentity:
         with pytest.raises(ValueError):
             iterated_identity_residual(RealVectorY((1.0, 2.0, 4.0)))
 
+    @pytest.mark.parametrize("residual", [identity_residual, iterated_identity_residual])
+    def test_length_cap(self, residual, monkeypatch):
+        import pohst.analysis as analysis
+
+        reached = []
+        monkeypatch.setattr(analysis, "_leave_out_residual",
+                            lambda y, d: reached.append(len(y)) or 0.0)
+        residual(RealVectorY(tuple(2.0 ** k for k in range(MAX_IDENTITY_N))))
+        assert reached == [MAX_IDENTITY_N]
+        too_long = RealVectorY(tuple(2.0 ** k for k in range(MAX_IDENTITY_N + 1)))
+        with pytest.raises(ValueError, match=f"at most {MAX_IDENTITY_N} entries"):
+            residual(too_long)
+        assert reached == [MAX_IDENTITY_N]
+
+    def test_overflowing_power_takes_log_path(self):
+        # P is about 66 here and P**190 leaves the double range: float **
+        # raises there instead of giving inf, and the log side must decide
+        y = RealVectorY(tuple(float((-2) ** k) for k in range(22)))
+        assert iterated_identity_residual(y) <= 1e-9
+
     def test_random_residuals_small(self):
         rng = random.Random(31)
         for _ in range(100):
@@ -215,6 +244,26 @@ class TestIdentity:
             mag *= 1.009
         y = RealVectorY(tuple(out))
         assert iterated_identity_residual(y) <= 1e-9
+
+    # SHA-256 over float.hex of eval_P and both residuals on seeded y vectors
+    # with n = 4..12, wide ratios and tight ones (which take the log-space
+    # path); recorded while analysis and certify each had their own y-side
+    # factor loop
+    GOLDEN_Y_DIGEST = (
+        "4f1c6bfd1784df7837129f8392cca0f5d361bbd5c6e40fb5cd7982339c397107"
+    )
+
+    def test_golden_values(self):
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for n in range(4, 13):
+            for growth in ((0.1, 2.0), (0.001, 0.05)):
+                for _ in range(30):
+                    y = random_y(rng, n, growth)
+                    for value in (eval_P(y), identity_residual(y),
+                                  iterated_identity_residual(y)):
+                        digest.update(value.hex().encode() + b"\n")
+        assert digest.hexdigest() == self.GOLDEN_Y_DIGEST
 
 
 class TestSoundnessSample:

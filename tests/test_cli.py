@@ -1,5 +1,7 @@
 """Command-line contract: payloads, exit codes, reproducibility."""
 
+import hashlib
+import itertools
 import json
 import math
 
@@ -82,6 +84,25 @@ class TestPartition:
         code, doc = run(capsys, "partition", "-" * 64, "k", "ladder")
         assert code == 0
         assert doc["validation"] == []
+
+    # SHA-256 over the exit code and the JSON document, manifest dropped, of
+    # `partition SIGNS SET MODE` for every pattern with 1 <= n <= 6, sets k
+    # and j, modes ladder and both; recorded while each construction, check
+    # and validation call still built its own context and the ladder's
+    # partitions were validated a second time
+    GOLDEN_DOCUMENTS_DIGEST = (
+        "c416c2960ff36be52d67a926ec54298016aa838037248c4d0335d5d690aa0447"
+    )
+
+    def test_golden_documents(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            for signs in map("".join, itertools.product("+-", repeat=n)):
+                for target, mode in itertools.product("kj", ("ladder", "both")):
+                    code, doc = run(capsys, "partition", signs, target, mode)
+                    del doc["manifest"]
+                    digest.update(f"{code} {json.dumps(doc, sort_keys=True)}\n".encode())
+        assert digest.hexdigest() == self.GOLDEN_DOCUMENTS_DIGEST
 
 
 class TestCertify:
@@ -260,6 +281,19 @@ class TestIdentity:
         code, doc = run(capsys, "identity", "iterated", "--y", "1,-3,9,-27",
                         "--tolerance", "0.0")
         assert code == 4
+
+    @pytest.mark.parametrize("which", ["single", "iterated"])
+    def test_length_cap(self, capsys, monkeypatch, which):
+        import pohst.analysis as analysis
+        from pohst.analysis import MAX_IDENTITY_N
+
+        def refuse(y, d):
+            raise AssertionError("factors computed before the length check")
+
+        monkeypatch.setattr(analysis, "_leave_out_residual", refuse)
+        y = ",".join(str(2 ** k) for k in range(MAX_IDENTITY_N + 1))
+        code, doc = run(capsys, "identity", which, "--y", y)
+        assert code == 2 and f"at most {MAX_IDENTITY_N} entries" in doc["error"]
 
     def test_degenerate_input_maps_to_usage_error(self, capsys, monkeypatch):
         import pohst.cli as cli

@@ -453,11 +453,25 @@ class TestTraceChecks:
         issues = check_construction_invariants(sigma, fabricated)
         assert any("connected to higher rows" in v for v in issues)
 
+    def test_unbalanced_tail_detected(self):
+        # the tail (2, 4), (3, 4), (4, 4) holds a canonical negative, a
+        # non-canonical negative and a non-canonical positive
+        sigma = SignVector.from_string("+-+-")
+        fabricated = ConstructionTrace((
+            TraceStep((1, 4), 2, 3, (), ((1, 4),), Shape.NEGATIVE_SINGLETON),
+        ), 1)
+        assert check_construction_invariants(sigma, fabricated) == [
+            "step 0: tail of (1, 4) holds 2 negative vs 1 positive pairs, "
+            "expected a surplus of 0 (canonical-only count 1/0)"
+        ]
+
     def test_exhaustive_clean(self):
         for n in range(1, 9):
             for sigma in all_sigmas(n):
-                _, trace = build_eta(sigma)
-                assert check_construction_invariants(sigma, trace) == []
+                ctx = PatternContext(sigma)
+                _, trace = build_eta(ctx)
+                assert check_construction_invariants(ctx, trace) == \
+                    check_construction_invariants(sigma, trace) == []
 
 
 # SHA-256 over the K ladder's partition and trace and the J partition of
