@@ -31,7 +31,8 @@ import numpy as np
 from pohst.signs import PatternContext, SignVector, min_heavy_target
 from pohst.partition import LadderStuck, build_pi, construct_eta
 from pohst.certify import (
-    RealVectorY, factor_matrix, group_bound, pair_factor_table, partitions_for)
+    DEFAULT_TOLERANCE, RealVectorY, factor_matrix, group_bound, pair_factor_table,
+    partitions_for)
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
@@ -391,7 +392,7 @@ class SoundnessReport:
 
 
 def bound_soundness_sample(
-    n: int, samples: int, seed: int = 0, tolerance: float = 1e-12
+    n: int, samples: int, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> SoundnessReport:
     """Randomized check that totals and group products respect their bounds.
 
@@ -423,13 +424,13 @@ def bound_soundness_sample(
     max_group_ratio = 0.0
     for code, head, size in zip(codes.tolist(), heads.tolist(), sizes.tolist()):
         sigma = pattern_from_index(n, code)
-        eta, pi = partitions_for(sigma)
+        k_part, j_part = partitions_for(sigma)
         F = factor_matrix(X[order[head: head + size]])
         total = F.prod(axis=1)
         bound = 2.0 ** min_heavy_target(sigma)
         max_total_ratio = max(max_total_ratio, float((total / bound).max()))
         total_violations += int((total > bound * (1.0 + tolerance)).sum())
-        groups = eta.partition.groups + pi.groups
+        groups = k_part.groups + j_part.groups
         if not groups:  # n = 0: the triangle is empty
             continue
         cols = [col[p] for group in groups for p in group.members]

@@ -30,7 +30,6 @@ import numpy as np
 
 from pohst.signs import Pair, PatternContext, SignVector, min_heavy_target
 from pohst.partition import (
-    EtaBuild,
     GoodPartition,
     PartitionGroup,
     HEAVY_SHAPES,
@@ -261,17 +260,29 @@ class Certificate:
         }
 
 
-@lru_cache(maxsize=65536)
-def partitions_for(sigma: SignVector) -> tuple[EtaBuild, GoodPartition]:
-    """Cached validated ladder partitions per sign pattern; raises ``LadderStuck``.
+@lru_cache(maxsize=4096)
+def partitions_for(sigma: SignVector) -> tuple[GoodPartition, GoodPartition]:
+    """Cached validated ladder partitions of K and J per pattern; raises ``LadderStuck``.
 
-    The cache serves ``certify_x`` and the soundness sampler, which meet a
-    pattern many times; a sweep meets each once and builds directly.  Both
-    constructions share one :class:`PatternContext`; the cache keeps the
-    partitions only, not the context.
+    Holds what ``certify_x`` and ``bound_soundness_sample`` read (groups,
+    method, heavy count), not the K trace or the context.  Measured
+    traffic: hits come only from repeated calls over one pattern set, such
+    as the ``certify`` benchmark's 64-pattern pool or the ``soundness``
+    benchmark's 1,024 patterns at n = 10 (hit ratio 1.0 each); one
+    soundness call looks each of its patterns up once, so a call over more
+    patterns than fit gains nothing.  Tier-1, less the capacity test, makes
+    about 600 hits and 3,400 misses and peaks at 2,044 entries; a sweep
+    makes none.  2**12 entries keep every pattern of n <= 12 warm; an entry
+    takes about 7 KiB at n = 10 and 210 KiB at n = 63 (0.82 GiB when full).
     """
     ctx = PatternContext(sigma)
-    return construct_eta(ctx), build_pi(ctx)
+    return construct_eta(ctx).partition, build_pi(ctx)
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Raise :class:`DomainError` unless ``tolerance`` is finite and non-negative."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError(f"tolerance must be finite and non-negative, got {tolerance!r}")
 
 
 def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certificate:
@@ -279,26 +290,28 @@ def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
 
     Builds the partitions for the sign pattern of x, bounds every group by
     its shape bound and the total by ``2**min(p, m)``, all relatively to
-    ``tolerance``.  Vectors longer than ``MAX_CERTIFY_N`` raise
-    :class:`DomainError` before any partition is built.
+    ``tolerance``.  Vectors longer than ``MAX_CERTIFY_N``, and a tolerance
+    that is negative or not finite, raise :class:`DomainError` before any
+    partition is built.
     """
+    check_tolerance(tolerance)
     if len(x) > MAX_CERTIFY_N:
         raise DomainError(
             f"certificates take at most {MAX_CERTIFY_N} x entries "
             f"({MAX_CERTIFY_N + 1} y entries), got {len(x)} x entries"
         )
     sigma = x.sign_vector()
-    eta, pi = partitions_for(sigma)
+    k_part, j_part = partitions_for(sigma)
     table = factor_table(x)
     checks: list[GroupCheck] = []
-    for target, part in (("K", eta.partition), ("J", pi)):
+    for part in (k_part, j_part):
         for group in part.groups:
             product = 1.0
             for p in group.members:
                 product *= table[p]
             bnd = group_bound(group)
             checks.append(
-                GroupCheck(target, group, product, bnd, product <= bnd * (1.0 + tolerance))
+                GroupCheck(part.target, group, product, bnd, product <= bnd * (1.0 + tolerance))
             )
     total = math.prod(table.values(), start=1.0)
     exponent = min_heavy_target(sigma)
@@ -319,10 +332,10 @@ def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
         ok=ok,
         tolerance=tolerance,
         groups=tuple(checks),
-        eta_method=eta.partition.method,
-        pi_method=pi.method,
-        heavy_count=eta.partition.heavy_count,
-        bounds_product_is_pow2_heavy=bounds_product == 2 ** eta.partition.heavy_count,
+        eta_method=k_part.method,
+        pi_method=j_part.method,
+        heavy_count=k_part.heavy_count,
+        bounds_product_is_pow2_heavy=bounds_product == 2 ** k_part.heavy_count,
     )
 
 
@@ -332,7 +345,7 @@ def certify_y(y: RealVectorY, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
     The exponent is computed from the y signs directly and cross-checked
     against the prefix-count form coming out of the change of variables;
     the two cannot differ because ``min(p, m)`` is invariant under a global
-    sign flip.
+    sign flip.  Raises :class:`DomainError` as ``certify_x`` does.
     """
     x = x_from_y(y)
     cert = certify_x(x, tolerance)

@@ -20,7 +20,8 @@ signs (the search recurses once per negative pair); longer patterns exit 2.
 ``certify`` takes at most ``MAX_CERTIFY_N`` = 1024 x entries (1025 y
 entries; a certificate costs O(n^2)); longer vectors exit 2.  ``identity``
 takes at most ``MAX_IDENTITY_N`` = 64 y entries (the leave-two-out side
-costs O(n^4)); longer vectors exit 2.
+costs O(n^4)); longer vectors exit 2.  A ``--tolerance`` of ``certify`` or
+``identity`` that is negative or not finite exits 2.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from pohst.analysis import (
     sweep_summary,
     MAX_SWEEP_N,
 )
-from pohst.certify import DomainError, RealVectorX, RealVectorY, certify_x, certify_y
+from pohst.certify import (DEFAULT_TOLERANCE, DomainError, RealVectorX, RealVectorY,
+                           certify_x, certify_y, check_tolerance)
 from pohst.partition import (
     LadderStuck,
     SearchExhausted,
@@ -79,13 +81,15 @@ def _fail(ns, code: int, message: str, **extra) -> int:
     return code
 
 
-def _manifest(command: str, args: dict, seed=None) -> dict:
-    canonical = json.dumps({"command": command, "args": args}, sort_keys=True)
+def _manifest(ns) -> dict:
+    """Run record: the parsed arguments, less output formatting, and their digest."""
+    args = {k: v for k, v in vars(ns).items() if k not in ("func", "pretty", "command")}
+    canonical = json.dumps({"command": ns.command, "args": args}, sort_keys=True)
     return {
-        "command": command,
+        "command": ns.command,
         "args": args,
         "engine_version": __version__,
-        "seed": seed,
+        "seed": getattr(ns, "seed", None),
         "input_digest": hashlib.sha256(canonical.encode()).hexdigest(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -118,7 +122,7 @@ def cmd_classify(ns) -> int:
     j_set, k_set = classify_pairs(sigma)
     alpha, beta = alpha_beta(sigma)
     _emit(ns, {
-        "manifest": _manifest("classify", {"signs": ns.signs}),
+        "manifest": _manifest(ns),
         "sigma": sigma.to_string(),
         "n_x": len(sigma),
         "n_y": len(sigma) + 1,
@@ -138,7 +142,7 @@ def cmd_partition(ns) -> int:
         return _fail(ns, EXIT_USAGE, str(exc))
     target = ns.set.upper()
     doc = {
-        "manifest": _manifest("partition", {"signs": ns.signs, "set": ns.set, "mode": ns.mode}),
+        "manifest": _manifest(ns),
         "sigma": sigma.to_string(),
         "target": target,
         "mode": ns.mode,
@@ -193,8 +197,7 @@ def cmd_certify(ns) -> int:
         return _fail(ns, EXIT_USAGE, str(exc))
     except LadderStuck as exc:
         return _no_partition(ns, exc)
-    doc = {"manifest": _manifest(
-        "certify", {"x": ns.x, "y": ns.y, "tolerance": ns.tolerance})}
+    doc = {"manifest": _manifest(ns)}
     doc.update(cert.to_json_dict())
     _emit(ns, doc)
     return EXIT_OK if cert.ok else EXIT_BOUND
@@ -218,10 +221,7 @@ def cmd_sweep(ns) -> int:
     except OSError as exc:
         return _fail(ns, EXIT_IO, f"cannot write sweep output: {exc}")
     _emit(ns, {
-        "manifest": _manifest(
-            "sweep", {"n": ns.n, "out": ns.out, "jobs": ns.jobs, "seed": ns.seed},
-            seed=ns.seed,
-        ),
+        "manifest": _manifest(ns),
         "out": ns.out,
         **summary,
     })
@@ -237,12 +237,7 @@ def cmd_maximize(ns) -> int:
     except ValueError as exc:
         return _fail(ns, EXIT_USAGE, str(exc))
     result = maximize_f(sigma, cfg)
-    doc = {"manifest": _manifest(
-        "maximize",
-        {"signs": ns.signs, "restarts": ns.restarts, "iters": ns.iters,
-         "seed": ns.seed, "delta": ns.delta},
-        seed=ns.seed,
-    )}
+    doc = {"manifest": _manifest(ns)}
     doc.update(result.to_json_dict())
     _emit(ns, doc)
     return EXIT_BOUND if result.exceeded_bound else EXIT_OK
@@ -253,8 +248,7 @@ def cmd_regbound(ns) -> int:
         query = RegulatorQuery(ns.n, ns.min_pm, ns.R)
     except ValueError as exc:
         return _fail(ns, EXIT_USAGE, str(exc))
-    doc = {"manifest": _manifest(
-        "regbound", {"n": ns.n, "min_pm": ns.min_pm, "R": ns.R})}
+    doc = {"manifest": _manifest(ns)}
     doc.update(regulator_report(query))
     _emit(ns, doc)
     return EXIT_OK
@@ -262,6 +256,7 @@ def cmd_regbound(ns) -> int:
 
 def cmd_identity(ns) -> int:
     try:
+        check_tolerance(ns.tolerance)
         y = RealVectorY(_parse_floats(ns.y))
         residual = (
             identity_residual(y) if ns.which == "single"
@@ -270,8 +265,7 @@ def cmd_identity(ns) -> int:
     except (DomainError, DegenerateInput, ValueError) as exc:
         return _fail(ns, EXIT_USAGE, str(exc))
     _emit(ns, {
-        "manifest": _manifest("identity", {"y": ns.y, "which": ns.which,
-                                           "tolerance": ns.tolerance}),
+        "manifest": _manifest(ns),
         "y": list(y.entries),
         "which": ns.which,
         "n": len(y),
@@ -314,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("certify", cmd_certify, "certify the product bound on a numeric vector")
     p.add_argument("--x", help="comma-separated box vector, entries in [-1,1] minus 0")
     p.add_argument("--y", help="comma-separated vector of strictly growing modulus")
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = add("sweep", cmd_sweep, "sweep sign patterns and write JSON lines")
     p.add_argument("n", type=int, help="pattern length (0..24)")

@@ -102,12 +102,14 @@ class PatternContext:
     """Everything the constructions and the validator read off one pattern.
 
     Built once per pattern: the pattern ``sigma``, its prefix signs ``t``,
-    the heavy target ``min(p, m)``, the level stability flags ``stable``
-    (as :func:`stable_levels`) and four bit rows per row ``j`` (index 0 is
-    an empty row): ``k_rows[j]``, ``k_pos[j]``, ``j_rows[j]`` and
-    ``j_pos[j]``, where bit ``i`` stands for pair ``(i, j)`` and the rows
-    hold the pairs of K, the positive pairs of K, the pairs of J and the
-    positive pairs of J.
+    the heavy target ``min(p, m)``, the level stability flags ``stable`` and
+    four bit rows per row ``j`` (index 0 is an empty row): ``k_rows[j]``,
+    ``k_pos[j]``, ``j_rows[j]`` and ``j_pos[j]``, where bit ``i`` stands for
+    pair ``(i, j)`` and the rows hold the pairs of K, the positive pairs of
+    K, the pairs of J and the positive pairs of J.  ``stable[j]`` belongs to
+    level ``j = 0..n``, which counts the signs of ``y_1..y_{j+1}``: it is
+    true when ``min(p, m)`` did not grow from level ``j - 1``, and level 0
+    is stable by convention, having no earlier level to jump from.
 
     This constructor is the one place that applies the canonical rule;
     every other split of the triangle derives from it.  Pair ``(i, j)`` is
@@ -209,16 +211,6 @@ def min_heavy_target(sigma: SignVector) -> int:
     """The exponent ``min(alpha + 1, beta) == min(p, m)`` for this pattern."""
     p, m = y_sign_counts(sigma)
     return min(p, m)
-
-
-def stable_levels(sigma: SignVector) -> tuple[bool, ...]:
-    """Stability flags indexed by level ``0..n``.
-
-    Level ``j`` counts the signs of ``y_1..y_{j+1}``; it is stable when
-    ``min(p, m)`` did not grow from level ``j - 1`` (level 0 is stable by
-    convention: there is no earlier level to jump from).
-    """
-    return PatternContext(sigma).stable
 
 
 def boundary_counts(sigma: SignVector) -> tuple[int, int]:

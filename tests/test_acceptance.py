@@ -236,19 +236,30 @@ def test_criterion_8_construction_trace_assertions(exhaustive_runs):
 
 
 def test_criterion_9_oracle_agreement():
+    # the search's heavy budget forces its count to equal the ladder's, so
+    # the check that can fail is the one below the budget: no K partition
+    # has fewer than min(p, m) heavy groups
     disagreements = 0
+    below_budget = 0
+    budget_checks = 0
     patterns = 0
     start = time.time()
     for n in range(1, 11):
         for sigma in all_sigmas(n):
             patterns += 1
             part, _ = build_eta(sigma)
-            found = search_partition(sigma, "K", min_heavy_target(sigma))
+            target = min_heavy_target(sigma)
+            found = search_partition(sigma, "K", target)
             if found is None or found.heavy_count != part.heavy_count:
                 disagreements += 1
-    report(9, disagreements == 0,
+            if target >= 1:
+                budget_checks += 1
+                if search_partition(sigma, "K", target - 1) is not None:
+                    below_budget += 1
+    report(9, disagreements == 0 and below_budget == 0 and budget_checks == 2036,
            f"{patterns} patterns (n=1..10), ladder vs search heavy counts, "
-           f"{disagreements} disagreements, {time.time() - start:.1f}s")
+           f"{disagreements} disagreements; {budget_checks} searches at budget "
+           f"min(p, m) - 1, {below_budget} partitions found, {time.time() - start:.1f}s")
 
 
 def test_criterion_10_regulator_formula():

@@ -1,5 +1,6 @@
 """Numeric evaluation, elementary inequalities and certificates."""
 
+import itertools
 import math
 import random
 
@@ -20,9 +21,10 @@ from pohst.certify import (
     factor_matrix,
     factor_table,
     group_bound,
+    partitions_for,
     x_from_y,
 )
-from pohst.partition import PartitionGroup, Shape
+from pohst.partition import GoodPartition, PartitionGroup, Shape, build_pi, construct_eta
 from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
 
 
@@ -221,6 +223,56 @@ class TestCertifyX:
             assert doc["total"] <= doc["bound"] * (1 + doc["tolerance"])
             assert abs(doc["total"] - regrouped) <= 1e-9 * max(doc["total"], 1e-300)
             assert doc["bound"] == 2.0 ** doc["exponent"]
+
+
+class TestTolerance:
+    BAD = [math.nan, -1.0, -1e-300, math.inf, -math.inf]
+
+    @pytest.fixture
+    def refuse_partitions(self, monkeypatch):
+        import pohst.certify as certify
+
+        def refuse(sigma):
+            raise AssertionError("partitions built before the tolerance check")
+
+        monkeypatch.setattr(certify, "partitions_for", refuse)
+
+    @pytest.mark.parametrize("tolerance", BAD)
+    def test_rejected_before_partitions(self, refuse_partitions, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            certify_x(RealVectorX((0.5, -0.25)), tolerance)
+        with pytest.raises(DomainError, match="tolerance"):
+            certify_y(RealVectorY((1.0, -2.0, 4.0)), tolerance)
+
+    def test_zero_accepted(self):
+        cert = certify_x(RealVectorX((-1.0,)), 0.0)
+        assert cert.ok and cert.tolerance == 0.0 and cert.total == cert.bound
+
+
+class TestPartitionCache:
+    def test_holds_the_two_partitions(self):
+        for n in range(0, 7):
+            for bits in itertools.product((1, -1), repeat=n):
+                sigma = SignVector(bits)
+                k_part, j_part = partitions_for(sigma)
+                assert type(k_part) is GoodPartition and type(j_part) is GoodPartition
+                assert (k_part.target, j_part.target) == ("K", "J")
+                assert k_part == construct_eta(sigma).partition
+                assert j_part == build_pi(sigma)
+
+    def test_capacity(self):
+        # all patterns of n = 1..11 (4,094) and 8 of n = 12: 4,102 distinct keys
+        partitions_for.cache_clear()
+        sigmas = [SignVector(bits) for n in range(1, 12)
+                  for bits in itertools.product((1, -1), repeat=n)]
+        sigmas += [SignVector((1,) * 11 + (s,)) for s in (1, -1)]
+        sigmas += [SignVector((-1,) * k + (1,) * (12 - k)) for k in range(1, 7)]
+        assert len(set(sigmas)) == 4102
+        for sigma in sigmas:
+            partitions_for(sigma)
+        info = partitions_for.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (4102, 4096, 4096)
+        partitions_for.cache_clear()
 
 
 class TestCertifyY:

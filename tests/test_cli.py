@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -157,6 +158,32 @@ class TestCertify:
             with pytest.raises(Reached):
                 main(["certify", flag, values])
 
+    # SHA-256 over the exit code and the JSON document, manifest dropped, of
+    # `certify --x` on 8 seeded vectors per length n = 1..16; recorded while
+    # the partition cache still kept each pattern's K construction trace
+    GOLDEN_DOCUMENTS_DIGEST = (
+        "40e03e51e3af7b3fa590cabbc50a9561c961f4f7373a631a24a43f48340df77a"
+    )
+
+    def test_golden_documents(self, capsys):
+        rng = random.Random(8)
+        digest = hashlib.sha256()
+        for n in range(1, 17):
+            for _ in range(8):
+                x = ",".join(
+                    repr(rng.choice((1, -1)) * (1.0 - rng.random())) for _ in range(n)
+                )
+                code, doc = run(capsys, "certify", "--x", x)
+                del doc["manifest"]
+                digest.update(f"{code} {json.dumps(doc, sort_keys=True)}\n".encode())
+        assert digest.hexdigest() == self.GOLDEN_DOCUMENTS_DIGEST
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("flag, values", [("--x", "0.5,-0.25"), ("--y", "1,-2,4")])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, flag, values, tolerance):
+        code, doc = run(capsys, "certify", flag, values, "--tolerance", tolerance)
+        assert code == 2 and "tolerance" in doc["error"]
+
     def test_requires_exactly_one_vector(self, capsys):
         code, _ = run(capsys, "certify", "--x", "0.5", "--y", "1,2")
         assert code == 2
@@ -282,6 +309,11 @@ class TestIdentity:
                         "--tolerance", "0.0")
         assert code == 4
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tolerance):
+        code, doc = run(capsys, "identity", "--y", "1,-2,4,-8", "--tolerance", tolerance)
+        assert code == 2 and "tolerance" in doc["error"]
+
     @pytest.mark.parametrize("which", ["single", "iterated"])
     def test_length_cap(self, capsys, monkeypatch, which):
         import pohst.analysis as analysis
@@ -365,6 +397,40 @@ class TestExitCodeSurfaces:
         monkeypatch.setattr(cli, "maximize_f", excessive)
         code, _ = run(capsys, "maximize", "+")
         assert code == 4
+
+
+class TestManifest:
+    ARGV = {
+        "classify": ("classify", "-+-"),
+        "partition": ("partition", "-+-", "k", "both"),
+        "certify": ("certify", "--x", "-0.5,0.25", "--tolerance", "1e-9"),
+        "sweep": ("sweep", "3", "--out", "s.jsonl", "--jobs", "1", "--seed", "5"),
+        "maximize": ("maximize", "--restarts", "2", "--iters", "3", "--seed", "4", "-+"),
+        "regbound": ("regbound", "--pretty", "5", "2", "1.5"),
+        "identity": ("identity", "iterated", "--y", "1,-2,4,-8"),
+    }
+
+    # SHA-256 of each command's manifest, timestamp dropped, for the argv
+    # above; recorded while every command still listed its arguments by hand
+    GOLDEN = {
+        "certify": "d4a92e6515452276ba8e8e572801c626f9f2d675743a8c29774c987157a3edc9",
+        "classify": "21acc5f5732de60ec3483dadb8ced49b2986f0d55f4ac3ab1c481ee3a7710cbe",
+        "identity": "51c38b42ea8f126b61ebd29521e540395d7f52137a2a2e411ebd6a10967262ac",
+        "maximize": "2e446304ea3677d1dcf494b03af2830111169e82163ab257373c5d3920da8fb9",
+        "partition": "b3ab16b0facd3844b4da3d4814e07c73b85dbe7e994c95823e5db5443b6599ba",
+        "regbound": "1d84cbb89481b8f0c2f3bb0d8215472bca4c0d7e91a6a547dc057da473637ef0",
+        "sweep": "73e7ae062c7de05abfd20aaa9e479cc5ef7e61674bb00166619c7d2d5d37a14b",
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_golden_manifest(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # sweep writes its relative --out here
+        _, doc = run(capsys, *self.ARGV[command])
+        manifest = doc["manifest"]
+        del manifest["timestamp"]
+        assert manifest["command"] == command
+        encoded = json.dumps(manifest, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == self.GOLDEN[command]
 
 
 class TestParsing:

@@ -13,7 +13,6 @@ from pohst.signs import (
     min_heavy_target,
     pair_sign_maps,
     pair_sort_key,
-    stable_levels,
 )
 from pohst.partition import (
     MAX_SEARCH_N,
@@ -236,7 +235,7 @@ def reference_ladder(sigma, target):
     with a ``KeyError`` or ``AssertionError``."""
     heavy = target == "K"
     signmap = pair_sign_maps(sigma)[1 if heavy else 0]
-    stable = stable_levels(sigma)
+    stable = PatternContext(sigma).stable
     pos_free = {p for p, s in signmap.items() if s > 0}
     hpartner, heavy_in_row, groups, steps, failures = {}, {}, {}, [], {}
     op3_uses = 0

@@ -16,7 +16,6 @@ from pohst.signs import (
     pair_sign_maps,
     pair_sort_key,
     prefix_signs,
-    stable_levels,
     y_sign_counts,
 )
 
@@ -171,15 +170,18 @@ class TestAlphaBeta:
 
 class TestStableLevels:
     def test_examples(self):
-        assert stable_levels(SignVector.from_string("-+-")) == (True, False, True, False)
-        assert stable_levels(SignVector.from_string("+-+")) == (True, True, False, False)
-        assert stable_levels(SignVector(())) == (True,)
+        def stable(text):
+            return PatternContext(SignVector.from_string(text)).stable
+
+        assert stable("-+-") == (True, False, True, False)
+        assert stable("+-+") == (True, True, False, False)
+        assert PatternContext(SignVector(())).stable == (True,)
 
     @given(sign_vectors)
     def test_counts_sum(self, sigma):
         # level j counts the signs of y_1..y_{j+1}, i.e. of the prefix t_0..t_j
         t = prefix_signs(sigma)
-        flags = stable_levels(sigma)
+        flags = PatternContext(sigma).stable
         assert len(flags) == len(sigma) + 1 and flags[0]
         prev_min = 0
         for j in range(len(sigma) + 1):
