@@ -19,12 +19,13 @@ log-space accumulation when a side leaves the comfortable double range.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from pohst.certify import (
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
+# indices per parallel sweep task: about 1.2 s of work at n = 20 (1.18-1.24 ms
+# per pattern), so records stream out early and the parent holds only a few chunks
+SWEEP_CHUNK = 1024
 # the leave-two-out residual visits about n**4 / 4 factors: 1.5 s at this
 # length on a 2-vCPU x86 host with CPython 3.11, 3.6 s at n = 80
 MAX_IDENTITY_N = 64
@@ -78,10 +82,10 @@ def pattern_from_index(n: int, index: int) -> SignVector:
     return SignVector(tuple(-1 if (index >> k) & 1 else 1 for k in range(n)))
 
 
-def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> list[int]:
+def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> Sequence[int]:
     total = 1 << n
     if not sweep_is_sampled(n, exhaustive_cap):
-        return list(range(total))
+        return range(total)
     stride = total // exhaustive_cap
     picked = set(range(0, total, stride))
     rng = np.random.default_rng(seed)
@@ -107,8 +111,7 @@ def sweep_one(n: int, index: int) -> SweepRecord:
     return SweepRecord(sigma, *sizes, heavy, target, eta.ladder_used, heavy == target)
 
 
-def _sweep_chunk(args: tuple[int, list[int]]) -> list[SweepRecord]:
-    n, indices = args
+def _sweep_chunk(n: int, indices: Sequence[int]) -> list[SweepRecord]:
     return [sweep_one(n, i) for i in indices]
 
 
@@ -120,27 +123,30 @@ def sweep(
 ) -> Iterator[SweepRecord]:
     """Stream records in ascending pattern-index order.
 
-    Parallel workers split the index list into contiguous chunks and the
-    merge preserves the canonical order, so output is independent of
-    ``jobs``.  ``jobs`` is capped at the CPU count.
+    Arguments are checked on the call.  Parallel workers take chunks of
+    ``SWEEP_CHUNK`` indices that stream out in index order as they arrive,
+    so output is independent of ``jobs``, which is capped at the CPU count.
     """
     if not (0 <= n <= MAX_SWEEP_N):
         raise ValueError(f"sweep size must lie in 0..{MAX_SWEEP_N}, got {n}")
-    if n == 0:
-        return
-    indices = _sweep_indices(n, seed, exhaustive_cap)
-    jobs = min(jobs, os.cpu_count() or 1)
+    if seed < 0:
+        raise ValueError(f"sweep seed must be non-negative, got {seed}")
+    if exhaustive_cap < 1:
+        raise ValueError(f"exhaustive cap must be positive, got {exhaustive_cap}")
+    indices = _sweep_indices(n, seed, exhaustive_cap) if n else range(0)
+    return _sweep_records(n, indices, min(jobs, os.cpu_count() or 1))
+
+
+def _sweep_records(n: int, indices: Sequence[int], jobs: int) -> Iterator[SweepRecord]:
     if jobs <= 1 or len(indices) < 64:
         for i in indices:
             yield sweep_one(n, i)
         return
-    chunk = (len(indices) + jobs - 1) // jobs
-    parts = [(n, indices[k: k + chunk]) for k in range(0, len(indices), chunk)]
+    chunks = (indices[k: k + SWEEP_CHUNK] for k in range(0, len(indices), SWEEP_CHUNK))
     pool = None
     try:
         pool = ProcessPoolExecutor(max_workers=jobs)
-        futures = [pool.submit(_sweep_chunk, part) for part in parts]
-        first = futures[0].result()
+        results = pool.map(functools.partial(_sweep_chunk, n), chunks)
     except OSError:
         # process pools need OS primitives some sandboxes refuse; nothing has
         # been yielded yet, so a serial restart cannot duplicate records
@@ -150,11 +156,10 @@ def sweep(
             yield sweep_one(n, i)
         return
     try:
-        yield from first
-        for future in futures[1:]:
-            yield from future.result()
+        for records in results:
+            yield from records
     finally:
-        pool.shutdown()
+        pool.shutdown(cancel_futures=True)
 
 
 def sweep_summary(records: Iterable[SweepRecord], n: int, sampled: bool = False) -> dict:
@@ -187,6 +192,8 @@ class MaximizeConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"magnitude floor must lie in (0, 1), got {self.delta}")
 

@@ -44,7 +44,6 @@ from pohst.analysis import (
     sweep,
     sweep_is_sampled,
     sweep_summary,
-    MAX_SWEEP_N,
 )
 from pohst.certify import (DEFAULT_TOLERANCE, DomainError, RealVectorX, RealVectorY,
                            certify_x, certify_y, check_tolerance)
@@ -212,11 +211,13 @@ def _written(handle, records):
 
 
 def cmd_sweep(ns) -> int:
-    if not (0 <= ns.n <= MAX_SWEEP_N):
-        return _fail(ns, EXIT_USAGE, f"sweep size must lie in 0..{MAX_SWEEP_N}, got {ns.n}")
+    try:
+        records = sweep(ns.n, jobs=ns.jobs, seed=ns.seed)
+    except ValueError as exc:
+        return _fail(ns, EXIT_USAGE, str(exc))
     try:
         with open(ns.out, "w", encoding="utf-8") as handle:
-            records = _written(handle, sweep(ns.n, jobs=ns.jobs, seed=ns.seed))
+            records = _written(handle, records)
             summary = sweep_summary(records, ns.n, sampled=sweep_is_sampled(ns.n))
     except OSError as exc:
         return _fail(ns, EXIT_IO, f"cannot write sweep output: {exc}")

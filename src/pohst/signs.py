@@ -101,9 +101,9 @@ def prefix_signs(sigma: SignVector) -> tuple[int, ...]:
 class PatternContext:
     """Everything the constructions and the validator read off one pattern.
 
-    Built once per pattern: the pattern ``sigma``, its prefix signs ``t``,
-    the heavy target ``min(p, m)``, the level stability flags ``stable`` and
-    four bit rows per row ``j`` (index 0 is an empty row): ``k_rows[j]``,
+    Built once per pattern: the pattern ``sigma``, the heavy target
+    ``min(p, m)``, the level stability flags ``stable`` and four bit rows
+    per row ``j`` (index 0 is an empty row): ``k_rows[j]``,
     ``k_pos[j]``, ``j_rows[j]`` and ``j_pos[j]``, where bit ``i`` stands for
     pair ``(i, j)`` and the rows hold the pairs of K, the positive pairs of
     K, the pairs of J and the positive pairs of J.  ``stable[j]`` belongs to
@@ -115,10 +115,11 @@ class PatternContext:
     every other split of the triangle derives from it.  Pair ``(i, j)`` is
     canonical exactly when ``a_i == b_j`` with ``a_i = t_{i-1} (-1)**i`` and
     ``b_j = t_j (-1)**(j+1)``, and positive exactly when
-    ``t_{i-1} == t_j``, so each row costs a few big-int operations.
+    ``t_{i-1} == t_j``, where ``t = prefix_signs(sigma)``, so each row costs
+    a few big-int operations.
     """
 
-    __slots__ = ("sigma", "n", "t", "target", "stable", "k_rows", "k_pos", "j_rows", "j_pos")
+    __slots__ = ("sigma", "n", "target", "stable", "k_rows", "k_pos", "j_rows", "j_pos")
 
     def __init__(self, sigma: SignVector) -> None:
         n = len(sigma)
@@ -149,7 +150,6 @@ class PatternContext:
             prev_min = cur_min
         self.sigma = sigma
         self.n = n
-        self.t = t
         self.target = min(p, n + 1 - p)
         self.stable = tuple(stable)
         self.k_rows = tuple(k_rows)

@@ -73,6 +73,14 @@ class TestSweep:
             list(sweep(25))
         assert list(sweep(0)) == []
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 25}, {"n": 21, "seed": -1}, {"n": 4, "seed": -1}, {"n": 4, "exhaustive_cap": 0},
+    ], ids=["size", "sampled-seed", "seed", "cap"])
+    def test_bad_arguments_raise_on_call(self, kwargs):
+        # checked before any record is asked for, so callers can fail early
+        with pytest.raises(ValueError):
+            sweep(**kwargs)
+
     def test_summary_counts(self):
         records = list(sweep(3))
         summary = sweep_summary(records, 3)
@@ -81,11 +89,22 @@ class TestSweep:
         assert summary["ladder_used"] == 8
         assert summary["sampled"] is False
 
-    def test_parallel_merge_matches_serial(self):
-        # n=7 clears the worker threshold, so this drives the real pool
+    def test_parallel_merge_matches_serial(self, monkeypatch):
+        # n=7 clears the worker threshold, so this drives the real pool, and
+        # 16-index chunks make the ordered stream merge eight of them
+        import pohst.analysis as analysis
+
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
         serial = list(sweep(7))
         parallel = list(sweep(7, jobs=2))
         assert serial == parallel
+
+    def test_parallel_sampled_matches_serial(self, monkeypatch):
+        import pohst.analysis as analysis
+
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
+        serial = list(sweep(8, exhaustive_cap=16))
+        assert list(sweep(8, jobs=2, exhaustive_cap=16)) == serial
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         # the fake pool runs chunks inline, so a huge jobs value starts nothing
@@ -93,21 +112,14 @@ class TestSweep:
 
         seen = []
 
-        class Done:
-            def __init__(self, value):
-                self.value = value
-
-            def result(self):
-                return self.value
-
         class FakePool:
             def __init__(self, max_workers):
                 seen.append(max_workers)
 
-            def submit(self, fn, arg):
-                return Done(fn(arg))
+            def map(self, fn, iterable):
+                return (fn(arg) for arg in iterable)
 
-            def shutdown(self, wait=True):
+            def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
@@ -117,6 +129,32 @@ class TestSweep:
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
         assert list(sweep(7, jobs=10 ** 9)) == list(sweep(7))
         assert seen == [2]
+
+    def test_early_close_cancels_pending_chunks(self, monkeypatch):
+        import pohst.analysis as analysis
+
+        chunks, shutdowns = [], []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, iterable):
+                for arg in iterable:
+                    chunks.append(arg)
+                    yield fn(arg)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                shutdowns.append((wait, cancel_futures))
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
+        records = sweep(7, jobs=2)
+        assert next(records) == analysis.sweep_one(7, 0)
+        records.close()
+        assert chunks == [range(16)]
+        assert shutdowns == [(True, True)]
 
     def test_construction_failure_yields_flagged_record(self, monkeypatch):
         import pohst.analysis as analysis
@@ -148,6 +186,12 @@ class TestSweep:
 
 
 class TestMaximize:
+    def test_negative_seed_rejected(self):
+        # restart r starts from the point of index seed + r, whose digit loop
+        # never ends for a negative index
+        with pytest.raises(ValueError):
+            MaximizeConfig(seed=-1)
+
     def test_single_negative_attains_two(self):
         result = maximize_f(SignVector.from_string("-"))
         assert result.best_value == 2.0

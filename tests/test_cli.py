@@ -211,6 +211,12 @@ class TestSweep:
         code, doc = run(capsys, "sweep", "25", "--out", str(tmp_path / "x.jsonl"))
         assert code == 2
 
+    def test_bad_seed_exits_two_before_opening(self, capsys, tmp_path):
+        out = tmp_path / "x.jsonl"
+        code, doc = run(capsys, "sweep", "21", "--out", str(out), "--seed", "-1")
+        assert code == 2 and "error" in doc
+        assert not out.exists()
+
     def test_unwritable_path(self, capsys):
         code, doc = run(capsys, "sweep", "2", "--out", "/nonexistent-dir/x.jsonl")
         assert code == 1
@@ -271,6 +277,11 @@ class TestMaximize:
     def test_bad_delta(self, capsys):
         code, _ = run(capsys, "maximize", "+", "--delta", "2.0")
         assert code == 2
+
+    def test_negative_seed(self, capsys):
+        # one restart never reaches the seeded start points, so this cannot hang
+        code, doc = run(capsys, "maximize", "+", "--restarts", "1", "--seed", "-2")
+        assert code == 2 and "seed" in doc["error"]
 
 
 class TestRegbound:
