@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -408,6 +409,115 @@ class TestExitCodeSurfaces:
         monkeypatch.setattr(cli, "maximize_f", excessive)
         code, _ = run(capsys, "maximize", "+")
         assert code == 4
+
+    # the success path and every error path of each command; sweep writes
+    # its relative --out under the test's working directory
+    GOLDEN_ARGV = (
+        ("classify", "-+-"),
+        ("classify", "--pretty", "+-+-"),
+        ("classify", "x+"),
+        ("classify", ""),
+        ("partition", "-+-", "k", "both"),
+        ("partition", "--+-", "j", "ladder"),
+        ("partition", "-+-", "j", "search"),
+        ("partition", "+x", "k"),
+        ("partition", "-" * 49, "k", "search"),
+        ("partition", "-" * 49, "j", "both"),
+        ("certify", "--x", "-0.5,0.5"),
+        ("certify", "--pretty", "--y", "1,-2,4"),
+        ("certify", "--x", "0.5", "--y", "1,2"),
+        ("certify",),
+        ("certify", "--x", "0.5,0"),
+        ("certify", "--x", "1.5"),
+        ("certify", "--x", "a,b"),
+        ("certify", "--y", "1,-1"),
+        ("certify", "--x", "0.5", "--tolerance", "nan"),
+        ("certify", "--y", "1,2", "--tolerance", "-1"),
+        ("certify", "--x", ",".join(["0.5"] * 1025)),
+        ("certify", "--y", ",".join(str(k) for k in range(1, 1027))),
+        ("sweep", "3", "--out", "s.jsonl"),
+        ("sweep", "3", "--out", "s.jsonl", "--jobs", "2", "--seed", "7"),
+        ("sweep", "25", "--out", "s.jsonl"),
+        ("sweep", "-1", "--out", "s.jsonl"),
+        ("sweep", "21", "--out", "s.jsonl", "--seed", "-1"),
+        ("sweep", "2", "--out", "missing/s.jsonl"),
+        ("maximize", "--restarts", "2", "--iters", "3", "--seed", "4", "-+"),
+        ("maximize", "+x"),
+        ("maximize", "+", "--restarts", "1", "--seed", "-2"),
+        ("maximize", "+", "--delta", "2.0"),
+        ("maximize", "+", "--delta", "0"),
+        ("maximize", "+", "--restarts", "0"),
+        ("regbound", "9", "4", "1"),
+        ("regbound", "--pretty", "5", "2", "1.5"),
+        ("regbound", "1", "0", "1"),
+        ("regbound", "2", "2", "1"),
+        ("regbound", "4", "-1", "1"),
+        ("regbound", "4", "1", "0"),
+        ("regbound", "4", "1", "inf"),
+        ("regbound", "4", "1", "nan"),
+        ("identity", "--y", "1,-2,4"),
+        ("identity", "iterated", "--y", "1,2,4,8"),
+        ("identity", "iterated", "--y", "1,-3,9,-27", "--tolerance", "0.0"),
+        ("identity", "--y", "1,2"),
+        ("identity", "iterated", "--y", "1,2,4"),
+        ("identity", "--y", ",".join(str(2 ** k) for k in range(65))),
+        ("identity", "--y", "1,-1,2"),
+        ("identity", "--y", "1,-2,4", "--tolerance", "-1"),
+        (),
+        ("frobnicate",),
+        ("classify",),
+        ("partition", "-+", "q"),
+        ("sweep", "x", "--out", "s.jsonl"),
+        ("sweep", "3"),
+        ("identity", "--y", "1,2,3", "--tolerance", "abc"),
+    )
+
+    # SHA-256 over the argv, the exit code and the printed document, manifest
+    # timestamp dropped, of GOLDEN_ARGV and of the forced exit-3 and exit-4
+    # calls below; recorded while every command mapped its own exceptions to
+    # exit codes and attached its own manifest
+    GOLDEN_DOCUMENTS_DIGEST = (
+        "c42d61b4d4d9e5c4abba862646f66d8379032ad1364dd628a540ac890c0bf222"
+    )
+
+    def test_golden_documents(self, capsys, tmp_path, monkeypatch):
+        import dataclasses
+
+        import pohst.partition as partition
+        from pohst.analysis import maximize_f as real_maximize_f
+        from pohst.certify import certify_x as real_certify_x
+        from pohst.certify import partitions_for
+
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+
+        def record(argv):
+            code = main(list(argv))
+            out = re.sub(r'("timestamp": )"[^"]*"', r"\1null", capsys.readouterr().out)
+            digest.update(json.dumps([list(argv), code, out]).encode() + b"\n")
+
+        for argv in self.GOLDEN_ARGV:
+            record(argv)
+
+        def stuck(ctx, target):
+            raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, "_ladder", stuck)
+            partitions_for.cache_clear()
+            record(("certify", "--x", "-0.5,0.5"))
+            record(("partition", "-+", "k", "ladder"))
+            record(("partition", "-+", "j", "both"))
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "search_partition", lambda sigma, target, budget: None)
+            record(("partition", "-+-", "j", "search"))
+            patched.setattr(cli, "certify_x", lambda x, tolerance: dataclasses.replace(
+                real_certify_x(x, tolerance), ok=False))
+            record(("certify", "--x", "0.5"))
+            patched.setattr(cli, "maximize_f", lambda sigma, cfg: dataclasses.replace(
+                real_maximize_f(sigma, cfg), exceeded_bound=True))
+            record(("maximize", "--restarts", "2", "--iters", "3", "+"))
+        assert digest.hexdigest() == self.GOLDEN_DOCUMENTS_DIGEST
 
 
 class TestManifest:
