@@ -87,10 +87,9 @@ def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> Sequence[int]:
     if not sweep_is_sampled(n, exhaustive_cap):
         return range(total)
     stride = total // exhaustive_cap
-    picked = set(range(0, total, stride))
-    rng = np.random.default_rng(seed)
-    picked.update(int(v) for v in rng.integers(0, total, SUBSAMPLE_RANDOM_COUNT))
-    return sorted(picked)
+    drawn = np.random.default_rng(seed).integers(0, total, SUBSAMPLE_RANDOM_COUNT)
+    # one int64 array: 8 bytes per index, against about 40 in a list of Python ints
+    return np.unique(np.concatenate((np.arange(0, total, stride, dtype=np.int64), drawn)))
 
 
 def sweep_one(n: int, index: int) -> SweepRecord:

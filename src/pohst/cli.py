@@ -11,10 +11,17 @@ files) and reports through the exit code:
     4  bound or identity violation
     5  sweep produced invalid records
 
+Handlers return their payload and exit code and raise on failure; ``main``
+is the one place that maps exceptions to exit codes.  A success document
+carries a ``manifest``; an error document holds ``error``, plus ``sigma``
+and ``target`` for exit 3, and no manifest.
+
 Sign patterns are compact ``'+'``/``'-'`` strings; numeric vectors are
 comma-separated decimals.  A leading ``-`` in a pattern would normally read
 as an option, so place flags before the pattern or separate it with ``--``;
 the launcher inserts the separator automatically for plain patterns.
+Patterns take at most ``MAX_PATTERN_N`` = 1024 signs (``classify`` and the
+``partition`` ladder cost O(n^2), as a certificate does); longer ones exit 2.
 ``partition``'s search and both modes take at most ``MAX_SEARCH_N`` = 48
 signs (the search recurses once per negative pair); longer patterns exit 2.
 ``certify`` takes at most ``MAX_CERTIFY_N`` = 1024 x entries (1025 y
@@ -36,7 +43,6 @@ from datetime import datetime, timezone
 
 from pohst import __version__
 from pohst.analysis import (
-    DegenerateInput,
     MaximizeConfig,
     identity_residual,
     iterated_identity_residual,
@@ -45,7 +51,7 @@ from pohst.analysis import (
     sweep_is_sampled,
     sweep_summary,
 )
-from pohst.certify import (DEFAULT_TOLERANCE, DomainError, RealVectorX, RealVectorY,
+from pohst.certify import (DEFAULT_TOLERANCE, RealVectorX, RealVectorY,
                            certify_x, certify_y, check_tolerance)
 from pohst.partition import (
     LadderStuck,
@@ -66,18 +72,13 @@ EXIT_NO_PARTITION = 3
 EXIT_BOUND = 4
 EXIT_SWEEP_INVALID = 5
 
+MAX_PATTERN_N = 1024
+
 _PATTERN_RE = re.compile(r"[+-]+")
 
 
 def _emit(ns, payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2 if ns.pretty else None))
-
-
-def _fail(ns, code: int, message: str, **extra) -> int:
-    doc = {"error": message}
-    doc.update(extra)
-    _emit(ns, doc)
-    return code
 
 
 def _manifest(ns) -> dict:
@@ -94,15 +95,11 @@ def _manifest(ns) -> dict:
     }
 
 
-def _no_partition(ns, exc: LadderStuck | SearchExhausted) -> int:
-    return _fail(
-        ns, EXIT_NO_PARTITION, str(exc), sigma=exc.sigma.to_string(), target=exc.target
-    )
-
-
 def _parse_pattern(text: str) -> SignVector:
     if not _PATTERN_RE.fullmatch(text):
         raise ValueError(f"malformed sign pattern {text!r}: expected only '+' and '-'")
+    if len(text) > MAX_PATTERN_N:
+        raise ValueError(f"sign patterns take at most {MAX_PATTERN_N} signs, got {len(text)}")
     return SignVector.from_string(text)
 
 
@@ -113,15 +110,11 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ValueError(f"malformed numeric list {text!r}") from None
 
 
-def cmd_classify(ns) -> int:
-    try:
-        sigma = _parse_pattern(ns.signs)
-    except ValueError as exc:
-        return _fail(ns, EXIT_USAGE, str(exc))
+def cmd_classify(ns) -> tuple[dict, int]:
+    sigma = _parse_pattern(ns.signs)
     j_set, k_set = classify_pairs(sigma)
     alpha, beta = alpha_beta(sigma)
-    _emit(ns, {
-        "manifest": _manifest(ns),
+    return {
         "sigma": sigma.to_string(),
         "n_x": len(sigma),
         "n_y": len(sigma) + 1,
@@ -130,76 +123,56 @@ def cmd_classify(ns) -> int:
         "min_heavy_target": min_heavy_target(sigma),
         "J": [info.to_json_dict() for info in j_set],
         "K": [info.to_json_dict() for info in k_set],
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_partition(ns) -> int:
-    try:
-        sigma = _parse_pattern(ns.signs)
-    except ValueError as exc:
-        return _fail(ns, EXIT_USAGE, str(exc))
+def cmd_partition(ns) -> tuple[dict, int]:
+    sigma = _parse_pattern(ns.signs)
     target = ns.set.upper()
     doc = {
-        "manifest": _manifest(ns),
         "sigma": sigma.to_string(),
         "target": target,
         "mode": ns.mode,
     }
     ctx = PatternContext(sigma)
     doc["validation"] = []  # construct_eta and build_pi raise on any violation
-    try:
-        constructed = searched = None
-        if ns.mode in ("ladder", "both"):
-            if target == "K":
-                eta = construct_eta(ctx)
-                constructed = eta.partition
-                doc["trace"] = eta.trace.to_json_dict()
-                doc["trace_check_violations"] = check_construction_invariants(
-                    ctx, eta.trace
-                )
-            else:
-                constructed = build_pi(ctx)
-            doc["partition"] = constructed.to_json_dict()
-        if ns.mode in ("search", "both"):
-            budget = ctx.target if target == "K" else 0
-            try:
-                searched = search_partition(sigma, target, budget)
-            except ValueError as exc:  # the pattern is too long for the search
-                return _fail(ns, EXIT_USAGE, str(exc))
-            if searched is None:
-                raise SearchExhausted(sigma, target)
-            key = "search_partition" if ns.mode == "both" else "partition"
-            doc[key] = searched.to_json_dict()
-            doc["validation"] = list(validate_partition(ctx, searched).violations)
-        if ns.mode == "both":
-            doc["agreement"] = constructed.heavy_count == searched.heavy_count
-            doc["heavy_counts"] = {
-                "constructed": constructed.heavy_count,
-                "search": searched.heavy_count,
-            }
-    except (LadderStuck, SearchExhausted) as exc:
-        return _no_partition(ns, exc)
-    _emit(ns, doc)
-    return EXIT_OK
-
-
-def cmd_certify(ns) -> int:
-    if (ns.x is None) == (ns.y is None):
-        return _fail(ns, EXIT_USAGE, "provide exactly one of --x or --y")
-    try:
-        if ns.x is not None:
-            cert = certify_x(RealVectorX(_parse_floats(ns.x)), ns.tolerance)
+    constructed = searched = None
+    if ns.mode in ("ladder", "both"):
+        if target == "K":
+            eta = construct_eta(ctx)
+            constructed = eta.partition
+            doc["trace"] = eta.trace.to_json_dict()
+            doc["trace_check_violations"] = check_construction_invariants(
+                ctx, eta.trace
+            )
         else:
-            cert = certify_y(RealVectorY(_parse_floats(ns.y)), ns.tolerance)
-    except (DomainError, ValueError) as exc:
-        return _fail(ns, EXIT_USAGE, str(exc))
-    except LadderStuck as exc:
-        return _no_partition(ns, exc)
-    doc = {"manifest": _manifest(ns)}
-    doc.update(cert.to_json_dict())
-    _emit(ns, doc)
-    return EXIT_OK if cert.ok else EXIT_BOUND
+            constructed = build_pi(ctx)
+        doc["partition"] = constructed.to_json_dict()
+    if ns.mode in ("search", "both"):
+        budget = ctx.target if target == "K" else 0
+        searched = search_partition(sigma, target, budget)
+        if searched is None:
+            raise SearchExhausted(sigma, target)
+        key = "search_partition" if ns.mode == "both" else "partition"
+        doc[key] = searched.to_json_dict()
+        doc["validation"] = list(validate_partition(ctx, searched).violations)
+    if ns.mode == "both":
+        doc["agreement"] = constructed.heavy_count == searched.heavy_count
+        doc["heavy_counts"] = {
+            "constructed": constructed.heavy_count,
+            "search": searched.heavy_count,
+        }
+    return doc, EXIT_OK
+
+
+def cmd_certify(ns) -> tuple[dict, int]:
+    if (ns.x is None) == (ns.y is None):
+        raise ValueError("provide exactly one of --x or --y")
+    if ns.x is not None:
+        cert = certify_x(RealVectorX(_parse_floats(ns.x)), ns.tolerance)
+    else:
+        cert = certify_y(RealVectorY(_parse_floats(ns.y)), ns.tolerance)
+    return cert.to_json_dict(), EXIT_OK if cert.ok else EXIT_BOUND
 
 
 def _written(handle, records):
@@ -210,71 +183,47 @@ def _written(handle, records):
         yield record
 
 
-def cmd_sweep(ns) -> int:
-    try:
-        records = sweep(ns.n, jobs=ns.jobs, seed=ns.seed)
-    except ValueError as exc:
-        return _fail(ns, EXIT_USAGE, str(exc))
-    try:
-        with open(ns.out, "w", encoding="utf-8") as handle:
-            records = _written(handle, records)
-            summary = sweep_summary(records, ns.n, sampled=sweep_is_sampled(ns.n))
-    except OSError as exc:
-        return _fail(ns, EXIT_IO, f"cannot write sweep output: {exc}")
-    _emit(ns, {
-        "manifest": _manifest(ns),
+def cmd_sweep(ns) -> tuple[dict, int]:
+    records = sweep(ns.n, jobs=ns.jobs, seed=ns.seed)  # raises before the file opens
+    with open(ns.out, "w", encoding="utf-8") as handle:
+        records = _written(handle, records)
+        summary = sweep_summary(records, ns.n, sampled=sweep_is_sampled(ns.n))
+    return {
         "out": ns.out,
         **summary,
-    })
-    return EXIT_SWEEP_INVALID if summary["invalid"] else EXIT_OK
+    }, EXIT_SWEEP_INVALID if summary["invalid"] else EXIT_OK
 
 
-def cmd_maximize(ns) -> int:
-    try:
-        sigma = _parse_pattern(ns.signs)
-        cfg = MaximizeConfig(
-            restarts=ns.restarts, iterations=ns.iters, seed=ns.seed, delta=ns.delta
-        )
-    except ValueError as exc:
-        return _fail(ns, EXIT_USAGE, str(exc))
+def cmd_maximize(ns) -> tuple[dict, int]:
+    sigma = _parse_pattern(ns.signs)
+    cfg = MaximizeConfig(
+        restarts=ns.restarts, iterations=ns.iters, seed=ns.seed, delta=ns.delta
+    )
     result = maximize_f(sigma, cfg)
-    doc = {"manifest": _manifest(ns)}
-    doc.update(result.to_json_dict())
-    _emit(ns, doc)
-    return EXIT_BOUND if result.exceeded_bound else EXIT_OK
+    return result.to_json_dict(), EXIT_BOUND if result.exceeded_bound else EXIT_OK
 
 
-def cmd_regbound(ns) -> int:
-    try:
-        query = RegulatorQuery(ns.n, ns.min_pm, ns.R)
-    except ValueError as exc:
-        return _fail(ns, EXIT_USAGE, str(exc))
-    doc = {"manifest": _manifest(ns)}
-    doc.update(regulator_report(query))
-    _emit(ns, doc)
-    return EXIT_OK
+def cmd_regbound(ns) -> tuple[dict, int]:
+    query = RegulatorQuery(ns.n, ns.min_pm, ns.R)
+    return regulator_report(query), EXIT_OK
 
 
-def cmd_identity(ns) -> int:
-    try:
-        check_tolerance(ns.tolerance)
-        y = RealVectorY(_parse_floats(ns.y))
-        residual = (
-            identity_residual(y) if ns.which == "single"
-            else iterated_identity_residual(y)
-        )
-    except (DomainError, DegenerateInput, ValueError) as exc:
-        return _fail(ns, EXIT_USAGE, str(exc))
-    _emit(ns, {
-        "manifest": _manifest(ns),
+def cmd_identity(ns) -> tuple[dict, int]:
+    check_tolerance(ns.tolerance)
+    y = RealVectorY(_parse_floats(ns.y))
+    residual = (
+        identity_residual(y) if ns.which == "single"
+        else iterated_identity_residual(y)
+    )
+    ok = residual <= ns.tolerance
+    return {
         "y": list(y.entries),
         "which": ns.which,
         "n": len(y),
         "residual": residual,
         "tolerance": ns.tolerance,
-        "ok": residual <= ns.tolerance,
-    })
-    return EXIT_OK if residual <= ns.tolerance else EXIT_BOUND
+        "ok": ok,
+    }, EXIT_OK if ok else EXIT_BOUND
 
 
 @functools.cache
@@ -364,12 +313,25 @@ def _guard_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command, print its JSON document and return its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = _build_parser().parse_args(_guard_argv(argv))
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
-    return ns.func(ns)
+    try:
+        payload, code = ns.func(ns)
+    except (LadderStuck, SearchExhausted) as exc:
+        payload = {"error": str(exc), "sigma": exc.sigma.to_string(), "target": exc.target}
+        code = EXIT_NO_PARTITION
+    except ValueError as exc:  # includes DomainError and DegenerateInput
+        payload, code = {"error": str(exc)}, EXIT_USAGE
+    except OSError as exc:
+        payload, code = {"error": f"cannot write {ns.command} output: {exc}"}, EXIT_IO
+    else:
+        payload = {"manifest": _manifest(ns), **payload}
+    _emit(ns, payload)
+    return code
 
 
 def main_entry() -> None:

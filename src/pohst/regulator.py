@@ -5,7 +5,8 @@ data, and the totally-real / primitive hypotheses are echoed as
 caller-asserted preconditions rather than checked.  Hermite's constant is
 exact in dimensions 1..8 and 24; elsewhere the classical upper bound
 ``(4/3)**((d-1)/2)`` keeps the discriminant bound valid and is flagged as
-inexact.
+inexact.  That bound leaves the double range from d = 4936, so dimensions
+stop at ``MAX_HERMITE_DIMENSION`` = 4935 and degrees at 4936.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import math
 from dataclasses import dataclass
 
 LOG4 = math.log(4.0)
+
+# the largest d whose classical bound (4/3)**((d-1)/2) is a finite double
+MAX_HERMITE_DIMENSION = 4935
 
 # gamma_d**d for the dimensions where the constant is known exactly
 _EXACT_GAMMA_POWERS = {
@@ -41,6 +45,8 @@ def hermite_gamma(d: int) -> HermiteValue:
     """Hermite's constant, exact on {1..8, 24}, classical upper bound elsewhere."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
+    if d > MAX_HERMITE_DIMENSION:
+        raise ValueError(f"dimension must be at most {MAX_HERMITE_DIMENSION}, got {d}")
     if d == 24:
         return HermiteValue(24, 4.0, True)
     power = _EXACT_GAMMA_POWERS.get(d)
@@ -61,6 +67,10 @@ class RegulatorQuery:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"degree must be at least 2, got {self.n}")
+        if self.n > MAX_HERMITE_DIMENSION + 1:
+            raise ValueError(
+                f"degree must be at most {MAX_HERMITE_DIMENSION + 1}, got {self.n}"
+            )
         if not 0 <= self.min_pm <= self.n // 2:
             raise ValueError(
                 f"min(p, m) must lie in 0..floor(n/2) = {self.n // 2}, got {self.min_pm}"
@@ -77,7 +87,12 @@ class DiscriminantBound:
 
 
 def discriminant_log_bound(q: RegulatorQuery) -> DiscriminantBound:
-    """Upper bound on log|D| from the signature-aware regulator inequality."""
+    """Upper bound on log|D| from the signature-aware regulator inequality.
+
+    Both fields may read ``inf``: ``bound`` once ``log_bound`` exceeds about
+    709.78, and ``log_bound`` itself once the product overflows, which at
+    R = 1 happens from n = 4760 on.  JSON prints either as ``Infinity``.
+    """
     gamma = hermite_gamma(q.n - 1)
     term = math.sqrt(gamma.value * (q.n ** 3 - q.n) / 3.0)
     term *= (math.sqrt(q.n) * q.R) ** (1.0 / (q.n - 1))

@@ -68,6 +68,18 @@ class TestSweep:
         assert sigmas == [r.sigma for r in sorted(
             first, key=lambda r: [c == "-" for c in reversed(r.sigma)])]
 
+    # SHA-256 of the int64 bytes of the sampled indices, recorded while they
+    # were built as a sorted list of Python ints
+    @pytest.mark.parametrize("n, seed, digest", [
+        (24, 0, "6e21a3f13227a6e9c240ed915caaefaf8365b0ba350c5a4c8a9b4f1507eee57d"),
+        (21, 5, "8472e13e84e3b3ff4b216040b05376faffeb3a2dec0e218fabecbecec7ebdc5a"),
+    ])
+    def test_golden_sampled_indices(self, n, seed, digest):
+        from pohst.analysis import _sweep_indices
+
+        indices = np.asarray(_sweep_indices(n, seed, 2 ** 20), dtype=np.int64)
+        assert hashlib.sha256(indices.tobytes()).hexdigest() == digest
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             list(sweep(25))

@@ -300,6 +300,13 @@ class TestRegbound:
         assert code == 0
         assert doc["gamma_exact"] is True and doc["gamma"] == 2.0
 
+    def test_degree_cap(self, capsys):
+        # past degree 4936 the classical Hermite bound overflows a double
+        code, doc = run(capsys, "regbound", "4937", "1", "1.0")
+        assert code == 2 and "at most 4936" in doc["error"]
+        code, doc = run(capsys, "regbound", "4936", "1", "1.0")
+        assert code == 0 and doc["log_bound"] == math.inf
+
 
 class TestIdentity:
     def test_single_zero_residual(self, capsys):
@@ -552,6 +559,29 @@ class TestManifest:
         assert manifest["command"] == command
         encoded = json.dumps(manifest, sort_keys=True).encode()
         assert hashlib.sha256(encoded).hexdigest() == self.GOLDEN[command]
+
+
+class TestPatternLengthCap:
+    @pytest.mark.parametrize("argv, call", [
+        (("classify",), "classify_pairs"),
+        (("partition", "k", "ladder"), "PatternContext"),
+        (("maximize",), "maximize_f"),
+    ], ids=["classify", "partition", "maximize"])
+    def test_cap(self, capsys, monkeypatch, argv, call):
+        class Reached(Exception):
+            pass
+
+        def refuse(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, call, refuse)
+        cap = cli.MAX_PATTERN_N
+        command, *rest = argv
+        code, doc = run(capsys, command, "-" * (cap + 1), *rest)
+        assert code == 2 and f"at most {cap} signs" in doc["error"]
+        # at the cap the pattern reaches the library call
+        with pytest.raises(Reached):
+            main([command, "-" * cap, *rest])
 
 
 class TestParsing:

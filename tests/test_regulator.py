@@ -5,6 +5,7 @@ import math
 import pytest
 
 from pohst.regulator import (
+    MAX_HERMITE_DIMENSION,
     RegulatorQuery,
     compare_with_signature_free,
     discriminant_log_bound,
@@ -39,6 +40,11 @@ class TestHermite:
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
             hermite_gamma(0)
+
+    def test_rejects_dimension_past_double_range(self):
+        assert math.isfinite(hermite_gamma(MAX_HERMITE_DIMENSION).value)
+        with pytest.raises(ValueError, match="at most 4935"):
+            hermite_gamma(MAX_HERMITE_DIMENSION + 1)
 
 
 class TestQuery:
