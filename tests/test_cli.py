@@ -245,6 +245,17 @@ class TestSweep:
         run(capsys, "sweep", "5", "--out", str(parallel), "--jobs", "2")
         assert serial.read_text() == parallel.read_text()
 
+    # SHA-256 of the 4,096 JSON lines of `pohst sweep 12`, recorded while
+    # every record came from its own per-pattern ladder run
+    SWEEP_12_DIGEST = "0393b93a8d8ec0382712c820da0667aa494718eb7d73e41df84a010d3cc82bd7"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_golden_sweep_12(self, capsys, tmp_path, jobs):
+        out = tmp_path / "s.jsonl"
+        code, doc = run(capsys, "sweep", "12", "--out", str(out), "--jobs", jobs)
+        assert code == 0 and doc["patterns"] == doc["valid"] == 4096
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEP_12_DIGEST
+
 
 class TestMaximize:
     def test_single_negative(self, capsys):
