@@ -25,6 +25,7 @@ from pohst.partition import (
     build_pi,
     check_construction_invariants,
     construct_eta,
+    eta_partition,
     search_partition,
     validate_partition,
 )

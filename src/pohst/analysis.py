@@ -3,7 +3,14 @@
 ``sweep`` grinds through sign patterns (exhaustively up to a configurable
 cap, by deterministic subsample beyond it) and emits one record per
 pattern: set sizes, the constructed heavy count, the required count,
-whether the ladder succeeded and whether everything validated.
+whether the ladder succeeded and whether everything validated.  An
+exhaustive sweep is one depth-first walk over sign prefixes: row j of the
+context and of both ladders reads only the first j signs, so each node
+runs the shared ladder row step once for every pattern below it and
+validates the groups it reports, and each leaf checks the rest of what
+``validate_partition`` checks.  A sampled sweep, and the reference for
+the walk, is ``sweep_one``: one context and both validated constructions
+per pattern.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -29,8 +36,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from pohst import partition
 from pohst.signs import PatternContext, SignVector, min_heavy_target
-from pohst.partition import LadderStuck, build_pi, construct_eta
+from pohst.partition import (
+    HEAVY_SHAPES, LadderStuck, _LadderState, _shape_findings, build_pi, eta_partition)
 from pohst.certify import (
     DEFAULT_TOLERANCE, RealVectorY, factor_matrix, group_bound, pair_factor_table,
     partitions_for)
@@ -38,13 +47,20 @@ from pohst.certify import (
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
-# indices per parallel sweep task: about 1.2 s of work at n = 20 (1.18-1.24 ms
-# per pattern), so records stream out early and the parent holds only a few chunks
+# indices per parallel task of a sampled sweep: about 1 s of work at n = 21
+# (about 1 ms per pattern), so records stream out early and the parent holds
+# only a few chunks
 SWEEP_CHUNK = 1024
+# parallel exhaustive walks split at this depth: 2**4 subtrees, so two
+# workers stay balanced while each task still shares its rows below depth 4
+WALK_SPLIT_DEPTH = 4
 # the leave-two-out residual visits about n**4 / 4 factors: 1.5 s at this
 # length on a 2-vCPU x86 host with CPython 3.11, 3.6 s at n = 80
 MAX_IDENTITY_N = 64
 SUBSAMPLE_RANDOM_COUNT = 10 ** 5
+# maximize_f costs O(n**3) per iteration (about 44 n evaluations of O(n**2)
+# each); see maximize_f for the measured time at this length
+MAX_MAXIMIZE_N = 64
 # maximize_f line search: grid points over the whole range, then the
 # refinement radii as fractions of the range
 COARSE_POINTS = 17
@@ -96,22 +112,171 @@ def sweep_one(n: int, index: int) -> SweepRecord:
     """Record for one pattern; a stuck ladder surfaces as heavy = -1, ladder = False.
 
     Each pattern is new to a sweep, so one context feeds both constructions
-    directly, bypassing the ``partitions_for`` cache."""
+    directly, bypassing the ``partitions_for`` cache.  This is the
+    reference for the exhaustive walk, and it serves sampled sweeps."""
     ctx = PatternContext(pattern_from_index(n, index))
     sigma, target = ctx.sigma.to_string(), ctx.target
     sizes = ctx.size("J"), ctx.size("K")
     try:
-        eta = construct_eta(ctx)
+        heavy = eta_partition(ctx).heavy_count
         build_pi(ctx)
     except LadderStuck:
         return SweepRecord(sigma, *sizes, -1, target, False, False)
     # both constructions hand out validated partitions only
-    heavy = eta.partition.heavy_count
-    return SweepRecord(sigma, *sizes, heavy, target, eta.ladder_used, heavy == target)
+    return SweepRecord(sigma, *sizes, heavy, target, True, heavy == target)
 
 
 def _sweep_chunk(n: int, indices: Sequence[int]) -> list[SweepRecord]:
     return [sweep_one(n, i) for i in indices]
+
+
+def _row_findings(reports, rows: list[int], pos: list[int], seen: list[int]) -> int:
+    """Heavy groups formed by one row's reports, or -1 on any finding.
+
+    Each reported group goes through the validator's shape and sign rules
+    against the bit rows of the path, and its new members must not be in
+    ``seen`` yet, which then takes them: the per-node share of
+    :func:`~pohst.partition.validate_partition`.
+    """
+    formed = 0
+    for shape, members, new in reports:
+        for i, j in new:
+            bit = 1 << i
+            if seen[j] & bit:
+                return -1
+            seen[j] |= bit
+        signs = [(1 if pos[j] >> i & 1 else -1) if rows[j] >> i & 1 else 0 for i, j in members]
+        if _shape_findings(shape, members, signs):
+            return -1
+        if shape in HEAVY_SHAPES and len(new) == len(members):
+            formed += 1
+    return formed
+
+
+def _covered(free_row: list[int], seen: list[int], rows: list[int], pos: list[int]) -> bool:
+    """Whether the groups and the free positive singletons tile every row once."""
+    for free, taken, row, positive in zip(free_row, seen, rows, pos):
+        if free & taken or free | taken != row or free & ~positive:
+            return False
+    return True
+
+
+def _walk(n: int, depth: int, prefix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Heavy counts, |J|, |K| and targets of every pattern below one sign prefix.
+
+    Covers the ``2**(n - depth)`` patterns whose index agrees with
+    ``prefix`` in its low ``depth`` bits; slot ``s`` of each array belongs
+    to index ``prefix + (s << depth)``.  The walk goes depth first over
+    sign prefixes: row j of the context and of both ladders depends on
+    ``sigma_1..sigma_j`` only, so each node builds its row once for the
+    ``2**(n - j)`` patterns below it.  The rows live in per-depth arrays
+    along the path; a node copies only the ladder state and the ``seen``
+    masks, and its last child takes over the parent's copies.
+
+    Validation matches ``validate_partition`` per pattern: each reported
+    group passes the shape and sign rules and adds disjoint members at its
+    node, and each leaf checks coverage, that the free pairs are positive,
+    heavy = target on K and no heavy group on J.  A stuck ladder or a
+    finding at a node flags every pattern below it as ``sweep_one`` does,
+    with heavy = -1.
+    """
+    size = 1 << (n - depth)
+    heavy_out = np.empty(size, np.int8)
+    j_out = np.empty(size, np.int16)
+    k_out = np.empty(size, np.int16)
+    target_out = np.empty(size, np.int8)
+    row_step = partition._ladder_row
+    next_row = PatternContext.next_row
+    k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
+
+    def visit(j, index, state, k_state, j_state, k_seen, j_seen, heavy, j_heavy, k_size, j_size):
+        # rows 1..j are done; k_state is None once the path is flagged
+        if j == n:
+            slot = index >> depth
+            p = state[3]
+            target = min(p, n + 1 - p)
+            ok = (
+                k_state is not None and heavy == target and not j_heavy
+                and _covered(k_state.free_row, k_seen, k_rows, k_pos)
+                and _covered(j_state.free_row, j_seen, j_rows, j_pos)
+            )
+            heavy_out[slot] = target if ok else -1
+            j_out[slot] = j_size
+            k_out[slot] = k_size
+            target_out[slot] = target
+            return
+        j += 1
+        signs = (1, -1) if j > depth else ((-1,) if prefix >> (j - 1) & 1 else (1,))
+        for s in signs:
+            child, stable, k, kp, jr, jp = next_row(j, s, state)
+            k_rows[j], k_pos[j], j_rows[j], j_pos[j] = k, kp, jr, jp
+            ks = js = kseen = jseen = None
+            h, jh = heavy, j_heavy
+            if k_state is not None:
+                if s == signs[-1]:
+                    ks, js, kseen, jseen = k_state, j_state, k_seen, j_seen
+                else:
+                    ks, js, kseen, jseen = k_state.copy(), j_state.copy(), k_seen[:], j_seen[:]
+                try:
+                    formed = _row_findings(
+                        row_step(ks, j, k, kp, stable, True), k_rows, k_pos, kseen)
+                    j_formed = _row_findings(
+                        row_step(js, j, jr, jp, stable, False), j_rows, j_pos, jseen)
+                except LadderStuck:
+                    formed = j_formed = -1
+                if formed < 0 or j_formed < 0:
+                    ks = None
+                h += formed
+                jh += j_formed
+            visit(j, index | (s < 0) << (j - 1), child, ks, js, kseen, jseen, h, jh,
+                  k_size + k.bit_count(), j_size + jr.bit_count())
+
+    visit(0, prefix, PatternContext.ROOT, _LadderState(n), _LadderState(n),
+          [0] * (n + 1), [0] * (n + 1), 0, 0, 0, 0)
+    return heavy_out, j_out, k_out, target_out
+
+
+def _walk_all(n: int, jobs: int) -> tuple[np.ndarray, ...]:
+    """The walk's arrays over all ``2**n`` patterns, in pattern-index order.
+
+    With ``jobs > 1`` the ``2**WALK_SPLIT_DEPTH`` subtrees go to worker
+    processes through one ordered ``map``, and each result lands on the
+    indices of its prefix.
+    """
+    if jobs <= 1 or n < 6:  # below 64 patterns, as for sampled sweeps
+        return _walk(n, 0, 0)
+    depth = min(WALK_SPLIT_DEPTH, n)
+    tasks = range(1 << depth)
+    arrays = tuple(np.empty(1 << n, dtype) for dtype in (np.int8, np.int16, np.int16, np.int8))
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        results = pool.map(functools.partial(_walk, n, depth), tasks)
+    except OSError:
+        # process pools need OS primitives some sandboxes refuse
+        if pool is not None:
+            pool.shutdown(wait=False)
+        return _walk(n, 0, 0)
+    try:
+        for prefix, subtree in zip(tasks, results):
+            for out, part in zip(arrays, subtree):
+                out[prefix::1 << depth] = part
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return arrays
+
+
+def _walk_records(n: int, jobs: int) -> Iterator[SweepRecord]:
+    """Records of the exhaustive walk; the first one comes once the walk is done."""
+    arrays = _walk_all(n, jobs)
+    flip = str.maketrans("01", "+-")
+    block = 1 << 16  # Python ints for one block of records at a time
+    for start in range(0, 1 << n, block):
+        rows = zip(*(a[start: start + block].tolist() for a in arrays))
+        for index, (h, j_size, k_size, t) in enumerate(rows, start):
+            # bit k of the index flips entry k + 1, as in pattern_from_index
+            sigma = format(index, f"0{n}b")[::-1].translate(flip)
+            yield SweepRecord(sigma, j_size, k_size, h, t, h >= 0, h == t)
 
 
 def sweep(
@@ -122,9 +287,13 @@ def sweep(
 ) -> Iterator[SweepRecord]:
     """Stream records in ascending pattern-index order.
 
-    Arguments are checked on the call.  Parallel workers take chunks of
-    ``SWEEP_CHUNK`` indices that stream out in index order as they arrive,
-    so output is independent of ``jobs``, which is capped at the CPU count.
+    Arguments are checked on the call.  An exhaustive sweep is one walk over
+    sign prefixes (:func:`_walk`), whose records stream out once it is done;
+    parallel workers take its depth-``WALK_SPLIT_DEPTH`` subtrees.  A sampled
+    sweep runs :func:`sweep_one` per pattern, and parallel workers take
+    chunks of ``SWEEP_CHUNK`` indices that stream out in index order as they
+    arrive.  Output is independent of ``jobs``, which is capped at the CPU
+    count.
     """
     if not (0 <= n <= MAX_SWEEP_N):
         raise ValueError(f"sweep size must lie in 0..{MAX_SWEEP_N}, got {n}")
@@ -132,8 +301,12 @@ def sweep(
         raise ValueError(f"sweep seed must be non-negative, got {seed}")
     if exhaustive_cap < 1:
         raise ValueError(f"exhaustive cap must be positive, got {exhaustive_cap}")
-    indices = _sweep_indices(n, seed, exhaustive_cap) if n else range(0)
-    return _sweep_records(n, indices, min(jobs, os.cpu_count() or 1))
+    jobs = min(jobs, os.cpu_count() or 1)
+    if not n:
+        return iter(())
+    if not sweep_is_sampled(n, exhaustive_cap):
+        return _walk_records(n, jobs)
+    return _sweep_records(n, _sweep_indices(n, seed, exhaustive_cap), jobs)
 
 
 def _sweep_records(n: int, indices: Sequence[int], jobs: int) -> Iterator[SweepRecord]:
@@ -251,8 +424,16 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
     Restart 0 starts at full magnitudes, later restarts at low-discrepancy
     points shifted by the seed; each sweep line-searches every coordinate on
     a coarse grid and then refines around the winner per the step schedule.
+    Patterns longer than ``MAX_MAXIMIZE_N`` raise ``ValueError``.  At 64
+    signs with the default config, 24 patterns (all-minus, all-plus, both
+    alternations and 20 seeded random ones) took 6.8-14.2 s of CPU each,
+    the worst 90,120 evaluations, on a 2-vCPU x86 host with CPython 3.11;
+    the iteration limit caps a call at 8 * (1 + 40 * 64 * 44) = 901,128
+    evaluations, about 2.4 min at the measured 134-172 us per evaluation.
     """
     n = len(sigma)
+    if n > MAX_MAXIMIZE_N:
+        raise ValueError(f"maximize takes at most {MAX_MAXIMIZE_N} signs, got {n}")
     signs = list(sigma.entries)
     lo, hi = cfg.delta, 1.0
     bound = 2.0 ** min_heavy_target(sigma)

@@ -34,7 +34,7 @@ from pohst.partition import (
     PartitionGroup,
     HEAVY_SHAPES,
     build_pi,
-    construct_eta,
+    eta_partition,
 )
 
 DEFAULT_TOLERANCE = 1e-12
@@ -265,10 +265,10 @@ def partitions_for(sigma: SignVector) -> tuple[GoodPartition, GoodPartition]:
     """Cached validated ladder partitions of K and J per pattern; raises ``LadderStuck``.
 
     Holds what ``certify_x`` and ``bound_soundness_sample`` read (groups,
-    method, heavy count), not the K trace or the context.  Measured
-    traffic: hits come only from repeated calls over one pattern set, such
-    as the ``certify`` benchmark's 64-pattern pool or the ``soundness``
-    benchmark's 1,024 patterns at n = 10 (hit ratio 1.0 each); one
+    method, heavy count), not the context or the K trace, which is never
+    built.  Measured traffic: hits come only from repeated calls over one
+    pattern set, such as the ``certify`` benchmark's 64-pattern pool or the
+    ``soundness`` benchmark's 1,024 patterns at n = 10 (hit ratio 1.0 each); one
     soundness call looks each of its patterns up once, so a call over more
     patterns than fit gains nothing.  Tier-1, less the capacity test, makes
     about 600 hits and 3,400 misses and peaks at 2,044 entries; a sweep
@@ -276,7 +276,7 @@ def partitions_for(sigma: SignVector) -> tuple[GoodPartition, GoodPartition]:
     takes about 7 KiB at n = 10 and 210 KiB at n = 63 (0.82 GiB when full).
     """
     ctx = PatternContext(sigma)
-    return construct_eta(ctx).partition, build_pi(ctx)
+    return eta_partition(ctx), build_pi(ctx)
 
 
 def check_tolerance(tolerance: float) -> None:

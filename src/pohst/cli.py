@@ -22,6 +22,8 @@ as an option, so place flags before the pattern or separate it with ``--``;
 the launcher inserts the separator automatically for plain patterns.
 Patterns take at most ``MAX_PATTERN_N`` = 1024 signs (``classify`` and the
 ``partition`` ladder cost O(n^2), as a certificate does); longer ones exit 2.
+``maximize`` takes at most ``MAX_MAXIMIZE_N`` = 64 signs (it costs O(n^3)
+per iteration); longer patterns exit 2.
 ``partition``'s search and both modes take at most ``MAX_SEARCH_N`` = 48
 signs (the search recurses once per negative pair); longer patterns exit 2.
 ``certify`` takes at most ``MAX_CERTIFY_N`` = 1024 x entries (1025 y

@@ -24,13 +24,20 @@ singleton in its row tail (operation 1), mated down its column (operation
 on a level before the column mate: the negative is parked as a heavy
 singleton on an unstable level (operation 3), or folded into an L-triple
 with the surviving heavy singleton one row below its start on a stable
-level (operation 4).  ``build_eta`` runs the ladder over K;
-``construct_eta`` and ``build_pi`` validate the ladder's partition of K and
-J once and raise :class:`LadderStuck` when it is stuck or invalid: the
-ladder is the only construction path.  ``search_partition``, the
-independent backtracking oracle over the same move set, serves the tests
-and the CLI's search modes only.  ``validate_partition`` checks any claimed
-partition against the shape and count rules.
+level (operation 4).  One row step, ``_ladder_row``, holds every move: it
+absorbs the negatives of one row into an explicit state (free rows and
+columns, live row-mate pairs, heavy starts) and reports each group it
+forms or grows.  The per-pattern ladder runs it over rows 1..n, and the
+exhaustive sweep walk in :mod:`pohst.analysis` runs it once per node of
+a walk over sign prefixes.  ``build_eta`` runs the ladder over K with its
+trace; ``construct_eta`` (with the trace), ``eta_partition`` (without one)
+and ``build_pi`` validate the ladder's partition of K or J once and raise
+:class:`LadderStuck` when it is stuck or invalid: the ladder is the only
+construction path.  Trace steps are built only for callers that read
+them.  ``search_partition``, the independent backtracking oracle over
+the same move set, serves the tests and the CLI's search modes only.
+``validate_partition`` checks any claimed partition against the shape
+and count rules.
 
 The ladder and the validator work on the bit rows of a
 :class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
@@ -39,8 +46,9 @@ already in construction order, so the partition needs one sort on an int
 key and no per-group sort, and the validator checks membership, signs,
 disjointness and coverage by bit tests.  ``construct_eta``, ``build_pi``,
 ``build_eta``, ``validate_partition`` and ``check_construction_invariants``
-take a context or a :class:`~pohst.signs.SignVector`, so a caller builds one
-context per pattern and hands it to all of them.
+take a context or a :class:`~pohst.signs.SignVector`, as does
+``eta_partition``, so a caller builds one context per pattern and hands it
+to all of them.
 """
 
 from __future__ import annotations
@@ -84,16 +92,21 @@ _MEMBER_COUNT = {
 
 class LadderStuck(RuntimeError):
     """The case ladder left a negative pair of ``target`` unabsorbed, or built
-    a partition that fails validation (``negative`` is then ``None``)."""
+    a partition that fails validation (``negative`` is then ``None``).
 
-    def __init__(self, sigma: SignVector, target: str, negative: Optional[Pair], reason: str):
+    ``sigma`` is ``None`` when the ladder ran on a sign prefix in a sweep
+    walk, which flags every pattern below the prefix instead of raising.
+    """
+
+    def __init__(
+        self, sigma: Optional[SignVector], target: str, negative: Optional[Pair], reason: str
+    ):
         self.sigma = sigma
         self.target = target
         self.negative = negative
         self.reason = reason
-        super().__init__(
-            f"ladder stuck on {target} of {sigma.to_string()!r} at {negative}: {reason}"
-        )
+        where = "a sign prefix" if sigma is None else repr(sigma.to_string())
+        super().__init__(f"ladder stuck on {target} of {where} at {negative}: {reason}")
 
 
 class SearchExhausted(RuntimeError):
@@ -324,147 +337,201 @@ def validate_partition(
     return ValidationReport(not violations, tuple(violations))
 
 
-def _ladder(
-    ctx: PatternContext, target: str
-) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
-    """Run the case ladder over K or J.  Raises :class:`LadderStuck` on any gap.
-
-    Negatives are processed in construction order and both targets share the
-    moves: a row mate, a column mate (operation 1) or a rectangle completed
-    through a blocking horizontal pair (operation 2).  Only K has the heavy
-    moves, and there the heavy budget takes care of itself: operation 3
-    fires exactly at the first row failure on an unstable level, operation 4
-    recycles one earlier heavy singleton at the first row failure on a
-    stable level, and nothing else touches the count.  K alone gets case
-    numbers and a trace; for J the trace is ``None``.
+class _LadderState:
+    """What the case ladder carries from one row to the next.
 
     The free positive pairs live in bit rows (bit i of ``free_row[j]``) and
-    bit columns (bit j of ``free_col[i]``): the row mate is the lowest free
-    bit above i, the column mate the highest free bit below j.  Members are
-    emitted in construction order, and the live groups are keyed by the
-    position of their first member, so one sort on an int key orders the
-    partition.
+    bit columns (bit j of ``free_col[i]``).  Bit ell of ``row_pairs[i]``
+    marks (i, ell) as the positive member of a live row-mate pair, which a
+    rectangle may still complete; ``pair_low[ell * (n + 1) + i]`` is the
+    start column of that pair's negative member.  ``heavy_start[j]`` is the
+    start of row j's live heavy singleton (at most one), 0 if none.
+    ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
+    when the state belongs to a walk over sign prefixes.
+    """
 
-    The result is not validated here; :func:`construct_eta` and
-    :func:`build_pi` validate it once.
+    __slots__ = ("free_row", "free_col", "row_pairs", "pair_low", "heavy_start", "sigma")
+
+    def __init__(self, n: int, sigma: Optional[SignVector] = None) -> None:
+        self.free_row = [0] * (n + 1)
+        self.free_col = [0] * (n + 1)
+        self.row_pairs = [0] * (n + 1)
+        self.pair_low = [0] * (n + 1) ** 2
+        self.heavy_start = [0] * (n + 1)
+        self.sigma = sigma
+
+    def copy(self) -> "_LadderState":
+        """A state that rows past the current one may change independently.
+
+        ``pair_low`` is shared: row j writes only its own entries, which
+        later rows read through ``row_pairs`` bits set on the same path, so
+        a depth-first walk may let sibling branches overwrite them.
+        """
+        other = _LadderState.__new__(_LadderState)
+        other.free_row = self.free_row[:]
+        other.free_col = self.free_col[:]
+        other.row_pairs = self.row_pairs[:]
+        other.pair_low = self.pair_low
+        other.heavy_start = self.heavy_start[:]
+        other.sigma = self.sigma
+        return other
+
+
+def _ladder_row(
+    state: _LadderState,
+    j: int,
+    row: int,
+    pos: int,
+    stable: bool,
+    heavy: bool,
+    steps: Optional[list[TraceStep]] = None,
+) -> list[tuple[Shape, tuple[Pair, ...], tuple[Pair, ...]]]:
+    """Absorb the negatives of row ``j`` into ``state``: the one copy of the moves.
+
+    ``row`` and ``pos`` are the row's pairs and positive pairs of the target
+    set, ``stable`` the level flag of row ``j``, and ``heavy`` is true for K
+    alone.  Negatives go in construction order, each to a row mate, a column
+    mate (operation 1) or a rectangle completed through a blocking
+    horizontal pair (operation 2).  Only K has the heavy moves, and there
+    the heavy budget takes care of itself: operation 3 fires exactly at the
+    first row failure on an unstable level, operation 4 recycles one
+    earlier heavy singleton at the first row failure on a stable level, and
+    nothing else touches the count.
+
+    The row mate is the lowest free bit above i, the column mate the
+    highest free bit below j.  Every group formed or grown is reported as
+    ``(shape, members, new members)``, members in construction order; a
+    grown group keeps its first member.  ``TraceStep``s, with K's case
+    numbers, are appended to ``steps`` only when the caller passes a list.
+    Raises :class:`LadderStuck` when a negative has no move.
+    """
+    free_row, free_col, row_pairs = state.free_row, state.free_col, state.row_pairs
+    pair_low, heavy_start = state.pair_low, state.heavy_start
+    stride = len(free_row)
+    bit = 1 << j
+    below_j = bit - 1
+    free_row[j] = pos
+    while pos:
+        low = pos & -pos
+        free_col[low.bit_length() - 1] |= bit
+        pos ^= low
+    reports = []
+    negatives = row & ~free_row[j]
+    failures = 0
+    while negatives:
+        i = negatives.bit_length() - 1
+        negatives ^= 1 << i
+        neg = (i, j)
+
+        above = free_row[j] >> (i + 1) << (i + 1)
+        if above:
+            i2 = (above & -above).bit_length() - 1
+            free_row[j] ^= 1 << i2
+            free_col[i2] ^= bit
+            row_pairs[i2] |= bit
+            pair_low[j * stride + i2] = i
+            members = ((i2, j), neg)
+            reports.append((Shape.MIXED_PAIR, members, members))
+            if steps is not None:
+                steps.append(TraceStep(neg, 1, 1, (members[:1],), members, Shape.MIXED_PAIR))
+            continue
+
+        case = 0
+        if heavy:
+            failures += 1
+            if failures == 1 and not stable:
+                heavy_start[j] = i
+                members = (neg,)
+                reports.append((Shape.NEGATIVE_SINGLETON, members, members))
+                if steps is not None:
+                    steps.append(TraceStep(neg, 2, 3, (), members, Shape.NEGATIVE_SINGLETON))
+                continue
+            if failures == 1:
+                ell = heavy_start[i - 1]
+                if ell and free_row[j] >> ell & 1:
+                    free_row[j] ^= 1 << ell
+                    free_col[ell] ^= bit
+                    heavy_start[i - 1] = 0
+                    low, top = (ell, i - 1), (ell, j)
+                    # grows the heavy singleton (ell, i - 1)
+                    reports.append((Shape.L_TRIPLE, (low, neg, top), (neg, top)))
+                    if steps is not None:
+                        steps.append(TraceStep(
+                            neg, 5, 4, ((low,), (top,)), (low, neg, top), Shape.L_TRIPLE))
+                    continue
+                raise LadderStuck(
+                    state.sigma, "K", neg,
+                    "no heavy singleton survives one row below the start",
+                )
+            case = 6 if stable else (3 if failures == 2 else 4)
+
+        below = free_col[i] & below_j
+        if below:
+            j2 = below.bit_length() - 1
+            free_col[i] ^= 1 << j2
+            free_row[j2] ^= 1 << i
+            members = ((i, j2), neg)
+            reports.append((Shape.MIXED_PAIR, members, members))
+            if steps is not None:
+                steps.append(TraceStep(neg, case, 1, (members[:1],), members, Shape.MIXED_PAIR))
+            continue
+
+        candidates = row_pairs[i] & below_j
+        while candidates:
+            ell = candidates.bit_length() - 1
+            candidates ^= 1 << ell
+            c = pair_low[ell * stride + i]
+            if free_row[j] >> c & 1:
+                free_row[j] ^= 1 << c
+                free_col[c] ^= bit
+                row_pairs[i] ^= 1 << ell
+                pair, corner = ((i, ell), (c, ell)), (c, j)
+                # grows the row-mate pair, which starts with its positive member
+                reports.append((Shape.RECTANGLE_QUAD, pair + (neg, corner), (neg, corner)))
+                if steps is not None:
+                    steps.append(TraceStep(
+                        neg, case, 2, (pair, (corner,)), pair + (neg, corner),
+                        Shape.RECTANGLE_QUAD,
+                    ))
+                break
+        else:
+            raise LadderStuck(
+                state.sigma, "K" if heavy else "J", neg,
+                "no row mate, column mate, or rectangle completion applies",
+            )
+    return reports
+
+
+def _ladder(
+    ctx: PatternContext, target: str, trace: bool = True
+) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
+    """Run the case ladder over K or J, row by row through :func:`_ladder_row`.
+
+    Raises :class:`LadderStuck` on any gap.  The live groups are keyed by
+    the position of their first member, so one sort on an int key orders
+    the partition.  K alone has a trace, recorded when ``trace`` is true;
+    otherwise the trace is ``None``.
+
+    The result is not validated here; :func:`construct_eta`,
+    :func:`eta_partition` and :func:`build_pi` validate it once.
     """
     heavy = target == "K"
     n = ctx.n
     rows, pos = ctx.rows(target)
     stable = ctx.stable
-    free_row = list(pos)
-    free_col = [0] * (n + 1)
-    for j in range(1, n + 1):
-        row = pos[j]
-        while row:
-            low = row & -row
-            free_col[low.bit_length() - 1] |= 1 << j
-            row ^= low
+    state = _LadderState(n, ctx.sigma)
+    steps: Optional[list[TraceStep]] = [] if heavy and trace else None
     # live groups keyed by their first member (i, j) as j * stride - i,
     # which ascends in construction order
     stride = n + 1
     groups: dict[int, tuple[Shape, tuple[Pair, ...]]] = {}
-    # bit ell of row_pairs[i]: (i, ell) is the positive member of a live
-    # row-mate pair, which a rectangle may still complete
-    row_pairs = [0] * (n + 1)
-    # start of the live heavy singleton of each row (at most one), 0 if none
-    heavy_start = [0] * (n + 1)
-    steps: list[TraceStep] = []
-    op3_uses = 0
+    for j in range(1, n + 1):
+        for shape, members, _ in _ladder_row(state, j, rows[j], pos[j], stable[j], heavy, steps):
+            i, first_row = members[0]
+            groups[first_row * stride - i] = (shape, members)
 
     for j in range(1, n + 1):
-        negatives = rows[j] & ~pos[j]
-        failures = 0
-        while negatives:
-            i = negatives.bit_length() - 1
-            negatives ^= 1 << i
-            neg = (i, j)
-
-            above = free_row[j] >> (i + 1) << (i + 1)
-            if above:
-                i2 = (above & -above).bit_length() - 1
-                free_row[j] ^= 1 << i2
-                free_col[i2] ^= 1 << j
-                row_pairs[i2] |= 1 << j
-                mate = (i2, j)
-                members = (mate, neg)
-                groups[j * stride - i2] = (Shape.MIXED_PAIR, members)
-                if heavy:
-                    steps.append(TraceStep(neg, 1, 1, ((mate,),), members, Shape.MIXED_PAIR))
-                continue
-
-            case = 0
-            if heavy:
-                failures += 1
-                if failures == 1 and not stable[j]:
-                    groups[j * stride - i] = (Shape.NEGATIVE_SINGLETON, (neg,))
-                    heavy_start[j] = i
-                    op3_uses += 1
-                    steps.append(TraceStep(neg, 2, 3, (), (neg,), Shape.NEGATIVE_SINGLETON))
-                    continue
-                if failures == 1:
-                    ell = heavy_start[i - 1]
-                    if ell and free_row[j] >> ell & 1:
-                        free_row[j] ^= 1 << ell
-                        free_col[ell] ^= 1 << j
-                        heavy_start[i - 1] = 0
-                        key = (i - 1) * stride - ell
-                        low, top = groups[key][1][0], (ell, j)
-                        members = (low, neg, top)
-                        # replaces the heavy singleton (ell, i - 1), same key
-                        groups[key] = (Shape.L_TRIPLE, members)
-                        steps.append(
-                            TraceStep(neg, 5, 4, ((low,), (top,)), members, Shape.L_TRIPLE)
-                        )
-                        continue
-                    raise LadderStuck(
-                        ctx.sigma, target, neg,
-                        "no heavy singleton survives one row below the start",
-                    )
-                case = 6 if stable[j] else (3 if failures == 2 else 4)
-
-            below = free_col[i] & ((1 << j) - 1)
-            if below:
-                j2 = below.bit_length() - 1
-                free_col[i] ^= 1 << j2
-                free_row[j2] ^= 1 << i
-                mate = (i, j2)
-                members = (mate, neg)
-                groups[j2 * stride - i] = (Shape.MIXED_PAIR, members)
-                if heavy:
-                    steps.append(TraceStep(neg, case, 1, ((mate,),), members, Shape.MIXED_PAIR))
-                continue
-
-            candidates = row_pairs[i] & ((1 << j) - 1)
-            while candidates:
-                ell = candidates.bit_length() - 1
-                candidates ^= 1 << ell
-                key = ell * stride - i
-                pair_members = groups[key][1]
-                low_neg = pair_members[1]
-                c = low_neg[0]
-                if free_row[j] >> c & 1:
-                    free_row[j] ^= 1 << c
-                    free_col[c] ^= 1 << j
-                    row_pairs[i] ^= 1 << ell
-                    corner = (c, j)
-                    members = (pair_members[0], low_neg, neg, corner)
-                    # the rectangle starts with the pair's positive member
-                    groups[key] = (Shape.RECTANGLE_QUAD, members)
-                    if heavy:
-                        steps.append(TraceStep(
-                            neg, case, 2, (pair_members, (corner,)), members,
-                            Shape.RECTANGLE_QUAD,
-                        ))
-                    break
-            else:
-                raise LadderStuck(
-                    ctx.sigma, target, neg,
-                    "no row mate, column mate, or rectangle completion applies",
-                )
-
-    for j in range(1, n + 1):
-        row = free_row[j]
+        row = state.free_row[j]
         while row:
             low = row & -row
             i = low.bit_length() - 1
@@ -474,41 +541,49 @@ def _ladder(
     ordered = tuple(PartitionGroup(*groups[key]) for key in sorted(groups))
     if not heavy:
         return GoodPartition(target, ordered, "greedy"), None
-    return GoodPartition(target, ordered, "ladder"), ConstructionTrace(tuple(steps), op3_uses)
+    part = GoodPartition(target, ordered, "ladder")
+    if steps is None:
+        return part, None
+    return part, ConstructionTrace(tuple(steps), sum(s.operation == 3 for s in steps))
 
 
 def build_eta(
     sigma: SignVector | PatternContext,
 ) -> tuple[GoodPartition, ConstructionTrace]:
-    """The case ladder over K, unvalidated.  Raises :class:`LadderStuck` on any gap."""
+    """The case ladder over K with its trace, unvalidated.  Raises :class:`LadderStuck`."""
     return _ladder(_context(sigma), "K")
 
 
-def _validated(
-    ctx: PatternContext, target: str
-) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
-    """The ladder's partition of ``target``, validated once.
+def _checked(ctx: PatternContext, part: GoodPartition) -> GoodPartition:
+    """``part`` once it validates; :class:`LadderStuck` otherwise.
 
-    Raises :class:`LadderStuck` when the ladder leaves a gap or its partition
-    fails validation: either contradicts the construction's guarantee.
+    A ladder partition that fails validation contradicts the construction's
+    guarantee, so it counts as a stuck ladder.
     """
-    # K goes through build_eta, the K ladder's public (and profiled) name
-    part, trace = build_eta(ctx) if target == "K" else _ladder(ctx, target)
     report = validate_partition(ctx, part)
     if not report.ok:
-        raise LadderStuck(ctx.sigma, target, None, "; ".join(report.violations))
-    return part, trace
+        raise LadderStuck(ctx.sigma, part.target, None, "; ".join(report.violations))
+    return part
 
 
 def construct_eta(sigma: SignVector | PatternContext) -> EtaBuild:
-    """Validated good partition of K from the ladder.  Raises :class:`LadderStuck`."""
-    part, trace = _validated(_context(sigma), "K")
-    return EtaBuild(part, trace, True)
+    """Validated good partition of K and its trace.  Raises :class:`LadderStuck`."""
+    ctx = _context(sigma)
+    # through build_eta, the traced K ladder's public (and profiled) name
+    part, trace = build_eta(ctx)
+    return EtaBuild(_checked(ctx, part), trace, True)
+
+
+def eta_partition(sigma: SignVector | PatternContext) -> GoodPartition:
+    """Validated good partition of K, built without a trace.  Raises :class:`LadderStuck`."""
+    ctx = _context(sigma)
+    return _checked(ctx, _ladder(ctx, "K", trace=False)[0])
 
 
 def build_pi(sigma: SignVector | PatternContext) -> GoodPartition:
     """Validated good partition of J from the ladder.  Raises :class:`LadderStuck`."""
-    return _validated(_context(sigma), "J")[0]
+    ctx = _context(sigma)
+    return _checked(ctx, _ladder(ctx, "J")[0])
 
 
 def search_partition(

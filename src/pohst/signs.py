@@ -111,7 +111,8 @@ class PatternContext:
     true when ``min(p, m)`` did not grow from level ``j - 1``, and level 0
     is stable by convention, having no earlier level to jump from.
 
-    This constructor is the one place that applies the canonical rule;
+    :meth:`next_row`, which this constructor and the exhaustive sweep walk
+    call row by row, is the one place that applies the canonical rule;
     every other split of the triangle derives from it.  Pair ``(i, j)`` is
     canonical exactly when ``a_i == b_j`` with ``a_i = t_{i-1} (-1)**i`` and
     ``b_j = t_j (-1)**(j+1)``, and positive exactly when
@@ -121,33 +122,22 @@ class PatternContext:
 
     __slots__ = ("sigma", "n", "target", "stable", "k_rows", "k_pos", "j_rows", "j_pos")
 
+    # prefix state before row 1: t_0 = +1, no a/t bits yet, p = 1
+    ROOT = (1, 0, 0, 1)
+
     def __init__(self, sigma: SignVector) -> None:
-        n = len(sigma)
-        t = prefix_signs(sigma)
-        a_plus = 0  # bit i set when a_i = +1
-        t_plus = 0  # bit i set when t_{i-1} = +1
         k_rows, k_pos, j_rows, j_pos = [0], [0], [0], [0]
         stable = [True]
-        p = 1
-        prev_min = 0
-        for j in range(1, n + 1):
-            bit = 1 << j
-            if t[j - 1] > 0:
-                t_plus |= bit
-            if (t[j - 1] > 0) == (j % 2 == 0):
-                a_plus |= bit
-            tri = (bit << 1) - 2
-            k = (a_plus if (t[j] > 0) == (j % 2 == 1) else ~a_plus) & tri
-            pos = (t_plus if t[j] > 0 else ~t_plus) & tri
+        prefix = self.ROOT
+        for j, s in enumerate(sigma.entries, 1):
+            prefix, level_stable, k, kp, jr, jp = self.next_row(j, s, prefix)
             k_rows.append(k)
-            k_pos.append(k & pos)
-            j_rows.append(tri ^ k)
-            j_pos.append(pos & ~k)
-            if t[j] > 0:
-                p += 1
-            cur_min = min(p, j + 1 - p)
-            stable.append(cur_min == prev_min)
-            prev_min = cur_min
+            k_pos.append(kp)
+            j_rows.append(jr)
+            j_pos.append(jp)
+            stable.append(level_stable)
+        n = len(sigma)
+        p = prefix[3]
         self.sigma = sigma
         self.n = n
         self.target = min(p, n + 1 - p)
@@ -156,6 +146,34 @@ class PatternContext:
         self.k_pos = tuple(k_pos)
         self.j_rows = tuple(j_rows)
         self.j_pos = tuple(j_pos)
+
+    @staticmethod
+    def next_row(
+        j: int, s: int, prefix: tuple[int, int, int, int]
+    ) -> tuple[tuple[int, int, int, int], bool, int, int, int, int]:
+        """Row ``j`` from the prefix state of rows ``1..j-1`` and ``s = sigma_j``.
+
+        ``prefix`` is ``(t_{j-1}, a_plus, t_plus, p)``: the last prefix sign,
+        the masks of ``a_i = +1`` and ``t_{i-1} = +1`` over ``i < j`` and the
+        count ``p`` of positive ``t`` so far; :attr:`ROOT` precedes row 1.
+        Returns the prefix state after row ``j``, ``stable[j]`` and the rows
+        ``k_rows[j]``, ``k_pos[j]``, ``j_rows[j]`` and ``j_pos[j]``.  Row ``j``
+        reads only ``sigma_1..sigma_j``, so a walk over sign prefixes builds
+        each row once for all the patterns that share its prefix.
+        """
+        t, a_plus, t_plus, p = prefix
+        bit = 1 << j
+        if t > 0:
+            t_plus |= bit
+        if (t > 0) == (j % 2 == 0):
+            a_plus |= bit
+        t *= s
+        tri = (bit << 1) - 2
+        k = (a_plus if (t > 0) == (j % 2 == 1) else ~a_plus) & tri
+        pos = (t_plus if t > 0 else ~t_plus) & tri
+        grown = p + (t > 0)
+        stable = min(grown, j + 1 - grown) == min(p, j - p)
+        return (t, a_plus, t_plus, grown), stable, k, k & pos, tri ^ k, pos & ~k
 
     def rows(self, target: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(rows, positive rows)`` of ``"K"`` or ``"J"``."""

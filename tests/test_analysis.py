@@ -20,6 +20,7 @@ from pohst.analysis import (
     sweep_summary,
 )
 from pohst.certify import RealVectorY, eval_P, partitions_for
+from pohst.partition import Shape, build_pi, eta_partition
 from pohst.signs import SignVector, min_heavy_target
 
 
@@ -102,14 +103,22 @@ class TestSweep:
         assert summary["sampled"] is False
 
     def test_parallel_merge_matches_serial(self, monkeypatch):
-        # n=7 clears the worker threshold, so this drives the real pool, and
-        # 16-index chunks make the ordered stream merge eight of them
+        # n = 7 clears the worker threshold, so a real 2-worker pool walks the
+        # 16 depth-4 subtrees and the parent scatters them back by prefix
         import pohst.analysis as analysis
 
-        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
-        serial = list(sweep(7))
-        parallel = list(sweep(7, jobs=2))
-        assert serial == parallel
+        pools = []
+
+        class CountedPool(analysis.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        for n in (7, 10):
+            assert list(sweep(n, jobs=2)) == list(sweep(n))
+        assert pools == [2, 2]
 
     def test_parallel_sampled_matches_serial(self, monkeypatch):
         import pohst.analysis as analysis
@@ -143,6 +152,8 @@ class TestSweep:
         assert seen == [2]
 
     def test_early_close_cancels_pending_chunks(self, monkeypatch):
+        # a sampled sweep streams chunk by chunk, so closing it after the
+        # first record leaves the later chunks pending
         import pohst.analysis as analysis
 
         chunks, shutdowns = [], []
@@ -162,20 +173,48 @@ class TestSweep:
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
-        records = sweep(7, jobs=2)
+        records = sweep(7, jobs=2, exhaustive_cap=16)
         assert next(records) == analysis.sweep_one(7, 0)
         records.close()
-        assert chunks == [range(16)]
+        assert [list(chunk) for chunk in chunks] == [list(range(16))]
+        assert shutdowns == [(True, True)]
+
+    def test_early_close_of_exhaustive_sweep_shuts_pool_down(self, monkeypatch):
+        # the walk gathers every subtree before its first record, and the
+        # pool is shut down with pending work cancelled all the same
+        import pohst.analysis as analysis
+
+        tasks, shutdowns = [], []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, iterable):
+                for arg in iterable:
+                    tasks.append(arg)
+                    yield fn(arg)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                shutdowns.append((wait, cancel_futures))
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        records = sweep(7, jobs=2)
+        assert tasks == [] and shutdowns == []  # nothing runs before the first record
+        assert next(records) == analysis.sweep_one(7, 0)
+        records.close()
+        assert tasks == list(range(2 ** analysis.WALK_SPLIT_DEPTH))
         assert shutdowns == [(True, True)]
 
     def test_construction_failure_yields_flagged_record(self, monkeypatch):
-        import pohst.analysis as analysis
+        import pohst.partition as partition
         from pohst.partition import LadderStuck
 
-        def refuse(ctx):
-            raise LadderStuck(ctx.sigma, "K", None, "refused")
+        def refuse(state, *args):
+            raise LadderStuck(state.sigma, "K", None, "refused")
 
-        monkeypatch.setattr(analysis, "construct_eta", refuse)
+        monkeypatch.setattr(partition, "_ladder_row", refuse)
         records = list(sweep(1))
         assert all(not r.valid and r.heavy == -1 for r in records)
         assert sweep_summary(records, 1)["invalid"] == 2
@@ -195,6 +234,68 @@ class TestSweep:
             summary = sweep_summary(list(sweep(n)), n)
             assert summary["ladder_used"] == summary["patterns"]
             assert summary["valid"] == summary["patterns"]
+
+
+class TestWalk:
+    """The exhaustive sweep's prefix walk against the per-pattern reference."""
+
+    def test_matches_sweep_one_through_n12(self):
+        from pohst.analysis import sweep_one
+
+        for n in range(1, 13):
+            assert list(sweep(n)) == [sweep_one(n, i) for i in range(1 << n)]
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_subtree_matches_sweep_one(self, n):
+        from pohst.analysis import _walk, sweep_one
+
+        rng = random.Random(n)
+        depth = 8
+        prefix = rng.randrange(1 << depth)
+        heavy, j_size, k_size, target = _walk(n, depth, prefix)
+        assert (heavy == target).all()
+        for slot in rng.sample(range(1 << (n - depth)), 200):
+            rec = sweep_one(n, prefix + (slot << depth))
+            assert rec.valid
+            assert (heavy[slot], j_size[slot], k_size[slot], target[slot]) == (
+                rec.heavy, rec.J, rec.K, rec.target)
+
+    @pytest.mark.parametrize("where", ["report", "state"])
+    def test_dropped_rectangle_corner_is_flagged(self, monkeypatch, where):
+        # a row step that drops a rectangle's corner, from the group it
+        # reports (the shape rules catch it) or from the pairs it takes (the
+        # leaf's tiling check does), flags exactly the patterns whose
+        # partitions hold a rectangle
+        import pohst.partition as partition
+
+        n = 8
+        with_rectangle = {
+            index for index in range(1 << n)
+            if any(
+                group.shape is Shape.RECTANGLE_QUAD
+                for build in (eta_partition, build_pi)
+                for group in build(pattern_from_index(n, index)).groups
+            )
+        }
+        real = partition._ladder_row
+
+        def mutant(state, j, *args):
+            reports = []
+            for shape, members, new in real(state, j, *args):
+                if shape is Shape.RECTANGLE_QUAD:
+                    corner = members[3]
+                    if where == "report":
+                        members = members[:3]
+                    else:
+                        state.free_row[j] |= 1 << corner[0]
+                reports.append((shape, members, new))
+            return reports
+
+        monkeypatch.setattr(partition, "_ladder_row", mutant)
+        records = list(sweep(n))
+        flagged = {index for index, rec in enumerate(records) if not rec.valid}
+        assert len(flagged) > 100 and flagged == with_rectangle
+        assert all(rec.heavy == -1 and not rec.ladder for rec in records if not rec.valid)
 
 
 class TestMaximize:

@@ -390,7 +390,7 @@ class TestExitCodeSurfaces:
         import pohst.partition as partition
         from pohst.certify import partitions_for
 
-        def stuck(ctx, target):
+        def stuck(ctx, target, trace=True):
             raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
 
         monkeypatch.setattr(partition, "_ladder", stuck)
@@ -517,7 +517,7 @@ class TestExitCodeSurfaces:
         for argv in self.GOLDEN_ARGV:
             record(argv)
 
-        def stuck(ctx, target):
+        def stuck(ctx, target, trace=True):
             raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
 
         with monkeypatch.context() as patched:
@@ -593,6 +593,25 @@ class TestPatternLengthCap:
         # at the cap the pattern reaches the library call
         with pytest.raises(Reached):
             main([command, "-" * cap, *rest])
+
+
+class TestMaximizeLengthCap:
+    def test_cap(self, capsys, monkeypatch):
+        import pohst.analysis as analysis
+
+        class Reached(Exception):
+            pass
+
+        def refuse(x):
+            raise Reached
+
+        # the line search's objective: reached only once the length passed
+        monkeypatch.setattr(analysis, "_objective", refuse)
+        cap = analysis.MAX_MAXIMIZE_N
+        code, doc = run(capsys, "maximize", "-" * (cap + 1))
+        assert code == 2 and f"at most {cap} signs" in doc["error"]
+        with pytest.raises(Reached):
+            main(["maximize", "-" * cap])
 
 
 class TestParsing:
