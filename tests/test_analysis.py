@@ -33,6 +33,24 @@ def random_y(rng, n, growth=(0.1, 2.0)):
     return RealVectorY(tuple(out))
 
 
+def recording_pool(tasks, shutdowns):
+    """A pool class that runs tasks inline, recording each task and shutdown."""
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, iterable):
+            for arg in iterable:
+                tasks.append(arg)
+                yield fn(arg)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            shutdowns.append((wait, cancel_futures))
+
+    return RecordingPool
+
+
 class TestSweep:
     def test_n2_exhaustive(self):
         records = list(sweep(2))
@@ -157,20 +175,7 @@ class TestSweep:
         import pohst.analysis as analysis
 
         chunks, shutdowns = [], []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                pass
-
-            def map(self, fn, iterable):
-                for arg in iterable:
-                    chunks.append(arg)
-                    yield fn(arg)
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                shutdowns.append((wait, cancel_futures))
-
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", recording_pool(chunks, shutdowns))
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
         records = sweep(7, jobs=2, exhaustive_cap=16)
@@ -185,20 +190,7 @@ class TestSweep:
         import pohst.analysis as analysis
 
         tasks, shutdowns = [], []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                pass
-
-            def map(self, fn, iterable):
-                for arg in iterable:
-                    tasks.append(arg)
-                    yield fn(arg)
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                shutdowns.append((wait, cancel_futures))
-
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", recording_pool(tasks, shutdowns))
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
         records = sweep(7, jobs=2)
         assert tasks == [] and shutdowns == []  # nothing runs before the first record
