@@ -1,6 +1,7 @@
 """Sweeps, sharpness probing, identities and randomized soundness."""
 
 import hashlib
+import json
 import math
 import random
 
@@ -98,6 +99,23 @@ class TestSweep:
 
         indices = np.asarray(_sweep_indices(n, seed, 2 ** 20), dtype=np.int64)
         assert hashlib.sha256(indices.tobytes()).hexdigest() == digest
+
+    # SHA-256 of the JSON lines of two small sampled sweeps (300 random draws
+    # each), recorded while sampled sweeps ran the per-pattern path
+    @pytest.mark.parametrize("n, cap, count, digest", [
+        (16, 2 ** 8, 554, "a66fafd46c6a2c5231c985f5ec8cb9136a7da539ee9973f32e05e256d19fb869"),
+        (21, 2 ** 10, 1323, "7cb4815f6d3fa1d0ab4cc27782779e0cb11ae9804a77430447090e12e34a6cde"),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_golden_sampled_sweep(self, monkeypatch, n, cap, count, digest, jobs):
+        import pohst.analysis as analysis
+
+        monkeypatch.setattr(analysis, "SUBSAMPLE_RANDOM_COUNT", 300)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        lines = [json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
+                 for r in sweep(n, jobs=jobs, seed=5, exhaustive_cap=cap)]
+        assert len(lines) == count
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
