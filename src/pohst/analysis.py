@@ -3,14 +3,15 @@
 ``sweep`` grinds through sign patterns (exhaustively up to a configurable
 cap, by deterministic subsample beyond it) and emits one record per
 pattern: set sizes, the constructed heavy count, the required count,
-whether the ladder succeeded and whether everything validated.  An
-exhaustive sweep is one depth-first walk over sign prefixes: row j of the
-context and of both ladders reads only the first j signs, so each node
-runs the shared ladder row step once for every pattern below it and
-validates the groups it reports, and each leaf checks the rest of what
-``validate_partition`` checks.  A sampled sweep, and the reference for
-the walk, is ``sweep_one``: one context and both validated constructions
-per pattern.
+whether the ladder succeeded and whether everything validated.  Every
+sweep is one depth-first walk over the sign prefixes of its patterns:
+row j of the context and of both ladders reads only the first j signs, so
+each node runs the shared ladder row step once for every requested
+pattern below it and validates the groups it reports, and each leaf
+checks the rest of what ``validate_partition`` checks.  The walk enters
+only the prefixes that lead to a requested pattern, so a sampled sweep
+takes the same path as an exhaustive one.  ``sweep_one``, one context and
+both validated constructions per pattern, is the walk's reference.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -26,13 +27,14 @@ log-space accumulation when a side leaves the comfortable double range.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,13 +49,10 @@ from pohst.certify import (
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
-# indices per parallel task of a sampled sweep: about 1 s of work at n = 21
-# (about 1 ms per pattern), so records stream out early and the parent holds
-# only a few chunks
-SWEEP_CHUNK = 1024
-# parallel exhaustive walks split at this depth: 2**4 subtrees, so two
-# workers stay balanced while each task still shares its rows below depth 4
-WALK_SPLIT_DEPTH = 4
+# parallel sweeps split their sorted keys into this many equal runs: for an
+# exhaustive sweep these are the 2**4 depth-4 subtrees, so two workers stay
+# balanced while each task still shares its rows below depth 4
+WALK_TASKS = 16
 # the leave-two-out residual visits about n**4 / 4 factors: 1.5 s at this
 # length on a 2-vCPU x86 host with CPython 3.11, 3.6 s at n = 80
 MAX_IDENTITY_N = 64
@@ -98,10 +97,10 @@ def pattern_from_index(n: int, index: int) -> SignVector:
     return SignVector(tuple(-1 if (index >> k) & 1 else 1 for k in range(n)))
 
 
-def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> Sequence[int]:
+def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> np.ndarray:
     total = 1 << n
     if not sweep_is_sampled(n, exhaustive_cap):
-        return range(total)
+        return np.arange(total, dtype=np.int64)
     stride = total // exhaustive_cap
     drawn = np.random.default_rng(seed).integers(0, total, SUBSAMPLE_RANDOM_COUNT)
     # one int64 array: 8 bytes per index, against about 40 in a list of Python ints
@@ -111,9 +110,9 @@ def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> Sequence[int]:
 def sweep_one(n: int, index: int) -> SweepRecord:
     """Record for one pattern; a stuck ladder surfaces as heavy = -1, ladder = False.
 
-    Each pattern is new to a sweep, so one context feeds both constructions
-    directly, bypassing the ``partitions_for`` cache.  This is the
-    reference for the exhaustive walk, and it serves sampled sweeps."""
+    One context feeds both validated constructions directly, bypassing the
+    ``partitions_for`` cache.  ``sweep`` never calls it: this is the
+    per-pattern reference that the tests hold the prefix walk to."""
     ctx = PatternContext(pattern_from_index(n, index))
     sigma, target = ctx.sigma.to_string(), ctx.target
     sizes = ctx.size("J"), ctx.size("K")
@@ -124,10 +123,6 @@ def sweep_one(n: int, index: int) -> SweepRecord:
         return SweepRecord(sigma, *sizes, -1, target, False, False)
     # both constructions hand out validated partitions only
     return SweepRecord(sigma, *sizes, heavy, target, True, heavy == target)
-
-
-def _sweep_chunk(n: int, indices: Sequence[int]) -> list[SweepRecord]:
-    return [sweep_one(n, i) for i in indices]
 
 
 def _row_findings(reports, rows: list[int], pos: list[int], seen: list[int]) -> int:
@@ -161,17 +156,25 @@ def _covered(free_row: list[int], seen: list[int], rows: list[int], pos: list[in
     return True
 
 
-def _walk(n: int, depth: int, prefix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Heavy counts, |J|, |K| and targets of every pattern below one sign prefix.
+def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Heavy counts, |J|, |K| and targets of the patterns with the given keys.
 
-    Covers the ``2**(n - depth)`` patterns whose index agrees with
-    ``prefix`` in its low ``depth`` bits; slot ``s`` of each array belongs
-    to index ``prefix + (s << depth)``.  The walk goes depth first over
-    sign prefixes: row j of the context and of both ladders depends on
-    ``sigma_1..sigma_j`` only, so each node builds its row once for the
+    A pattern's key is its index bit-reversed over ``n`` bits, so sign 1 is
+    the top key bit and the patterns below any sign prefix hold one
+    contiguous run of the ascending ``keys``; slot ``s`` of each array
+    belongs to ``keys[s]``.  The walk goes depth first over the sign
+    prefixes whose run is not empty: row j of the context and of both
+    ladders depends on ``sigma_1..sigma_j`` only, so each node builds its
+    row once for every requested pattern below it.  A node splits its run
+    with one bisection, or at the midpoint when the run holds all
     ``2**(n - j)`` patterns below it.  The rows live in per-depth arrays
     along the path; a node copies only the ladder state and the ``seen``
-    masks, and its last child takes over the parent's copies.
+    masks, and its last child takes over the parent's copies.  Pending
+    nodes wait on an explicit stack, not in nested calls: CPython 3.11
+    keeps frames in 16 KiB chunks and maps a fresh chunk each time a call
+    crosses a chunk's end, and a walk recursing ``n`` frames deep kept
+    crossing one (27 million page faults and 164 s of system time in the
+    workers of one ``sweep 21 --jobs 2`` on a 2-vCPU x86 host).
 
     Validation matches ``validate_partition`` per pattern: each reported
     group passes the shape and sign rules and adds disjoint members at its
@@ -180,7 +183,7 @@ def _walk(n: int, depth: int, prefix: int) -> tuple[np.ndarray, np.ndarray, np.n
     finding at a node flags every pattern below it as ``sweep_one`` does,
     with heavy = -1.
     """
-    size = 1 << (n - depth)
+    size = len(keys)
     heavy_out = np.empty(size, np.int8)
     j_out = np.empty(size, np.int16)
     k_out = np.empty(size, np.int16)
@@ -189,10 +192,35 @@ def _walk(n: int, depth: int, prefix: int) -> tuple[np.ndarray, np.ndarray, np.n
     next_row = PatternContext.next_row
     k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
 
-    def visit(j, index, state, k_state, j_state, k_seen, j_seen, heavy, j_heavy, k_size, j_size):
-        # rows 1..j are done; k_state is None once the path is flagged
+    # one entry per node still to visit: row j, its sign s, the run
+    # keys[lo:hi] below its prefix ``key`` and its parent's state, which the
+    # last child takes over; k_state is None once the path is flagged
+    stack = [(0, 0, 0, size, 0, PatternContext.ROOT, _LadderState(n), _LadderState(n),
+              [0] * (n + 1), [0] * (n + 1), 0, 0, 0, 0, True)]
+    while stack:
+        (j, s, lo, hi, key, state, k_state, j_state, k_seen, j_seen, heavy, j_heavy,
+         k_size, j_size, last) = stack.pop()
+        if j:  # the root has no row
+            state, stable, k, kp, jr, jp = next_row(j, s, state)
+            k_rows[j], k_pos[j], j_rows[j], j_pos[j] = k, kp, jr, jp
+            k_size += k.bit_count()
+            j_size += jr.bit_count()
+            if k_state is not None:
+                if not last:
+                    k_state, j_state = k_state.copy(), j_state.copy()
+                    k_seen, j_seen = k_seen[:], j_seen[:]
+                try:
+                    formed = _row_findings(
+                        row_step(k_state, j, k, kp, stable, True), k_rows, k_pos, k_seen)
+                    j_formed = _row_findings(
+                        row_step(j_state, j, jr, jp, stable, False), j_rows, j_pos, j_seen)
+                except LadderStuck:
+                    formed = j_formed = -1
+                if formed < 0 or j_formed < 0:
+                    k_state = None
+                heavy += formed
+                j_heavy += j_formed
         if j == n:
-            slot = index >> depth
             p = state[3]
             target = min(p, n + 1 - p)
             ok = (
@@ -200,81 +228,70 @@ def _walk(n: int, depth: int, prefix: int) -> tuple[np.ndarray, np.ndarray, np.n
                 and _covered(k_state.free_row, k_seen, k_rows, k_pos)
                 and _covered(j_state.free_row, j_seen, j_rows, j_pos)
             )
-            heavy_out[slot] = target if ok else -1
-            j_out[slot] = j_size
-            k_out[slot] = k_size
-            target_out[slot] = target
-            return
-        j += 1
-        signs = (1, -1) if j > depth else ((-1,) if prefix >> (j - 1) & 1 else (1,))
-        for s in signs:
-            child, stable, k, kp, jr, jp = next_row(j, s, state)
-            k_rows[j], k_pos[j], j_rows[j], j_pos[j] = k, kp, jr, jp
-            ks = js = kseen = jseen = None
-            h, jh = heavy, j_heavy
-            if k_state is not None:
-                if s == signs[-1]:
-                    ks, js, kseen, jseen = k_state, j_state, k_seen, j_seen
-                else:
-                    ks, js, kseen, jseen = k_state.copy(), j_state.copy(), k_seen[:], j_seen[:]
-                try:
-                    formed = _row_findings(
-                        row_step(ks, j, k, kp, stable, True), k_rows, k_pos, kseen)
-                    j_formed = _row_findings(
-                        row_step(js, j, jr, jp, stable, False), j_rows, j_pos, jseen)
-                except LadderStuck:
-                    formed = j_formed = -1
-                if formed < 0 or j_formed < 0:
-                    ks = None
-                h += formed
-                jh += j_formed
-            visit(j, index | (s < 0) << (j - 1), child, ks, js, kseen, jseen, h, jh,
-                  k_size + k.bit_count(), j_size + jr.bit_count())
-
-    visit(0, prefix, PatternContext.ROOT, _LadderState(n), _LadderState(n),
-          [0] * (n + 1), [0] * (n + 1), 0, 0, 0, 0)
+            heavy_out[lo] = target if ok else -1
+            j_out[lo] = j_size
+            k_out[lo] = k_size
+            target_out[lo] = target
+            continue
+        half = 1 << (n - 1 - j)  # the key bit of sign j + 1
+        mid = lo + half if hi - lo == half << 1 else bisect.bisect_left(keys, key | half, lo, hi)
+        node = state, k_state, j_state, k_seen, j_seen, heavy, j_heavy, k_size, j_size
+        # the + child goes on top, so it copies the state before the - child
+        # takes it over
+        if mid < hi:
+            stack.append((j + 1, -1, mid, hi, key | half, *node, True))
+        if lo < mid:
+            stack.append((j + 1, 1, lo, mid, key, *node, mid == hi))
     return heavy_out, j_out, k_out, target_out
 
 
-def _walk_all(n: int, jobs: int) -> tuple[np.ndarray, ...]:
-    """The walk's arrays over all ``2**n`` patterns, in pattern-index order.
+def _walk_all(n: int, keys: np.ndarray, jobs: int) -> tuple[np.ndarray, ...]:
+    """The walk's arrays for the ascending ``keys``, in key order.
 
-    With ``jobs > 1`` the ``2**WALK_SPLIT_DEPTH`` subtrees go to worker
-    processes through one ordered ``map``, and each result lands on the
-    indices of its prefix.
+    With ``jobs > 1`` worker processes take ``WALK_TASKS`` runs of keys of
+    equal length through one ordered ``map``.
     """
-    if jobs <= 1 or n < 6:  # below 64 patterns, as for sampled sweeps
-        return _walk(n, 0, 0)
-    depth = min(WALK_SPLIT_DEPTH, n)
-    tasks = range(1 << depth)
-    arrays = tuple(np.empty(1 << n, dtype) for dtype in (np.int8, np.int16, np.int16, np.int8))
+    if jobs <= 1 or len(keys) < 64:
+        return _walk(n, keys)
     pool = None
     try:
         pool = ProcessPoolExecutor(max_workers=jobs)
-        results = pool.map(functools.partial(_walk, n, depth), tasks)
+        results = pool.map(functools.partial(_walk, n), np.array_split(keys, WALK_TASKS))
     except OSError:
         # process pools need OS primitives some sandboxes refuse
         if pool is not None:
             pool.shutdown(wait=False)
-        return _walk(n, 0, 0)
+        return _walk(n, keys)
     try:
-        for prefix, subtree in zip(tasks, results):
-            for out, part in zip(arrays, subtree):
-                out[prefix::1 << depth] = part
+        parts = list(results)
     finally:
         pool.shutdown(cancel_futures=True)
-    return arrays
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _walk_records(n: int, jobs: int) -> Iterator[SweepRecord]:
-    """Records of the exhaustive walk; the first one comes once the walk is done."""
-    arrays = _walk_all(n, jobs)
+def _walk_records(n: int, indices: np.ndarray, jobs: int) -> Iterator[SweepRecord]:
+    """Records of the walk over the ascending ``indices``, in their order.
+
+    The first record comes once the whole walk is done.
+    """
+    keys = np.zeros(len(indices), np.int32)
+    for k in range(n):
+        # bit k of an index flips sign k + 1, as in pattern_from_index
+        keys |= (indices >> k & 1) << (n - 1 - k)
+    # slot s of the walk belongs to indices[order[s]]; int32 and no unsorted
+    # keys, since parallel workers inherit what the parent holds at the fork
+    order = np.argsort(keys).astype(np.int32)
+    keys = keys[order]
+    arrays = []
+    for walked in _walk_all(n, keys, jobs):
+        column = np.empty_like(walked)
+        column[order] = walked
+        arrays.append(column)
     flip = str.maketrans("01", "+-")
     block = 1 << 16  # Python ints for one block of records at a time
-    for start in range(0, 1 << n, block):
-        rows = zip(*(a[start: start + block].tolist() for a in arrays))
-        for index, (h, j_size, k_size, t) in enumerate(rows, start):
-            # bit k of the index flips entry k + 1, as in pattern_from_index
+    for start in range(0, len(indices), block):
+        rows = zip(*(a[start: start + block].tolist() for a in (indices, *arrays)))
+        for index, h, j_size, k_size, t in rows:
             sigma = format(index, f"0{n}b")[::-1].translate(flip)
             yield SweepRecord(sigma, j_size, k_size, h, t, h >= 0, h == t)
 
@@ -287,13 +304,11 @@ def sweep(
 ) -> Iterator[SweepRecord]:
     """Stream records in ascending pattern-index order.
 
-    Arguments are checked on the call.  An exhaustive sweep is one walk over
-    sign prefixes (:func:`_walk`), whose records stream out once it is done;
-    parallel workers take its depth-``WALK_SPLIT_DEPTH`` subtrees.  A sampled
-    sweep runs :func:`sweep_one` per pattern, and parallel workers take
-    chunks of ``SWEEP_CHUNK`` indices that stream out in index order as they
-    arrive.  Output is independent of ``jobs``, which is capped at the CPU
-    count.
+    Arguments are checked on the call.  Every sweep, exhaustive or sampled,
+    is one walk over the sign prefixes of its patterns (:func:`_walk`),
+    whose records stream out once it is done; parallel workers take
+    ``WALK_TASKS`` equal runs of its keys.  Output is independent of
+    ``jobs``, which is capped at the CPU count.
     """
     if not (0 <= n <= MAX_SWEEP_N):
         raise ValueError(f"sweep size must lie in 0..{MAX_SWEEP_N}, got {n}")
@@ -304,34 +319,7 @@ def sweep(
     jobs = min(jobs, os.cpu_count() or 1)
     if not n:
         return iter(())
-    if not sweep_is_sampled(n, exhaustive_cap):
-        return _walk_records(n, jobs)
-    return _sweep_records(n, _sweep_indices(n, seed, exhaustive_cap), jobs)
-
-
-def _sweep_records(n: int, indices: Sequence[int], jobs: int) -> Iterator[SweepRecord]:
-    if jobs <= 1 or len(indices) < 64:
-        for i in indices:
-            yield sweep_one(n, i)
-        return
-    chunks = (indices[k: k + SWEEP_CHUNK] for k in range(0, len(indices), SWEEP_CHUNK))
-    pool = None
-    try:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        results = pool.map(functools.partial(_sweep_chunk, n), chunks)
-    except OSError:
-        # process pools need OS primitives some sandboxes refuse; nothing has
-        # been yielded yet, so a serial restart cannot duplicate records
-        if pool is not None:
-            pool.shutdown(wait=False)
-        for i in indices:
-            yield sweep_one(n, i)
-        return
-    try:
-        for records in results:
-            yield from records
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _walk_records(n, _sweep_indices(n, seed, exhaustive_cap), jobs)
 
 
 def sweep_summary(records: Iterable[SweepRecord], n: int, sampled: bool = False) -> dict:

@@ -85,7 +85,7 @@ def _emit(ns, payload: dict) -> None:
 
 def _manifest(ns) -> dict:
     """Run record: the parsed arguments, less output formatting, and their digest."""
-    args = {k: v for k, v in vars(ns).items() if k not in ("func", "pretty", "command")}
+    args = {k: v for k, v in vars(ns).items() if k not in ("pretty", "command")}
     canonical = json.dumps({"command": ns.command, "args": args}, sort_keys=True)
     return {
         "command": ns.command,
@@ -241,34 +241,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
-        p.set_defaults(func=func)
         return p
 
-    p = add("classify", cmd_classify, "split the index triangle into J and K")
+    p = add("classify", "split the index triangle into J and K")
     p.add_argument("signs", help="sign pattern, e.g. '-+-'")
 
-    p = add("partition", cmd_partition, "construct and validate a good partition")
+    p = add("partition", "construct and validate a good partition")
     p.add_argument("signs", help="sign pattern")
     p.add_argument("set", choices=["j", "k"], help="which set to partition")
     p.add_argument("mode", nargs="?", default="both",
                    choices=["ladder", "search", "both"],
                    help="construction path (default: both, with agreement check)")
 
-    p = add("certify", cmd_certify, "certify the product bound on a numeric vector")
+    p = add("certify", "certify the product bound on a numeric vector")
     p.add_argument("--x", help="comma-separated box vector, entries in [-1,1] minus 0")
     p.add_argument("--y", help="comma-separated vector of strictly growing modulus")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
-    p = add("sweep", cmd_sweep, "sweep sign patterns and write JSON lines")
+    p = add("sweep", "sweep sign patterns and write JSON lines")
     p.add_argument("n", type=int, help="pattern length (0..24)")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("maximize", cmd_maximize, "search for the largest product on a sign box")
+    p = add("maximize", "search for the largest product on a sign box")
     p.add_argument("signs", help="sign pattern")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--iters", type=int, default=40)
@@ -276,12 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1e-6,
                    help="magnitude floor keeping entries away from zero")
 
-    p = add("regbound", cmd_regbound, "discriminant bound from degree, min(p,m), regulator")
+    p = add("regbound", "discriminant bound from degree, min(p,m), regulator")
     p.add_argument("n", type=int)
     p.add_argument("min_pm", type=int)
     p.add_argument("R", type=float)
 
-    p = add("identity", cmd_identity, "residual of the leave-one/two-out identities")
+    p = add("identity", "residual of the leave-one/two-out identities")
     p.add_argument("which", nargs="?", default="single", choices=["single", "iterated"])
     p.add_argument("--y", required=True, help="comma-separated modulus-ordered vector")
     p.add_argument("--tolerance", type=float, default=1e-9)
@@ -322,7 +321,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:
-        payload, code = ns.func(ns)
+        # looked up per call, so a handler replaced after the parser is built runs
+        payload, code = globals()[f"cmd_{ns.command}"](ns)
     except (LadderStuck, SearchExhausted) as exc:
         payload = {"error": str(exc), "sigma": exc.sigma.to_string(), "target": exc.target}
         code = EXIT_NO_PARTITION

@@ -34,6 +34,11 @@ def random_y(rng, n, growth=(0.1, 2.0)):
     return RealVectorY(tuple(out))
 
 
+def key_of(n, index):
+    """The walk's key of a pattern: its index with its ``n`` bits reversed."""
+    return int(format(index, f"0{n}b")[::-1], 2)
+
+
 def recording_pool(tasks, shutdowns):
     """A pool class that runs tasks inline, recording each task and shutdown."""
 
@@ -140,7 +145,8 @@ class TestSweep:
 
     def test_parallel_merge_matches_serial(self, monkeypatch):
         # n = 7 clears the worker threshold, so a real 2-worker pool walks the
-        # 16 depth-4 subtrees and the parent scatters them back by prefix
+        # 16 depth-4 subtrees as runs of keys and the parent puts them back in
+        # index order
         import pohst.analysis as analysis
 
         pools = []
@@ -159,12 +165,12 @@ class TestSweep:
     def test_parallel_sampled_matches_serial(self, monkeypatch):
         import pohst.analysis as analysis
 
-        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
         serial = list(sweep(8, exhaustive_cap=16))
         assert list(sweep(8, jobs=2, exhaustive_cap=16)) == serial
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        # the fake pool runs chunks inline, so a huge jobs value starts nothing
+        # the fake pool runs tasks inline, so a huge jobs value starts nothing
         import pohst.analysis as analysis
 
         seen = []
@@ -187,34 +193,25 @@ class TestSweep:
         assert list(sweep(7, jobs=10 ** 9)) == list(sweep(7))
         assert seen == [2]
 
-    def test_early_close_cancels_pending_chunks(self, monkeypatch):
-        # a sampled sweep streams chunk by chunk, so closing it after the
-        # first record leaves the later chunks pending
-        import pohst.analysis as analysis
-
-        chunks, shutdowns = [], []
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", recording_pool(chunks, shutdowns))
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 16)
-        records = sweep(7, jobs=2, exhaustive_cap=16)
-        assert next(records) == analysis.sweep_one(7, 0)
-        records.close()
-        assert [list(chunk) for chunk in chunks] == [list(range(16))]
-        assert shutdowns == [(True, True)]
-
-    def test_early_close_of_exhaustive_sweep_shuts_pool_down(self, monkeypatch):
-        # the walk gathers every subtree before its first record, and the
+    @pytest.mark.parametrize("cap", [2 ** 8, 16], ids=["exhaustive", "sampled"])
+    def test_early_close_of_exhaustive_sweep_shuts_pool_down(self, monkeypatch, cap):
+        # the walk gathers every run of keys before its first record, and the
         # pool is shut down with pending work cancelled all the same
         import pohst.analysis as analysis
 
         tasks, shutdowns = [], []
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", recording_pool(tasks, shutdowns))
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-        records = sweep(7, jobs=2)
+        monkeypatch.setattr(analysis, "SUBSAMPLE_RANDOM_COUNT", 80)
+        indices = analysis._sweep_indices(8, 0, cap)
+        assert 64 <= len(indices) <= 2 ** 8
+        records = sweep(8, jobs=2, exhaustive_cap=cap)
         assert tasks == [] and shutdowns == []  # nothing runs before the first record
-        assert next(records) == analysis.sweep_one(7, 0)
+        assert next(records) == analysis.sweep_one(8, 0)
         records.close()
-        assert tasks == list(range(2 ** analysis.WALK_SPLIT_DEPTH))
+        assert len(tasks) == analysis.WALK_TASKS
+        assert {len(run) for run in tasks} <= {len(indices) // 16, -(-len(indices) // 16)}
+        assert np.concatenate(tasks).tolist() == sorted(key_of(8, i) for i in indices)
         assert shutdowns == [(True, True)]
 
     def test_construction_failure_yields_flagged_record(self, monkeypatch):
@@ -257,18 +254,37 @@ class TestWalk:
 
     @pytest.mark.parametrize("n", [16, 20])
     def test_subtree_matches_sweep_one(self, n):
+        # every pattern under one seeded depth-8 prefix, where the runs are
+        # complete, plus 200 scattered ones, whose paths the walk prunes
         from pohst.analysis import _walk, sweep_one
 
         rng = random.Random(n)
-        depth = 8
-        prefix = rng.randrange(1 << depth)
-        heavy, j_size, k_size, target = _walk(n, depth, prefix)
+        prefix = rng.randrange(1 << 8)
+        indices = {prefix + (slot << 8) for slot in range(1 << (n - 8))}
+        indices.update(rng.sample(range(1 << n), 200))
+        indices = sorted(indices, key=lambda i: key_of(n, i))
+        heavy, j_size, k_size, target = _walk(n, np.array([key_of(n, i) for i in indices]))
+        assert len(heavy) == len(indices)
         assert (heavy == target).all()
-        for slot in rng.sample(range(1 << (n - depth)), 200):
-            rec = sweep_one(n, prefix + (slot << depth))
+        for slot, index in enumerate(indices):
+            rec = sweep_one(n, index)
             assert rec.valid
             assert (heavy[slot], j_size[slot], k_size[slot], target[slot]) == (
                 rec.heavy, rec.J, rec.K, rec.target)
+
+    def test_sampled_sweep_walks_without_sweep_one(self, monkeypatch):
+        import pohst.analysis as analysis
+
+        monkeypatch.setattr(analysis, "SUBSAMPLE_RANDOM_COUNT", 40)
+        indices = analysis._sweep_indices(8, 0, 16).tolist()
+        assert 16 < len(indices) < 64
+        reference = [analysis.sweep_one(8, i) for i in indices]
+
+        def refuse(n, index):
+            raise AssertionError("sweep called sweep_one")
+
+        monkeypatch.setattr(analysis, "sweep_one", refuse)
+        assert list(sweep(8, exhaustive_cap=16)) == reference
 
     @pytest.mark.parametrize("where", ["report", "state"])
     def test_dropped_rectangle_corner_is_flagged(self, monkeypatch, where):
@@ -305,6 +321,18 @@ class TestWalk:
         records = list(sweep(n))
         flagged = {index for index, rec in enumerate(records) if not rec.valid}
         assert len(flagged) > 100 and flagged == with_rectangle
+        assert all(rec.heavy == -1 and not rec.ladder for rec in records if not rec.valid)
+        # a sampled sweep, which walks only the paths to its drawn patterns,
+        # flags exactly its share of them
+        import pohst.analysis as analysis
+
+        monkeypatch.setattr(analysis, "SUBSAMPLE_RANDOM_COUNT", 60)
+        indices = analysis._sweep_indices(n, 0, 16).tolist()
+        records = list(sweep(n, exhaustive_cap=16))
+        assert [rec.sigma for rec in records] == [
+            pattern_from_index(n, index).to_string() for index in indices]
+        flagged = {index for index, rec in zip(indices, records) if not rec.valid}
+        assert len(flagged) > 10 and flagged == with_rectangle.intersection(indices)
         assert all(rec.heavy == -1 and not rec.ladder for rec in records if not rec.valid)
 
 

@@ -624,3 +624,17 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_handler_replaced_after_first_call_runs(self, capsys, monkeypatch):
+        # main looks each handler up when it runs it, so a wrapper installed
+        # once the parser is built (as a timing tracer does) still runs
+        run(capsys, "regbound", "2", "1", "1")
+        calls = []
+
+        def stub(ns):
+            calls.append(ns.n)
+            return {"stub": True}, cli.EXIT_BOUND
+
+        monkeypatch.setattr(cli, "cmd_regbound", stub)
+        code, doc = run(capsys, "regbound", "3", "1", "1")
+        assert (code, doc["stub"], calls) == (cli.EXIT_BOUND, True, [3])
