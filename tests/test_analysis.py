@@ -18,6 +18,7 @@ from pohst.analysis import (
     maximize_f,
     pattern_from_index,
     sweep,
+    sweep_one,
     sweep_summary,
 )
 from pohst.certify import RealVectorY, eval_P, partitions_for
@@ -32,6 +33,13 @@ def random_y(rng, n, growth=(0.1, 2.0)):
         out.append(rng.choice((1, -1)) * mag)
         mag *= 1.0 + rng.uniform(*growth)
     return RealVectorY(tuple(out))
+
+
+def assert_flags_derived(records):
+    """``ladder`` and ``valid`` follow from ``heavy`` and ``target`` alone."""
+    for rec in records:
+        assert rec.ladder == (rec.heavy >= 0)
+        assert rec.valid == (rec.heavy == rec.target)
 
 
 def key_of(n, index):
@@ -225,6 +233,17 @@ class TestSweep:
         records = list(sweep(1))
         assert all(not r.valid and r.heavy == -1 for r in records)
         assert sweep_summary(records, 1)["invalid"] == 2
+        reference = [sweep_one(1, index) for index in range(2)]
+        assert reference == records
+        assert_flags_derived(records + reference)
+
+    def test_flags_follow_heavy_and_target(self, monkeypatch):
+        import pohst.analysis as analysis
+
+        assert_flags_derived(sweep(10))
+        monkeypatch.setattr(analysis, "SUBSAMPLE_RANDOM_COUNT", 300)
+        assert_flags_derived(sweep(16, exhaustive_cap=2 ** 8))
+        assert_flags_derived(sweep_one(10, index) for index in range(1 << 10))
 
     def test_leaves_partition_cache_untouched(self):
         # every pattern of a sweep is new, so the sweep builds its partitions

@@ -46,6 +46,24 @@ class TestClassify:
         second["manifest"].pop("timestamp")
         assert first == second
 
+    # SHA-256 over the classify document, manifest dropped, of every
+    # pattern with 1 <= n <= 8, recorded while the command built its pair
+    # lists through classify_pairs and its counts through alpha_beta
+    GOLDEN_ALL_PATTERNS = (
+        "a21ac7c8a161fc613d82745d64198b9b4608ac94a57cf4312c972b82364eabc6"
+    )
+
+    def test_golden_all_patterns(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(1, 9):
+            for signs in itertools.product("+-", repeat=n):
+                code, doc = run(capsys, "classify", "".join(signs))
+                assert code == 0
+                del doc["manifest"]
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == self.GOLDEN_ALL_PATTERNS
+
 
 class TestPartition:
     def test_both_mode_agreement(self, capsys):
