@@ -4,24 +4,18 @@ __version__ = "0.1.0"
 
 from pohst.signs import (
     Pair,
-    PairInfo,
     PatternContext,
     SignVector,
-    alpha_beta,
-    boundary_counts,
-    classify_pairs,
     min_heavy_target,
 )
 from pohst.partition import (
     ConstructionTrace,
-    EtaBuild,
     GoodPartition,
     LadderStuck,
     PartitionGroup,
     SearchExhausted,
     Shape,
     ValidationReport,
-    build_eta,
     build_pi,
     check_construction_invariants,
     construct_eta,

@@ -60,6 +60,8 @@ SUBSAMPLE_RANDOM_COUNT = 10 ** 5
 # maximize_f costs O(n**3) per iteration (about 44 n evaluations of O(n**2)
 # each); see maximize_f for the measured time at this length
 MAX_MAXIMIZE_N = 64
+# worst-case objective evaluations of one maximize_f call; see maximize_f
+MAX_MAXIMIZE_EVALUATIONS = 10 ** 6
 # maximize_f line search: grid points over the whole range, then the
 # refinement radii as fractions of the range
 COARSE_POINTS = 17
@@ -72,13 +74,24 @@ class DegenerateInput(ValueError):
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One pattern of a sweep; ``heavy`` is -1 when a ladder got stuck or a
+    partition failed validation, and the ``ladder`` and ``valid`` flags follow."""
+
     sigma: str
     J: int
     K: int
     heavy: int
     target: int
-    ladder: bool
-    valid: bool
+
+    @property
+    def ladder(self) -> bool:
+        """Whether both partitions were built: ``heavy >= 0``."""
+        return self.heavy >= 0
+
+    @property
+    def valid(self) -> bool:
+        """Whether K's partition has the required heavy count: ``heavy == target``."""
+        return self.heavy == self.target
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,9 +133,8 @@ def sweep_one(n: int, index: int) -> SweepRecord:
         heavy = eta_partition(ctx).heavy_count
         build_pi(ctx)
     except LadderStuck:
-        return SweepRecord(sigma, *sizes, -1, target, False, False)
-    # both constructions hand out validated partitions only
-    return SweepRecord(sigma, *sizes, heavy, target, True, heavy == target)
+        heavy = -1
+    return SweepRecord(sigma, *sizes, heavy, target)
 
 
 def _row_findings(reports, rows: list[int], pos: list[int], seen: list[int]) -> int:
@@ -293,7 +305,7 @@ def _walk_records(n: int, indices: np.ndarray, jobs: int) -> Iterator[SweepRecor
         rows = zip(*(a[start: start + block].tolist() for a in (indices, *arrays)))
         for index, h, j_size, k_size, t in rows:
             sigma = format(index, f"0{n}b")[::-1].translate(flip)
-            yield SweepRecord(sigma, j_size, k_size, h, t, h >= 0, h == t)
+            yield SweepRecord(sigma, j_size, k_size, h, t)
 
 
 def sweep(
@@ -418,10 +430,21 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
     the worst 90,120 evaluations, on a 2-vCPU x86 host with CPython 3.11;
     the iteration limit caps a call at 8 * (1 + 40 * 64 * 44) = 901,128
     evaluations, about 2.4 min at the measured 134-172 us per evaluation.
+
+    A config whose worst case ``restarts * (1 + iterations * n * 44)``
+    exceeds ``MAX_MAXIMIZE_EVALUATIONS`` = 10**6 raises ``ValueError``
+    before the first evaluation.  Evaluations cost most at 64 signs, where
+    they took 149-196 us of CPU each on the same host, so no accepted call
+    runs longer than about 2.5-3.3 min.
     """
     n = len(sigma)
     if n > MAX_MAXIMIZE_N:
         raise ValueError(f"maximize takes at most {MAX_MAXIMIZE_N} signs, got {n}")
+    worst = cfg.restarts * (1 + cfg.iterations * n * (COARSE_POINTS + 9 * len(STEP_SCHEDULE)))
+    if worst > MAX_MAXIMIZE_EVALUATIONS:
+        raise ValueError(
+            f"maximize takes at most {MAX_MAXIMIZE_EVALUATIONS} evaluations, but {cfg.restarts} "
+            f"restarts of {cfg.iterations} iterations over {n} signs may need {worst}")
     signs = list(sigma.entries)
     lo, hi = cfg.delta, 1.0
     bound = 2.0 ** min_heavy_target(sigma)

@@ -64,7 +64,7 @@ from pohst.partition import (
     search_partition,
     validate_partition,
 )
-from pohst.signs import PatternContext, SignVector, alpha_beta, classify_pairs, min_heavy_target
+from pohst.signs import PatternContext, SignVector, pair_sign_maps
 from pohst.regulator import RegulatorQuery, regulator_report
 
 EXIT_OK = 0
@@ -114,17 +114,18 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def cmd_classify(ns) -> tuple[dict, int]:
     sigma = _parse_pattern(ns.signs)
-    j_set, k_set = classify_pairs(sigma)
-    alpha, beta = alpha_beta(sigma)
+    ctx = PatternContext(sigma)
+    jmap, kmap = pair_sign_maps(sigma)
     return {
         "sigma": sigma.to_string(),
-        "n_x": len(sigma),
-        "n_y": len(sigma) + 1,
-        "alpha": alpha,
-        "beta": beta,
-        "min_heavy_target": min_heavy_target(sigma),
-        "J": [info.to_json_dict() for info in j_set],
-        "K": [info.to_json_dict() for info in k_set],
+        "n_x": ctx.n,
+        "n_y": ctx.n + 1,
+        # alpha, beta: positive, negative prefix products t_1..t_n (not t_0 = +1)
+        "alpha": ctx.p - 1,
+        "beta": ctx.n + 1 - ctx.p,
+        "min_heavy_target": ctx.target,
+        "J": [{"pair": list(p), "sign": s, "canonical": False} for p, s in jmap.items()],
+        "K": [{"pair": list(p), "sign": s, "canonical": True} for p, s in kmap.items()],
     }, EXIT_OK
 
 
@@ -141,12 +142,9 @@ def cmd_partition(ns) -> tuple[dict, int]:
     constructed = searched = None
     if ns.mode in ("ladder", "both"):
         if target == "K":
-            eta = construct_eta(ctx)
-            constructed = eta.partition
-            doc["trace"] = eta.trace.to_json_dict()
-            doc["trace_check_violations"] = check_construction_invariants(
-                ctx, eta.trace
-            )
+            constructed, trace = construct_eta(ctx)
+            doc["trace"] = trace.to_json_dict()
+            doc["trace_check_violations"] = check_construction_invariants(ctx, trace)
         else:
             constructed = build_pi(ctx)
         doc["partition"] = constructed.to_json_dict()

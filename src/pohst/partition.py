@@ -29,26 +29,25 @@ absorbs the negatives of one row into an explicit state (free rows and
 columns, live row-mate pairs, heavy starts) and reports each group it
 forms or grows.  The per-pattern ladder runs it over rows 1..n, and the
 exhaustive sweep walk in :mod:`pohst.analysis` runs it once per node of
-a walk over sign prefixes.  ``build_eta`` runs the ladder over K with its
-trace; ``construct_eta`` (with the trace), ``eta_partition`` (without one)
-and ``build_pi`` validate the ladder's partition of K or J once and raise
-:class:`LadderStuck` when it is stuck or invalid: the ladder is the only
-construction path.  Trace steps are built only for callers that read
-them.  ``search_partition``, the independent backtracking oracle over
-the same move set, serves the tests and the CLI's search modes only.
-``validate_partition`` checks any claimed partition against the shape
-and count rules.
+a walk over sign prefixes.  ``construct_eta`` (with the trace),
+``eta_partition`` (without one) and ``build_pi`` validate the ladder's
+partition of K or J once and raise :class:`LadderStuck` when it is stuck
+or invalid: the ladder is the only construction path.  Trace steps are
+built only for callers that read them.  ``search_partition``, the
+independent backtracking oracle over the same move set, serves the tests
+and the CLI's search modes only.  ``validate_partition`` checks any
+claimed partition against the shape and count rules.
 
 The ladder and the validator work on the bit rows of a
 :class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
 are found by lowest/highest-set-bit scans, every group's members come out
 already in construction order, so the partition needs one sort on an int
 key and no per-group sort, and the validator checks membership, signs,
-disjointness and coverage by bit tests.  ``construct_eta``, ``build_pi``,
-``build_eta``, ``validate_partition`` and ``check_construction_invariants``
-take a context or a :class:`~pohst.signs.SignVector`, as does
-``eta_partition``, so a caller builds one context per pattern and hands it
-to all of them.
+disjointness and coverage by bit tests.  ``construct_eta``,
+``eta_partition``, ``build_pi``, ``validate_partition`` and
+``check_construction_invariants`` take a context or a
+:class:`~pohst.signs.SignVector`, so a caller builds one context per
+pattern and hands it to all of them.
 """
 
 from __future__ import annotations
@@ -185,15 +184,6 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EtaBuild:
-    """Outcome of the checked K construction; ``ladder_used`` is always true."""
-
-    partition: GoodPartition
-    trace: ConstructionTrace
-    ladder_used: bool
-
-
 def _sorted_group(shape: Shape, members: Iterable[Pair]) -> PartitionGroup:
     return PartitionGroup(shape, tuple(sorted(members, key=pair_sort_key)))
 
@@ -268,15 +258,6 @@ def _shape_findings(shape: Shape, members: tuple[Pair, ...], signs: list[int]) -
             f"row mate {row_mates[0]} starts"
         ]
     return []
-
-
-def group_shape_violations(
-    group: PartitionGroup, signmap: dict[Pair, int]
-) -> list[str]:
-    """Shape and sign rules for a single group, as human-readable findings."""
-    return _shape_findings(
-        group.shape, group.members, [signmap.get(p, 0) for p in group.members]
-    )
 
 
 def validate_partition(
@@ -547,13 +528,6 @@ def _ladder(
     return part, ConstructionTrace(tuple(steps), sum(s.operation == 3 for s in steps))
 
 
-def build_eta(
-    sigma: SignVector | PatternContext,
-) -> tuple[GoodPartition, ConstructionTrace]:
-    """The case ladder over K with its trace, unvalidated.  Raises :class:`LadderStuck`."""
-    return _ladder(_context(sigma), "K")
-
-
 def _checked(ctx: PatternContext, part: GoodPartition) -> GoodPartition:
     """``part`` once it validates; :class:`LadderStuck` otherwise.
 
@@ -566,12 +540,13 @@ def _checked(ctx: PatternContext, part: GoodPartition) -> GoodPartition:
     return part
 
 
-def construct_eta(sigma: SignVector | PatternContext) -> EtaBuild:
+def construct_eta(
+    sigma: SignVector | PatternContext,
+) -> tuple[GoodPartition, ConstructionTrace]:
     """Validated good partition of K and its trace.  Raises :class:`LadderStuck`."""
     ctx = _context(sigma)
-    # through build_eta, the traced K ladder's public (and profiled) name
-    part, trace = build_eta(ctx)
-    return EtaBuild(_checked(ctx, part), trace, True)
+    part, trace = _ladder(ctx, "K")
+    return _checked(ctx, part), trace
 
 
 def eta_partition(sigma: SignVector | PatternContext) -> GoodPartition:

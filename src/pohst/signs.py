@@ -9,12 +9,11 @@ conventions apart.
 
 Index pairs ``(i, j)`` with ``1 <= i <= j <= n`` are 1-based throughout and
 name the factor ``1 - x_i * ... * x_j``.  The product sign of ``(i, j)`` is
-``t_{i-1} * t_j``, an O(1) lookup in the prefix array.  A pair is
-*canonical* when its product sign equals ``(-1)**(i + j + 1)`` and
-*non-canonical* when it equals ``(-1)**(i + j)``; the canonical set K and
-the non-canonical set J partition the index triangle.  A
-:class:`PatternContext` holds that split once per pattern as bit rows, the
-form the constructions and the validator read.
+``t_{i-1} * t_j``.  A pair is *canonical* when its product sign equals
+``(-1)**(i + j + 1)`` and *non-canonical* when it equals ``(-1)**(i + j)``;
+the canonical set K and the non-canonical set J partition the index
+triangle.  A :class:`PatternContext` holds that split once per pattern as
+bit rows, the form the constructions and the validator read.
 """
 
 from __future__ import annotations
@@ -67,42 +66,18 @@ class SignVector:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class PairInfo:
-    """An index pair together with its product sign and canonical flag."""
-
-    pair: Pair
-    product_sign: int
-    canonical: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "sign": self.product_sign,
-            "canonical": self.canonical,
-        }
-
-
 def pair_sort_key(pair: Pair) -> tuple[int, int]:
     """Sort key realising the construction order: rows ascend, starts descend."""
     return (pair[1], -pair[0])
 
 
-def prefix_signs(sigma: SignVector) -> tuple[int, ...]:
-    """Cumulative signs ``t_0..t_n`` with ``t_0 = +1``."""
-    out = [1]
-    t = 1
-    for s in sigma.entries:
-        t *= s
-        out.append(t)
-    return tuple(out)
-
-
 class PatternContext:
     """Everything the constructions and the validator read off one pattern.
 
-    Built once per pattern: the pattern ``sigma``, the heavy target
-    ``min(p, m)``, the level stability flags ``stable`` and four bit rows
+    Built once per pattern: the pattern ``sigma``, the count ``p`` of
+    positive cumulative signs ``t_0..t_n`` (the other ``m = n + 1 - p`` are
+    negative), the heavy target ``min(p, m)``, the level stability flags
+    ``stable`` and four bit rows
     per row ``j`` (index 0 is an empty row): ``k_rows[j]``,
     ``k_pos[j]``, ``j_rows[j]`` and ``j_pos[j]``, where bit ``i`` stands for
     pair ``(i, j)`` and the rows hold the pairs of K, the positive pairs of
@@ -116,11 +91,11 @@ class PatternContext:
     every other split of the triangle derives from it.  Pair ``(i, j)`` is
     canonical exactly when ``a_i == b_j`` with ``a_i = t_{i-1} (-1)**i`` and
     ``b_j = t_j (-1)**(j+1)``, and positive exactly when
-    ``t_{i-1} == t_j``, where ``t = prefix_signs(sigma)``, so each row costs
-    a few big-int operations.
+    ``t_{i-1} == t_j``, where ``t_0..t_n`` are the cumulative signs, so each
+    row costs a few big-int operations.
     """
 
-    __slots__ = ("sigma", "n", "target", "stable", "k_rows", "k_pos", "j_rows", "j_pos")
+    __slots__ = ("sigma", "n", "p", "target", "stable", "k_rows", "k_pos", "j_rows", "j_pos")
 
     # prefix state before row 1: t_0 = +1, no a/t bits yet, p = 1
     ROOT = (1, 0, 0, 1)
@@ -140,6 +115,7 @@ class PatternContext:
         p = prefix[3]
         self.sigma = sigma
         self.n = n
+        self.p = p
         self.target = min(p, n + 1 - p)
         self.stable = tuple(stable)
         self.k_rows = tuple(k_rows)
@@ -199,44 +175,14 @@ def pair_sign_maps(sigma: SignVector) -> tuple[dict[Pair, int], dict[Pair, int]]
     return maps
 
 
-def classify_pairs(sigma: SignVector) -> tuple[list[PairInfo], list[PairInfo]]:
-    """Split the index triangle into the non-canonical set J and canonical set K.
-
-    Both lists come back in construction order.  Every pair lands in exactly
-    one list, so ``len(J) + len(K) == n*(n+1)/2``.
-    """
-    jmap, kmap = pair_sign_maps(sigma)
-    return (
-        [PairInfo(p, s, False) for p, s in jmap.items()],
-        [PairInfo(p, s, True) for p, s in kmap.items()],
-    )
-
-
-def alpha_beta(sigma: SignVector) -> tuple[int, int]:
-    """Counts of positive and negative prefix products of the pattern."""
-    p, m = y_sign_counts(sigma)
-    return p - 1, m  # t_0 = +1 is a y-sign but not a prefix product
-
-
-def y_sign_counts(sigma: SignVector) -> tuple[int, int]:
-    """Counts ``(p, m)`` of positive/negative induced y-values (n + 1 of them)."""
-    t = prefix_signs(sigma)
-    p = sum(1 for s in t if s > 0)
-    return p, len(t) - p
-
-
 def min_heavy_target(sigma: SignVector) -> int:
-    """The exponent ``min(alpha + 1, beta) == min(p, m)`` for this pattern."""
-    p, m = y_sign_counts(sigma)
-    return min(p, m)
+    """The exponent ``min(p, m)`` of the pattern, in one pass over its signs.
 
-
-def boundary_counts(sigma: SignVector) -> tuple[int, int]:
-    """Counts of boundary canonical pairs (``i = 1`` or ``j = n``) by sign."""
-    n = len(sigma)
-    if n < 1:
-        raise IndexError("boundary counts need a nonempty pattern")
-    kmap = pair_sign_maps(sigma)[1]
-    signs = [s for (i, j), s in kmap.items() if i == 1 or j == n]
-    b_plus = sum(1 for s in signs if s > 0)
-    return b_plus, len(signs) - b_plus
+    ``p`` and ``m`` count the positive and negative cumulative signs
+    ``t_0..t_n`` (``t_0 = +1``), the signs of ``y_1..y_{n+1}``.
+    """
+    t = p = 1
+    for s in sigma.entries:
+        t *= s
+        p += t > 0
+    return min(p, len(sigma) + 1 - p)

@@ -22,7 +22,6 @@ from pohst.analysis import (
 )
 from pohst.certify import RealVectorY, check_pohst_case
 from pohst.partition import (
-    build_eta,
     build_pi,
     check_construction_invariants,
     construct_eta,
@@ -30,7 +29,8 @@ from pohst.partition import (
     validate_partition,
 )
 from pohst.regulator import RegulatorQuery, compare_with_signature_free, discriminant_log_bound
-from pohst.signs import SignVector, boundary_counts, min_heavy_target
+from pohst.signs import SignVector, min_heavy_target
+from test_signs import boundary_counts
 
 
 def all_sigmas(n):
@@ -53,26 +53,23 @@ class ExhaustiveRuns:
         self.partition_failures = []
         self.heavy_mismatches = []
         self.trace_violations = []
-        self.ladder_used = 0
         self.traces_checked = 0
         start = time.time()
         for n in range(1, n_max + 1):
             for sigma in all_sigmas(n):
                 self.patterns += 1
-                eta = construct_eta(sigma)
+                eta, trace = construct_eta(sigma)
                 pi = build_pi(sigma)
-                if not validate_partition(sigma, eta.partition).ok:
+                if not validate_partition(sigma, eta).ok:
                     self.partition_failures.append(("K", sigma.to_string()))
                 if not validate_partition(sigma, pi).ok:
                     self.partition_failures.append(("J", sigma.to_string()))
-                if eta.partition.heavy_count != min_heavy_target(sigma):
+                if eta.heavy_count != min_heavy_target(sigma):
                     self.heavy_mismatches.append(sigma.to_string())
-                if eta.ladder_used:
-                    self.ladder_used += 1
-                    self.traces_checked += 1
-                    issues = check_construction_invariants(sigma, eta.trace)
-                    if issues:
-                        self.trace_violations.append((sigma.to_string(), issues[:2]))
+                self.traces_checked += 1
+                issues = check_construction_invariants(sigma, trace)
+                if issues:
+                    self.trace_violations.append((sigma.to_string(), issues[:2]))
         self.elapsed = time.time() - start
 
 
@@ -103,12 +100,12 @@ def test_criterion_2_spot_scale_n16():
     start = time.time()
     for _ in range(10_000):
         sigma = SignVector(tuple(rng.choice((1, -1)) for _ in range(16)))
-        eta = construct_eta(sigma)
+        eta, _ = construct_eta(sigma)
         pi = build_pi(sigma)
         if not (
-            validate_partition(sigma, eta.partition).ok
+            validate_partition(sigma, eta).ok
             and validate_partition(sigma, pi).ok
-            and eta.partition.heavy_count == min_heavy_target(sigma)
+            and eta.heavy_count == min_heavy_target(sigma)
         ):
             failures += 1
     report(2, failures == 0,
@@ -230,9 +227,8 @@ def test_criterion_8_construction_trace_assertions(exhaustive_runs):
     runs = exhaustive_runs
     ok = not runs.trace_violations and runs.traces_checked == runs.patterns
     report(8, ok,
-           f"{runs.traces_checked} ladder traces over criterion 1's runs "
-           f"(ladder coverage {runs.ladder_used}/{runs.patterns}), "
-           f"{len(runs.trace_violations)} violations")
+           f"{runs.traces_checked} ladder traces over criterion 1's "
+           f"{runs.patterns} patterns, {len(runs.trace_violations)} violations")
 
 
 def test_criterion_9_oracle_agreement():
@@ -247,7 +243,7 @@ def test_criterion_9_oracle_agreement():
     for n in range(1, 11):
         for sigma in all_sigmas(n):
             patterns += 1
-            part, _ = build_eta(sigma)
+            part, _ = construct_eta(sigma)
             target = min_heavy_target(sigma)
             found = search_partition(sigma, "K", target)
             if found is None or found.heavy_count != part.heavy_count:

@@ -257,7 +257,7 @@ class TestPartitionCache:
                 k_part, j_part = partitions_for(sigma)
                 assert type(k_part) is GoodPartition and type(j_part) is GoodPartition
                 assert (k_part.target, j_part.target) == ("K", "J")
-                assert k_part == construct_eta(sigma).partition
+                assert k_part == construct_eta(sigma)[0]
                 assert j_part == build_pi(sigma)
 
     def test_capacity(self):

@@ -592,7 +592,7 @@ class TestManifest:
 
 class TestPatternLengthCap:
     @pytest.mark.parametrize("argv, call", [
-        (("classify",), "classify_pairs"),
+        (("classify",), "PatternContext"),
         (("partition", "k", "ladder"), "PatternContext"),
         (("maximize",), "maximize_f"),
     ], ids=["classify", "partition", "maximize"])
@@ -630,6 +630,28 @@ class TestMaximizeLengthCap:
         assert code == 2 and f"at most {cap} signs" in doc["error"]
         with pytest.raises(Reached):
             main(["maximize", "-" * cap])
+
+
+class TestMaximizeEvaluationCap:
+    def test_cap(self, capsys, monkeypatch):
+        import pohst.analysis as analysis
+
+        class Reached(Exception):
+            pass
+
+        def refuse(x):
+            raise Reached
+
+        monkeypatch.setattr(analysis, "_objective", refuse)
+        cap = analysis.MAX_MAXIMIZE_EVALUATIONS
+        # one sign: each restart costs at most 1 + 44 * iterations
+        # evaluations, so 320 restarts of 71 iterations need exactly 10**6
+        assert cap == 320 * (1 + 44 * 71)
+        for restarts, iters in (("321", "71"), ("320", "72"), ("1000000000", "40")):
+            code, doc = run(capsys, "maximize", "--restarts", restarts, "--iters", iters, "--", "-")
+            assert code == 2 and f"at most {cap} evaluations" in doc["error"]
+        with pytest.raises(Reached):
+            main(["maximize", "--restarts", "320", "--iters", "71", "--", "-"])
 
 
 class TestParsing:

@@ -17,17 +17,16 @@ from pohst.signs import (
 from pohst.partition import (
     MAX_SEARCH_N,
     _ladder,
+    _shape_findings,
     ConstructionTrace,
     GoodPartition,
     LadderStuck,
     PartitionGroup,
     Shape,
     TraceStep,
-    build_eta,
     build_pi,
     check_construction_invariants,
     construct_eta,
-    group_shape_violations,
     search_partition,
     validate_partition,
 )
@@ -44,6 +43,11 @@ def group(shape, *members):
 
 def members_of(part):
     return {g.members for g in part.groups}
+
+
+def shape_violations(group, signmap):
+    """The validator's shape and sign rules for one group, as findings."""
+    return _shape_findings(group.shape, group.members, [signmap.get(p, 0) for p in group.members])
 
 
 class TestValidate:
@@ -115,24 +119,24 @@ class TestValidate:
         # in K of "--" the negative (1, 1) lies below the positive (1, 2) in
         # its column instead of enclosing it
         kmap = pair_sign_maps(SignVector.from_string("--"))[1]
-        findings = group_shape_violations(group(Shape.MIXED_PAIR, (1, 2), (1, 1)), kmap)
+        findings = shape_violations(group(Shape.MIXED_PAIR, (1, 2), (1, 1)), kmap)
         assert findings == ["negative (1, 1) does not enclose positive (1, 2) along a row or column"]
         jmap = pair_sign_maps(SignVector.from_string("+-"))[0]
-        assert not group_shape_violations(group(Shape.MIXED_PAIR, (1, 1), (1, 2)), jmap)
+        assert not shape_violations(group(Shape.MIXED_PAIR, (1, 1), (1, 2)), jmap)
 
     def test_l_triple_geometry(self):
         sigma = SignVector.from_string("--")
         good = group(Shape.L_TRIPLE, (1, 1), (1, 2), (2, 2))
-        assert not group_shape_violations(good, pair_sign_maps(sigma)[1])
+        assert not shape_violations(good, pair_sign_maps(sigma)[1])
         bad = group(Shape.L_TRIPLE, (1, 1), (2, 2), (1, 2))
         # same members, shape inference must not depend on member order
-        assert not group_shape_violations(bad, pair_sign_maps(sigma)[1])
+        assert not shape_violations(bad, pair_sign_maps(sigma)[1])
         # column mate (1,1) and row mate (4,4) are not adjacent, so the
         # triple is not elementary case 3: at x = (-1, 1e-3, 1e-3, -1) its
         # product is about 4 against a bound of 2
         sigma = SignVector.from_string("-++-")
         gapped = group(Shape.L_TRIPLE, (1, 1), (1, 4), (4, 4))
-        assert group_shape_violations(gapped, pair_sign_maps(sigma)[1])
+        assert shape_violations(gapped, pair_sign_maps(sigma)[1])
         part = GoodPartition("K", (
             gapped,
             group(Shape.MIXED_PAIR, (2, 3), (1, 3)),
@@ -146,23 +150,23 @@ class TestValidate:
 class TestBuildEta:
     def test_two_unstable_rows(self):
         sigma = SignVector.from_string("-+-")
-        part, trace = build_eta(sigma)
+        part, trace = construct_eta(sigma)
         assert members_of(part) == {((1, 1),), ((3, 3),)}
         assert trace.op3_uses == 2
         assert [s.case for s in trace.steps] == [2, 2]
 
     def test_no_negatives_keeps_base_partition(self):
-        part, trace = build_eta(SignVector.from_string("++"))
+        part, trace = construct_eta(SignVector.from_string("++"))
         assert members_of(part) == {((1, 2),)}
         assert part.groups[0].shape is Shape.POSITIVE_SINGLETON
         assert trace.op3_uses == 0 and trace.steps == ()
 
     def test_empty_pattern(self):
-        part, trace = build_eta(SignVector(()))
+        part, trace = construct_eta(SignVector(()))
         assert part.groups == () and trace.op3_uses == 0
 
     def test_stable_row_folds_triple(self):
-        part, trace = build_eta(SignVector.from_string("--"))
+        part, trace = construct_eta(SignVector.from_string("--"))
         assert members_of(part) == {((1, 1), (2, 2), (1, 2))}
         assert part.groups[0].shape is Shape.L_TRIPLE
         assert trace.op3_uses == 1
@@ -171,23 +175,23 @@ class TestBuildEta:
     def test_op3_count_matches_heavy(self):
         for n in range(1, 9):
             for sigma in all_sigmas(n):
-                part, trace = build_eta(sigma)
+                part, trace = construct_eta(sigma)
                 assert trace.op3_uses == part.heavy_count == min_heavy_target(sigma)
 
     def test_intermediate_groups_respect_shapes(self):
         kmaps = {}
         for sigma in all_sigmas(6):
-            _, trace = build_eta(sigma)
+            _, trace = construct_eta(sigma)
             kmap = pair_sign_maps(sigma)[1]
             for step in trace.steps:
                 produced = PartitionGroup(step.shape, step.produced)
-                assert not group_shape_violations(produced, kmap)
+                assert not shape_violations(produced, kmap)
 
     def test_operations_conserve_heavy_budget(self):
         # heavy count moves only through operation 3; operation 4 trades one
         # heavy singleton for one heavy triple, operations 1 and 2 touch none
         for sigma in all_sigmas(7):
-            part, trace = build_eta(sigma)
+            part, trace = construct_eta(sigma)
             heavy = 0
             for step in trace.steps:
                 if step.operation == 1:
@@ -315,7 +319,7 @@ class TestSearch:
     def test_agrees_with_ladder_example(self):
         sigma = SignVector.from_string("-+-")
         found = search_partition(sigma, "K", 2)
-        part, _ = build_eta(sigma)
+        part, _ = construct_eta(sigma)
         assert members_of(found) == members_of(part)
 
     def test_no_negatives(self):
@@ -342,7 +346,7 @@ class TestSearch:
     def test_ladder_agreement(self):
         for n in range(1, 8):
             for sigma in all_sigmas(n):
-                part, _ = build_eta(sigma)
+                part, _ = construct_eta(sigma)
                 found = search_partition(sigma, "K", min_heavy_target(sigma))
                 assert found is not None
                 assert found.heavy_count == part.heavy_count
@@ -371,15 +375,15 @@ class TestSearch:
             assert found_k is not None and found_j is not None
             assert validate_partition(sigma, found_k).ok
             assert validate_partition(sigma, found_j).ok
-            part, _ = build_eta(sigma)
+            part, _ = construct_eta(sigma)
             assert part.heavy_count == found_k.heavy_count
 
 
 class TestConstructEta:
     def test_reports_ladder_path(self):
-        result = construct_eta(SignVector.from_string("-+-"))
-        assert result.ladder_used and result.trace is not None
-        assert result.partition.method == "ladder"
+        part, trace = construct_eta(SignVector.from_string("-+-"))
+        assert isinstance(part, GoodPartition) and isinstance(trace, ConstructionTrace)
+        assert part.method == "ladder"
 
     def test_ladder_is_the_only_path(self, monkeypatch):
         import pohst.partition as partition
@@ -417,12 +421,12 @@ class TestConstructEta:
 class TestTraceChecks:
     def test_clean_trace(self):
         sigma = SignVector.from_string("-+-")
-        _, trace = build_eta(sigma)
+        _, trace = construct_eta(sigma)
         assert check_construction_invariants(sigma, trace) == []
 
     def test_vacuous_on_empty_trace(self):
         sigma = SignVector.from_string("++")
-        _, trace = build_eta(sigma)
+        _, trace = construct_eta(sigma)
         assert check_construction_invariants(sigma, trace) == []
 
     def test_column_clash_detected(self):
@@ -468,7 +472,7 @@ class TestTraceChecks:
         for n in range(1, 9):
             for sigma in all_sigmas(n):
                 ctx = PatternContext(sigma)
-                _, trace = build_eta(ctx)
+                _, trace = construct_eta(ctx)
                 assert check_construction_invariants(ctx, trace) == \
                     check_construction_invariants(sigma, trace) == []
 
@@ -521,7 +525,7 @@ class TestSerialization:
         digest = hashlib.sha256()
         for n in range(10):
             for sigma in all_sigmas(n):
-                part, trace = build_eta(sigma)
+                part, trace = construct_eta(sigma)
                 doc = {
                     "sigma": sigma.to_string(),
                     "eta": part.to_json_dict(),
@@ -537,7 +541,7 @@ class TestSerialization:
         rng = random.Random(20221)
         for n in range(1, 9):
             for sigma in all_sigmas(n):
-                for part in (build_eta(sigma)[0], build_pi(sigma)):
+                for part in (construct_eta(sigma)[0], build_pi(sigma)):
                     for kind in MUTATIONS:
                         for _ in range(2):
                             mutated = mutate(part, kind, rng)
@@ -553,7 +557,7 @@ class TestSerialization:
         assert digest.hexdigest() == GOLDEN_VIOLATION_DIGEST
 
     def test_partition_json_schema(self):
-        part, trace = build_eta(SignVector.from_string("--"))
+        part, trace = construct_eta(SignVector.from_string("--"))
         doc = part.to_json_dict()
         assert set(doc) == {"target", "method", "heavy_count", "groups"}
         assert doc["groups"][0] == {

@@ -9,14 +9,9 @@ from hypothesis import given, strategies as st
 from pohst.signs import (
     PatternContext,
     SignVector,
-    alpha_beta,
-    boundary_counts,
-    classify_pairs,
     min_heavy_target,
     pair_sign_maps,
     pair_sort_key,
-    prefix_signs,
-    y_sign_counts,
 )
 
 sign_vectors = st.lists(st.sampled_from([1, -1]), min_size=0, max_size=10).map(
@@ -36,6 +31,20 @@ def brute_product_sign(sigma, pair):
     for k in range(i - 1, j):
         s *= sigma.entries[k]
     return s
+
+
+def prefix_products(sigma):
+    """The cumulative signs ``t_0..t_n``, each multiplied out directly."""
+    return [math.prod(sigma.entries[:r]) for r in range(len(sigma) + 1)]
+
+
+def boundary_counts(sigma):
+    """Counts of boundary canonical pairs (``i = 1`` or ``j = n``) by sign."""
+    n = len(sigma)
+    kmap = pair_sign_maps(sigma)[1]
+    signs = [s for (i, j), s in kmap.items() if i == 1 or j == n]
+    b_plus = sum(1 for s in signs if s > 0)
+    return b_plus, len(signs) - b_plus
 
 
 def brute_classify(sigma):
@@ -70,32 +79,34 @@ class TestSignVector:
 
 class TestClassify:
     def test_example_mixed(self):
-        j_set, k_set = classify_pairs(SignVector.from_string("-+-"))
-        assert {(p.pair, p.product_sign) for p in j_set} == {
+        jmap, kmap = pair_sign_maps(SignVector.from_string("-+-"))
+        assert set(jmap.items()) == {
             ((2, 2), 1), ((1, 2), -1), ((2, 3), -1), ((1, 3), 1)
         }
-        assert {(p.pair, p.product_sign) for p in k_set} == {((1, 1), -1), ((3, 3), -1)}
+        assert set(kmap.items()) == {((1, 1), -1), ((3, 3), -1)}
+        for text, pair, sign in (("+-", (1, 2), -1), ("+-+", (1, 3), -1),
+                                 ("-+-", (1, 3), 1)):
+            jmap, kmap = pair_sign_maps(SignVector.from_string(text))
+            assert {**jmap, **kmap}[pair] == sign
 
     def test_example_all_positive(self):
-        j_set, k_set = classify_pairs(SignVector.from_string("++"))
-        assert {(p.pair, p.product_sign) for p in j_set} == {((1, 1), 1), ((2, 2), 1)}
-        assert {(p.pair, p.product_sign) for p in k_set} == {((1, 2), 1)}
+        jmap, kmap = pair_sign_maps(SignVector.from_string("++"))
+        assert set(jmap.items()) == {((1, 1), 1), ((2, 2), 1)}
+        assert set(kmap.items()) == {((1, 2), 1)}
 
     def test_example_single(self):
-        j_set, k_set = classify_pairs(SignVector.from_string("+"))
-        assert [(p.pair, p.product_sign) for p in j_set] == [((1, 1), 1)]
-        assert k_set == []
+        jmap, kmap = pair_sign_maps(SignVector.from_string("+"))
+        assert list(jmap.items()) == [((1, 1), 1)]
+        assert kmap == {}
 
     def test_covers_triangle_disjointly(self):
         for n in range(0, 8):
             for sigma in all_sigmas(n):
-                j_set, k_set = classify_pairs(sigma)
-                pairs = [p.pair for p in j_set] + [p.pair for p in k_set]
+                jmap, kmap = pair_sign_maps(sigma)
+                pairs = [*jmap, *kmap]
                 assert len(pairs) == len(set(pairs)) == n * (n + 1) // 2
-                assert all(not p.canonical for p in j_set)
-                assert all(p.canonical for p in k_set)
-                for part in (j_set, k_set):
-                    order = [p.pair for p in part]
+                for part in (jmap, kmap):
+                    order = list(part)
                     assert order == sorted(order, key=pair_sort_key)
         # construction order: rows ascend, starts descend within a row
         assert sorted([(1, 2), (3, 3), (2, 2), (1, 1)], key=pair_sort_key) == [
@@ -105,24 +116,10 @@ class TestClassify:
     def test_matches_brute_force(self):
         for n in range(1, 7):
             for sigma in all_sigmas(n):
-                j_set, k_set = classify_pairs(sigma)
                 bj, bk = brute_classify(sigma)
-                assert {(p.pair, p.product_sign) for p in j_set} == bj
-                assert {(p.pair, p.product_sign) for p in k_set} == bk
                 jmap, kmap = pair_sign_maps(sigma)
                 assert set(jmap.items()) == bj
                 assert set(kmap.items()) == bk
-
-    def test_maps_agree_with_lists(self):
-        sigma = SignVector.from_string("-++-+")
-        j_set, k_set = classify_pairs(sigma)
-        jmap, kmap = pair_sign_maps(sigma)
-        assert jmap == {p.pair: p.product_sign for p in j_set}
-        assert kmap == {p.pair: p.product_sign for p in k_set}
-        for text, pair, sign in (("+-", (1, 2), -1), ("+-+", (1, 3), -1),
-                                 ("-+-", (1, 3), 1)):
-            jmap, kmap = pair_sign_maps(SignVector.from_string(text))
-            assert {**jmap, **kmap}[pair] == sign
 
 
 class TestPatternContext:
@@ -155,17 +152,20 @@ class TestPatternContext:
 
 class TestAlphaBeta:
     def test_examples(self):
-        assert alpha_beta(SignVector.from_string("-+-")) == (1, 2)
-        assert alpha_beta(SignVector.from_string("++")) == (2, 0)
-        assert alpha_beta(SignVector(())) == (0, 0)
+        # alpha and beta count the positive and negative prefix products
+        # t_1..t_n, so p = alpha + 1 and m = beta
+        for text, alpha, beta in (("-+-", 1, 2), ("++", 2, 0), ("", 0, 0)):
+            ctx = PatternContext(SignVector.from_string(text))
+            assert (ctx.p - 1, ctx.n + 1 - ctx.p) == (alpha, beta)
 
     @given(sign_vectors)
     def test_ties_to_y_counts(self, sigma):
-        alpha, beta = alpha_beta(sigma)
-        p, m = y_sign_counts(sigma)
-        assert alpha + beta == len(sigma)
-        assert (p, m) == (alpha + 1, beta)
-        assert min_heavy_target(sigma) == min(alpha + 1, beta)
+        t = prefix_products(sigma)
+        p = sum(1 for s in t if s > 0)
+        m = len(t) - p
+        ctx = PatternContext(sigma)
+        assert ctx.p == p and p + m == len(sigma) + 1
+        assert min_heavy_target(sigma) == ctx.target == min(p, m)
 
 
 class TestStableLevels:
@@ -180,8 +180,9 @@ class TestStableLevels:
     @given(sign_vectors)
     def test_counts_sum(self, sigma):
         # level j counts the signs of y_1..y_{j+1}, i.e. of the prefix t_0..t_j
-        t = prefix_signs(sigma)
-        flags = PatternContext(sigma).stable
+        t = prefix_products(sigma)
+        ctx = PatternContext(sigma)
+        flags = ctx.stable
         assert len(flags) == len(sigma) + 1 and flags[0]
         prev_min = 0
         for j in range(len(sigma) + 1):
@@ -190,7 +191,8 @@ class TestStableLevels:
             if j:
                 assert flags[j] == (min(p, m) == prev_min)
             prev_min = min(p, m)
-        assert (p, m) == y_sign_counts(sigma)
+        assert (ctx.p, len(sigma) + 1 - ctx.p) == (p, m)
+        assert min_heavy_target(sigma) == min(p, m)
 
 
 class TestBoundaryCounts:
