@@ -7,10 +7,10 @@ whether the ladder succeeded and whether everything validated.  Every
 sweep is one depth-first walk over the sign prefixes of its patterns:
 row j of the context and of both ladders reads only the first j signs, so
 each node runs the shared ladder row step once for every requested
-pattern below it and validates the groups it reports, and each leaf
-checks the rest of what ``validate_partition`` checks.  The walk enters
-only the prefixes that lead to a requested pattern, so a sampled sweep
-takes the same path as an exhaustive one.  ``sweep_one``, one context and
+pattern below it, and the checks of its rows and leaves live beside
+``validate_partition`` in :mod:`pohst.partition`.  The walk enters only
+the prefixes that lead to a requested pattern, so a sampled sweep takes
+the same path as an exhaustive one.  ``sweep_one``, one context and
 both validated constructions per pattern, is the walk's reference.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
@@ -38,10 +38,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from pohst import partition
 from pohst.signs import PatternContext, SignVector, min_heavy_target
 from pohst.partition import (
-    HEAVY_SHAPES, LadderStuck, _LadderState, _shape_findings, build_pi, eta_partition)
+    LadderStuck, _checked_leaf, _checked_row, _LadderState, build_pi, eta_partition)
 from pohst.certify import (
     DEFAULT_TOLERANCE, RealVectorY, factor_matrix, group_bound, pair_factor_table,
     partitions_for)
@@ -62,9 +61,10 @@ SUBSAMPLE_RANDOM_COUNT = 10 ** 5
 MAX_MAXIMIZE_N = 64
 # worst-case objective evaluations of one maximize_f call; see maximize_f
 MAX_MAXIMIZE_EVALUATIONS = 10 ** 6
-# maximize_f line search: grid points over the whole range, then the
-# refinement radii as fractions of the range
+# maximize_f line search: grid points over the whole range, then grid
+# points within each refinement radius, a fraction of the range
 COARSE_POINTS = 17
+REFINE_POINTS = 9
 STEP_SCHEDULE = (0.1, 0.01, 0.001)
 
 
@@ -137,37 +137,6 @@ def sweep_one(n: int, index: int) -> SweepRecord:
     return SweepRecord(sigma, *sizes, heavy, target)
 
 
-def _row_findings(reports, rows: list[int], pos: list[int], seen: list[int]) -> int:
-    """Heavy groups formed by one row's reports, or -1 on any finding.
-
-    Each reported group goes through the validator's shape and sign rules
-    against the bit rows of the path, and its new members must not be in
-    ``seen`` yet, which then takes them: the per-node share of
-    :func:`~pohst.partition.validate_partition`.
-    """
-    formed = 0
-    for shape, members, new in reports:
-        for i, j in new:
-            bit = 1 << i
-            if seen[j] & bit:
-                return -1
-            seen[j] |= bit
-        signs = [(1 if pos[j] >> i & 1 else -1) if rows[j] >> i & 1 else 0 for i, j in members]
-        if _shape_findings(shape, members, signs):
-            return -1
-        if shape in HEAVY_SHAPES and len(new) == len(members):
-            formed += 1
-    return formed
-
-
-def _covered(free_row: list[int], seen: list[int], rows: list[int], pos: list[int]) -> bool:
-    """Whether the groups and the free positive singletons tile every row once."""
-    for free, taken, row, positive in zip(free_row, seen, rows, pos):
-        if free & taken or free | taken != row or free & ~positive:
-            return False
-    return True
-
-
 def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Heavy counts, |J|, |K| and targets of the patterns with the given keys.
 
@@ -180,27 +149,24 @@ def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     row once for every requested pattern below it.  A node splits its run
     with one bisection, or at the midpoint when the run holds all
     ``2**(n - j)`` patterns below it.  The rows live in per-depth arrays
-    along the path; a node copies only the ladder state and the ``seen``
-    masks, and its last child takes over the parent's copies.  Pending
-    nodes wait on an explicit stack, not in nested calls: CPython 3.11
-    keeps frames in 16 KiB chunks and maps a fresh chunk each time a call
-    crosses a chunk's end, and a walk recursing ``n`` frames deep kept
-    crossing one (27 million page faults and 164 s of system time in the
-    workers of one ``sweep 21 --jobs 2`` on a 2-vCPU x86 host).
+    along the path; a node copies only the ladder states, and its last
+    child takes over the parent's copies.  Pending nodes wait on an
+    explicit stack, not in nested calls: CPython 3.11 keeps frames in
+    16 KiB chunks and maps a fresh chunk each time a call crosses a
+    chunk's end, and a walk recursing ``n`` frames deep kept crossing one
+    (27 million page faults and 164 s of system time in the workers of
+    one ``sweep 21 --jobs 2`` on a 2-vCPU x86 host).
 
-    Validation matches ``validate_partition`` per pattern: each reported
-    group passes the shape and sign rules and adds disjoint members at its
-    node, and each leaf checks coverage, that the free pairs are positive,
-    heavy = target on K and no heavy group on J.  A stuck ladder or a
-    finding at a node flags every pattern below it as ``sweep_one`` does,
-    with heavy = -1.
+    The checks live beside ``validate_partition`` in :mod:`pohst.partition`:
+    ``_checked_row`` at each node, ``_checked_leaf`` at each leaf.  Either
+    raises ``LadderStuck``, which flags every pattern below the node as
+    ``sweep_one`` does, with heavy = -1.
     """
     size = len(keys)
     heavy_out = np.empty(size, np.int8)
     j_out = np.empty(size, np.int16)
     k_out = np.empty(size, np.int16)
     target_out = np.empty(size, np.int8)
-    row_step = partition._ladder_row
     next_row = PatternContext.next_row
     k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
 
@@ -208,10 +174,9 @@ def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # keys[lo:hi] below its prefix ``key`` and its parent's state, which the
     # last child takes over; k_state is None once the path is flagged
     stack = [(0, 0, 0, size, 0, PatternContext.ROOT, _LadderState(n), _LadderState(n),
-              [0] * (n + 1), [0] * (n + 1), 0, 0, 0, 0, True)]
+              0, 0, True)]
     while stack:
-        (j, s, lo, hi, key, state, k_state, j_state, k_seen, j_seen, heavy, j_heavy,
-         k_size, j_size, last) = stack.pop()
+        j, s, lo, hi, key, state, k_state, j_state, k_size, j_size, last = stack.pop()
         if j:  # the root has no row
             state, stable, k, kp, jr, jp = next_row(j, s, state)
             k_rows[j], k_pos[j], j_rows[j], j_pos[j] = k, kp, jr, jp
@@ -220,34 +185,28 @@ def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
             if k_state is not None:
                 if not last:
                     k_state, j_state = k_state.copy(), j_state.copy()
-                    k_seen, j_seen = k_seen[:], j_seen[:]
                 try:
-                    formed = _row_findings(
-                        row_step(k_state, j, k, kp, stable, True), k_rows, k_pos, k_seen)
-                    j_formed = _row_findings(
-                        row_step(j_state, j, jr, jp, stable, False), j_rows, j_pos, j_seen)
+                    _checked_row(k_state, j, stable, "K", k_rows, k_pos)
+                    _checked_row(j_state, j, stable, "J", j_rows, j_pos)
                 except LadderStuck:
-                    formed = j_formed = -1
-                if formed < 0 or j_formed < 0:
                     k_state = None
-                heavy += formed
-                j_heavy += j_formed
         if j == n:
             p = state[3]
             target = min(p, n + 1 - p)
-            ok = (
-                k_state is not None and heavy == target and not j_heavy
-                and _covered(k_state.free_row, k_seen, k_rows, k_pos)
-                and _covered(j_state.free_row, j_seen, j_rows, j_pos)
-            )
-            heavy_out[lo] = target if ok else -1
+            if k_state is not None:
+                try:
+                    _checked_leaf(k_state, "K", target, k_rows, k_pos)
+                    _checked_leaf(j_state, "J", 0, j_rows, j_pos)
+                except LadderStuck:
+                    k_state = None
+            heavy_out[lo] = -1 if k_state is None else target
             j_out[lo] = j_size
             k_out[lo] = k_size
             target_out[lo] = target
             continue
         half = 1 << (n - 1 - j)  # the key bit of sign j + 1
         mid = lo + half if hi - lo == half << 1 else bisect.bisect_left(keys, key | half, lo, hi)
-        node = state, k_state, j_state, k_seen, j_seen, heavy, j_heavy, k_size, j_size
+        node = state, k_state, j_state, k_size, j_size
         # the + child goes on top, so it copies the state before the - child
         # takes it over
         if mid < hi:
@@ -427,20 +386,20 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
     Patterns longer than ``MAX_MAXIMIZE_N`` raise ``ValueError``.  At 64
     signs with the default config, 24 patterns (all-minus, all-plus, both
     alternations and 20 seeded random ones) took 6.8-14.2 s of CPU each,
-    the worst 90,120 evaluations, on a 2-vCPU x86 host with CPython 3.11;
-    the iteration limit caps a call at 8 * (1 + 40 * 64 * 44) = 901,128
-    evaluations, about 2.4 min at the measured 134-172 us per evaluation.
+    the worst 90,120 evaluations, on a 2-vCPU x86 host with CPython 3.11.
 
     A config whose worst case ``restarts * (1 + iterations * n * 44)``
     exceeds ``MAX_MAXIMIZE_EVALUATIONS`` = 10**6 raises ``ValueError``
-    before the first evaluation.  Evaluations cost most at 64 signs, where
-    they took 149-196 us of CPU each on the same host, so no accepted call
-    runs longer than about 2.5-3.3 min.
+    before the first evaluation; the default config needs at most
+    8 * (1 + 40 * 64 * 44) = 901,128.  Evaluations cost most at 64 signs,
+    where they took 149-196 us of CPU each on the same host, so no accepted
+    call runs longer than about 2.5-3.3 min.
     """
     n = len(sigma)
     if n > MAX_MAXIMIZE_N:
         raise ValueError(f"maximize takes at most {MAX_MAXIMIZE_N} signs, got {n}")
-    worst = cfg.restarts * (1 + cfg.iterations * n * (COARSE_POINTS + 9 * len(STEP_SCHEDULE)))
+    worst = cfg.restarts * (
+        1 + cfg.iterations * n * (COARSE_POINTS + REFINE_POINTS * len(STEP_SCHEDULE)))
     if worst > MAX_MAXIMIZE_EVALUATIONS:
         raise ValueError(
             f"maximize takes at most {MAX_MAXIMIZE_EVALUATIONS} evaluations, but {cfg.restarts} "
@@ -484,7 +443,7 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
                     radius = (hi - lo) * frac
                     a = max(lo, cand_best - radius)
                     b = min(hi, cand_best + radius)
-                    for m in line_points(a, b, 9):
+                    for m in line_points(a, b, REFINE_POINTS):
                         x[k] = signs[k] * m
                         v = _objective(x)
                         evaluations += 1

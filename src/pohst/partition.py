@@ -27,16 +27,16 @@ with the surviving heavy singleton one row below its start on a stable
 level (operation 4).  One row step, ``_ladder_row``, holds every move: it
 absorbs the negatives of one row into an explicit state (free rows and
 columns, live row-mate pairs, heavy starts) and reports each group it
-forms or grows.  The per-pattern ladder runs it over rows 1..n, and the
-exhaustive sweep walk in :mod:`pohst.analysis` runs it once per node of
-a walk over sign prefixes.  ``construct_eta`` (with the trace),
-``eta_partition`` (without one) and ``build_pi`` validate the ladder's
-partition of K or J once and raise :class:`LadderStuck` when it is stuck
-or invalid: the ladder is the only construction path.  Trace steps are
-built only for callers that read them.  ``search_partition``, the
-independent backtracking oracle over the same move set, serves the tests
-and the CLI's search modes only.  ``validate_partition`` checks any
-claimed partition against the shape and count rules.
+forms or grows.  The per-pattern ladder runs it over rows 1..n, the sweep
+walk in :mod:`pohst.analysis` once per node through ``_checked_row``,
+which with ``_checked_leaf`` checks what ``validate_partition`` checks.
+``construct_eta`` (with the trace), ``eta_partition`` (without one) and
+``build_pi`` validate the ladder's partition of K or J once and raise
+:class:`LadderStuck` when it is stuck or invalid: the ladder is the only
+construction path.  Trace steps are built only for callers that read
+them.  ``search_partition``, the independent backtracking oracle over the
+same move set, serves the tests and the CLI's search modes only.
+``validate_partition`` checks any claimed partition against the shape and count rules.
 
 The ladder and the validator work on the bit rows of a
 :class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
@@ -327,11 +327,13 @@ class _LadderState:
     rectangle may still complete; ``pair_low[ell * (n + 1) + i]`` is the
     start column of that pair's negative member.  ``heavy_start[j]`` is the
     start of row j's live heavy singleton (at most one), 0 if none.
+    ``seen`` (pairs in groups) and ``heavy_formed`` serve a walk's checks.
     ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
     when the state belongs to a walk over sign prefixes.
     """
 
-    __slots__ = ("free_row", "free_col", "row_pairs", "pair_low", "heavy_start", "sigma")
+    __slots__ = ("free_row", "free_col", "row_pairs", "pair_low", "heavy_start", "seen",
+                 "heavy_formed", "sigma")
 
     def __init__(self, n: int, sigma: Optional[SignVector] = None) -> None:
         self.free_row = [0] * (n + 1)
@@ -339,6 +341,8 @@ class _LadderState:
         self.row_pairs = [0] * (n + 1)
         self.pair_low = [0] * (n + 1) ** 2
         self.heavy_start = [0] * (n + 1)
+        self.seen = [0] * (n + 1)
+        self.heavy_formed = 0
         self.sigma = sigma
 
     def copy(self) -> "_LadderState":
@@ -354,6 +358,8 @@ class _LadderState:
         other.row_pairs = self.row_pairs[:]
         other.pair_low = self.pair_low
         other.heavy_start = self.heavy_start[:]
+        other.seen = self.seen[:]
+        other.heavy_formed = self.heavy_formed
         other.sigma = self.sigma
         return other
 
@@ -481,6 +487,39 @@ def _ladder_row(
                 "no row mate, column mate, or rectangle completion applies",
             )
     return reports
+
+
+def _checked_row(
+    state: _LadderState, j: int, stable: bool, target: str, rows: list[int], pos: list[int]
+) -> None:
+    """Row ``j`` of a walk's ladder, each reported group held to the shape and
+    sign rules on the path's bit rows ``rows`` and ``pos`` and to disjointness
+    by ``state.seen``.  Raises :class:`LadderStuck` on a gap or a finding."""
+    seen = state.seen
+    for shape, members, new in _ladder_row(state, j, rows[j], pos[j], stable, target == "K"):
+        for i, row in new:
+            bit = 1 << i
+            if seen[row] & bit:
+                raise LadderStuck(state.sigma, target, None, f"pair {(i, row)} taken twice")
+            seen[row] |= bit
+        signs = [(1 if pos[r] >> i & 1 else -1) if rows[r] >> i & 1 else 0 for i, r in members]
+        findings = _shape_findings(shape, members, signs)
+        if findings:
+            raise LadderStuck(state.sigma, target, None, findings[0])
+        if shape in HEAVY_SHAPES and len(new) == len(members):
+            state.heavy_formed += 1
+
+
+def _checked_leaf(
+    state: _LadderState, target: str, heavy: int, rows: list[int], pos: list[int]
+) -> None:
+    """Raise :class:`LadderStuck` unless a walk's leaf formed ``heavy`` heavy
+    groups and its groups and positive free pairs tile ``rows``."""
+    if state.heavy_formed != heavy:
+        raise LadderStuck(state.sigma, target, None, f"{state.heavy_formed} heavy groups")
+    for free, taken, row, positive in zip(state.free_row, state.seen, rows, pos):
+        if free & taken or free | taken != row or free & ~positive:
+            raise LadderStuck(state.sigma, target, None, "groups and free pairs do not tile")
 
 
 def _ladder(
@@ -668,8 +707,6 @@ def search_partition(
             row_list = heavies_by_row.get(i - 1, [])
             for pos_idx in range(len(row_list)):
                 gid_low, low = row_list[pos_idx]
-                if low[0] >= i:
-                    continue
                 top = (low[0], j)
                 if top not in pos_free:
                     continue

@@ -305,12 +305,13 @@ class TestWalk:
         monkeypatch.setattr(analysis, "sweep_one", refuse)
         assert list(sweep(8, exhaustive_cap=16)) == reference
 
-    @pytest.mark.parametrize("where", ["report", "state"])
+    @pytest.mark.parametrize("where", ["report", "state", "new"])
     def test_dropped_rectangle_corner_is_flagged(self, monkeypatch, where):
         # a row step that drops a rectangle's corner, from the group it
         # reports (the shape rules catch it) or from the pairs it takes (the
-        # leaf's tiling check does), flags exactly the patterns whose
-        # partitions hold a rectangle
+        # leaf's tiling check does), or that reports all four members as new,
+        # the mixed pair's two again among them (the disjointness check
+        # does), flags exactly the patterns whose partitions hold a rectangle
         import pohst.partition as partition
 
         n = 8
@@ -331,8 +332,10 @@ class TestWalk:
                     corner = members[3]
                     if where == "report":
                         members = members[:3]
-                    else:
+                    elif where == "state":
                         state.free_row[j] |= 1 << corner[0]
+                    else:
+                        new = members
                 reports.append((shape, members, new))
             return reports
 
