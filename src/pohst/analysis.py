@@ -33,7 +33,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,9 +48,9 @@ from pohst.certify import (
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
-# parallel sweeps split their sorted keys into this many equal runs: for an
-# exhaustive sweep these are the 2**4 depth-4 subtrees, so two workers stay
-# balanced while each task still shares its rows below depth 4
+# parallel sweeps split their sorted keys into the runs below the 2**4
+# depth-4 sign prefixes, exhaustive or sampled, so two workers stay balanced
+# while each task still shares its rows below depth 4
 WALK_TASKS = 16
 # the leave-two-out residual visits about n**4 / 4 factors: 1.5 s at this
 # length on a 2-vCPU x86 host with CPython 3.11, 3.6 s at n = 80
@@ -137,12 +137,12 @@ def sweep_one(n: int, index: int) -> SweepRecord:
     return SweepRecord(sigma, *sizes, heavy, target)
 
 
-def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Heavy counts, |J|, |K| and targets of the patterns with the given keys.
+def _walk(n: int, keys: np.ndarray) -> np.ndarray:
+    """The ``(len(keys), 3)`` int16 array of heavy count, |K| and target.
 
     A pattern's key is its index bit-reversed over ``n`` bits, so sign 1 is
     the top key bit and the patterns below any sign prefix hold one
-    contiguous run of the ascending ``keys``; slot ``s`` of each array
+    contiguous run of the ascending ``keys``; row ``s`` of the array
     belongs to ``keys[s]``.  The walk goes depth first over the sign
     prefixes whose run is not empty: row j of the context and of both
     ladders depends on ``sigma_1..sigma_j`` only, so each node builds its
@@ -160,13 +160,13 @@ def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     The checks live beside ``validate_partition`` in :mod:`pohst.partition`:
     ``_checked_row`` at each node, ``_checked_leaf`` at each leaf.  Either
     raises ``LadderStuck``, which flags every pattern below the node as
-    ``sweep_one`` does, with heavy = -1.
+    ``sweep_one`` does, with heavy = -1.  |J| is not counted: J and K
+    split the ``n(n+1)/2`` pairs of the triangle.
     """
     size = len(keys)
-    heavy_out = np.empty(size, np.int8)
-    j_out = np.empty(size, np.int16)
-    k_out = np.empty(size, np.int16)
-    target_out = np.empty(size, np.int8)
+    # one column per field, so each leaf makes three scalar writes
+    walked = np.empty((3, size), np.int16)
+    heavy_out, k_out, target_out = walked
     next_row = PatternContext.next_row
     k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
 
@@ -174,14 +174,13 @@ def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # keys[lo:hi] below its prefix ``key`` and its parent's state, which the
     # last child takes over; k_state is None once the path is flagged
     stack = [(0, 0, 0, size, 0, PatternContext.ROOT, _LadderState(n), _LadderState(n),
-              0, 0, True)]
+              0, True)]
     while stack:
-        j, s, lo, hi, key, state, k_state, j_state, k_size, j_size, last = stack.pop()
+        j, s, lo, hi, key, state, k_state, j_state, k_size, last = stack.pop()
         if j:  # the root has no row
             state, stable, k, kp, jr, jp = next_row(j, s, state)
             k_rows[j], k_pos[j], j_rows[j], j_pos[j] = k, kp, jr, jp
             k_size += k.bit_count()
-            j_size += jr.bit_count()
             if k_state is not None:
                 if not last:
                     k_state, j_state = k_state.copy(), j_state.copy()
@@ -200,44 +199,44 @@ def _walk(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                 except LadderStuck:
                     k_state = None
             heavy_out[lo] = -1 if k_state is None else target
-            j_out[lo] = j_size
             k_out[lo] = k_size
             target_out[lo] = target
             continue
         half = 1 << (n - 1 - j)  # the key bit of sign j + 1
         mid = lo + half if hi - lo == half << 1 else bisect.bisect_left(keys, key | half, lo, hi)
-        node = state, k_state, j_state, k_size, j_size
+        node = state, k_state, j_state, k_size
         # the + child goes on top, so it copies the state before the - child
         # takes it over
         if mid < hi:
             stack.append((j + 1, -1, mid, hi, key | half, *node, True))
         if lo < mid:
             stack.append((j + 1, 1, lo, mid, key, *node, mid == hi))
-    return heavy_out, j_out, k_out, target_out
+    return walked.T
 
 
-def _walk_all(n: int, keys: np.ndarray, jobs: int) -> tuple[np.ndarray, ...]:
-    """The walk's arrays for the ascending ``keys``, in key order.
+def _walk_all(n: int, keys: np.ndarray, jobs: int) -> np.ndarray:
+    """The walk's array for the ascending ``keys``, in key order.
 
-    With ``jobs > 1`` worker processes take ``WALK_TASKS`` runs of keys of
-    equal length through one ordered ``map``.
+    With ``jobs > 1`` worker processes take the ``WALK_TASKS`` runs of keys
+    below the depth-4 sign prefixes through one ordered ``map``; the pool
+    runs only with at least 64 keys, so ``n >= 6`` there.
     """
     if jobs <= 1 or len(keys) < 64:
         return _walk(n, keys)
+    runs = np.split(keys, np.searchsorted(keys, np.arange(1, WALK_TASKS) << (n - 4)))
     pool = None
     try:
         pool = ProcessPoolExecutor(max_workers=jobs)
-        results = pool.map(functools.partial(_walk, n), np.array_split(keys, WALK_TASKS))
+        results = pool.map(functools.partial(_walk, n), runs)
     except OSError:
         # process pools need OS primitives some sandboxes refuse
         if pool is not None:
             pool.shutdown(wait=False)
         return _walk(n, keys)
     try:
-        parts = list(results)
+        return np.concatenate(list(results))
     finally:
         pool.shutdown(cancel_futures=True)
-    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _walk_records(n: int, indices: np.ndarray, jobs: int) -> Iterator[SweepRecord]:
@@ -253,18 +252,17 @@ def _walk_records(n: int, indices: np.ndarray, jobs: int) -> Iterator[SweepRecor
     # keys, since parallel workers inherit what the parent holds at the fork
     order = np.argsort(keys).astype(np.int32)
     keys = keys[order]
-    arrays = []
-    for walked in _walk_all(n, keys, jobs):
-        column = np.empty_like(walked)
-        column[order] = walked
-        arrays.append(column)
+    walked = _walk_all(n, keys, jobs)
+    rows = np.empty_like(walked)
+    rows[order] = walked
+    pairs = n * (n + 1) // 2
     flip = str.maketrans("01", "+-")
     block = 1 << 16  # Python ints for one block of records at a time
     for start in range(0, len(indices), block):
-        rows = zip(*(a[start: start + block].tolist() for a in (indices, *arrays)))
-        for index, h, j_size, k_size, t in rows:
+        stop = start + block
+        for index, (h, k_size, t) in zip(indices[start:stop].tolist(), rows[start:stop].tolist()):
             sigma = format(index, f"0{n}b")[::-1].translate(flip)
-            yield SweepRecord(sigma, j_size, k_size, h, t)
+            yield SweepRecord(sigma, pairs - k_size, k_size, h, t)
 
 
 def sweep(
@@ -277,9 +275,9 @@ def sweep(
 
     Arguments are checked on the call.  Every sweep, exhaustive or sampled,
     is one walk over the sign prefixes of its patterns (:func:`_walk`),
-    whose records stream out once it is done; parallel workers take
-    ``WALK_TASKS`` equal runs of its keys.  Output is independent of
-    ``jobs``, which is capped at the CPU count.
+    whose records stream out once it is done; parallel workers take the
+    ``WALK_TASKS`` runs of its keys below the depth-4 sign prefixes.
+    Output is independent of ``jobs``, which is capped at the CPU count.
     """
     if not (0 <= n <= MAX_SWEEP_N):
         raise ValueError(f"sweep size must lie in 0..{MAX_SWEEP_N}, got {n}")
@@ -341,16 +339,7 @@ class MaximizeResult:
     evaluations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "best_value": self.best_value,
-            "best_x": list(self.best_x),
-            "bound": self.bound,
-            "gap": self.gap,
-            "exceeded_bound": self.exceeded_bound,
-            "restart_values": list(self.restart_values),
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 def _objective(x: list[float]) -> float:
@@ -414,11 +403,14 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
         pts[0], pts[-1] = a, b
         return pts
 
+    # a coarse grid over the whole range, then refinements around the winner
+    searches = [(math.inf, COARSE_POINTS)]
+    searches += [((hi - lo) * frac, REFINE_POINTS) for frac in STEP_SCHEDULE]
     best_value = -math.inf
     best_mags: list[float] = []
     restart_values = []
     for restart in range(cfg.restarts):
-        if restart == 0 or n == 0:
+        if restart == 0:
             mags = [1.0] * n
         else:
             mags = [
@@ -433,17 +425,10 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
             for k in range(n):
                 cand_best = mags[k]
                 local_best = value
-                for m in line_points(lo, hi, COARSE_POINTS):
-                    x[k] = signs[k] * m
-                    v = _objective(x)
-                    evaluations += 1
-                    if v > local_best:
-                        local_best, cand_best = v, m
-                for frac in STEP_SCHEDULE:
-                    radius = (hi - lo) * frac
+                for radius, count in searches:
                     a = max(lo, cand_best - radius)
                     b = min(hi, cand_best + radius)
-                    for m in line_points(a, b, REFINE_POINTS):
+                    for m in line_points(a, b, count):
                         x[k] = signs[k] * m
                         v = _objective(x)
                         evaluations += 1

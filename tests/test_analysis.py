@@ -218,7 +218,8 @@ class TestSweep:
         assert next(records) == analysis.sweep_one(8, 0)
         records.close()
         assert len(tasks) == analysis.WALK_TASKS
-        assert {len(run) for run in tasks} <= {len(indices) // 16, -(-len(indices) // 16)}
+        for r, run in enumerate(tasks):  # run r holds the keys whose top 4 bits are r
+            assert run.tolist() == sorted(key_of(8, i) for i in indices if key_of(8, i) >> 4 == r)
         assert np.concatenate(tasks).tolist() == sorted(key_of(8, i) for i in indices)
         assert shutdowns == [(True, True)]
 
@@ -282,13 +283,14 @@ class TestWalk:
         indices = {prefix + (slot << 8) for slot in range(1 << (n - 8))}
         indices.update(rng.sample(range(1 << n), 200))
         indices = sorted(indices, key=lambda i: key_of(n, i))
-        heavy, j_size, k_size, target = _walk(n, np.array([key_of(n, i) for i in indices]))
-        assert len(heavy) == len(indices)
+        walked = _walk(n, np.array([key_of(n, i) for i in indices]))
+        assert walked.dtype == np.int16 and walked.shape == (len(indices), 3)
+        heavy, k_size, target = walked.T
         assert (heavy == target).all()
         for slot, index in enumerate(indices):
             rec = sweep_one(n, index)
             assert rec.valid
-            assert (heavy[slot], j_size[slot], k_size[slot], target[slot]) == (
+            assert (heavy[slot], n * (n + 1) // 2 - k_size[slot], k_size[slot], target[slot]) == (
                 rec.heavy, rec.J, rec.K, rec.target)
 
     def test_sampled_sweep_walks_without_sweep_one(self, monkeypatch):
