@@ -48,9 +48,8 @@ from pohst.certify import (
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
-# parallel sweeps split their sorted keys into the runs below the 2**4
-# depth-4 sign prefixes, exhaustive or sampled, so two workers stay balanced
-# while each task still shares its rows below depth 4
+# parallel sweeps split their sorted keys into this many runs of about equal
+# walk node counts, exhaustive or sampled, so two workers stay balanced
 WALK_TASKS = 16
 # the leave-two-out residual visits about n**4 / 4 factors: 1.5 s at this
 # length on a 2-vCPU x86 host with CPython 3.11, 3.6 s at n = 80
@@ -217,13 +216,18 @@ def _walk(n: int, keys: np.ndarray) -> np.ndarray:
 def _walk_all(n: int, keys: np.ndarray, jobs: int) -> np.ndarray:
     """The walk's array for the ascending ``keys``, in key order.
 
-    With ``jobs > 1`` worker processes take the ``WALK_TASKS`` runs of keys
-    below the depth-4 sign prefixes through one ordered ``map``; the pool
-    runs only with at least 64 keys, so ``n >= 6`` there.
+    With ``jobs > 1`` worker processes take ``WALK_TASKS`` runs of keys of
+    about equal node counts through one ordered ``map``; the pool runs only
+    with at least 64 keys.
     """
     if jobs <= 1 or len(keys) < 64:
         return _walk(n, keys)
-    runs = np.split(keys, np.searchsorted(keys, np.arange(1, WALK_TASKS) << (n - 4)))
+    # key s opens one node for each key bit from the highest it does not
+    # share with key s - 1 down; the runs split the running node count
+    # evenly.  An int64 sum left each forked worker 9 MiB larger at n = 24
+    nodes = np.cumsum(np.frexp(keys[1:] ^ keys[:-1])[1], dtype=np.int32)
+    cuts = np.searchsorted(nodes, nodes[-1] * np.arange(1, WALK_TASKS) // WALK_TASKS)
+    runs = np.split(keys, 1 + cuts)
     pool = None
     try:
         pool = ProcessPoolExecutor(max_workers=jobs)
@@ -275,8 +279,8 @@ def sweep(
 
     Arguments are checked on the call.  Every sweep, exhaustive or sampled,
     is one walk over the sign prefixes of its patterns (:func:`_walk`),
-    whose records stream out once it is done; parallel workers take the
-    ``WALK_TASKS`` runs of its keys below the depth-4 sign prefixes.
+    whose records stream out once it is done; parallel workers take
+    ``WALK_TASKS`` runs of its keys of about equal walk node counts.
     Output is independent of ``jobs``, which is capped at the CPU count.
     """
     if not (0 <= n <= MAX_SWEEP_N):

@@ -47,6 +47,11 @@ def key_of(n, index):
     return int(format(index, f"0{n}b")[::-1], 2)
 
 
+def walk_nodes(n, keys):
+    """Nodes of the walk over ``keys``: the distinct prefixes at each depth."""
+    return sum(len({key >> (n - d) for key in keys}) for d in range(n + 1))
+
+
 def recording_pool(tasks, shutdowns):
     """A pool class that runs tasks inline, recording each task and shutdown."""
 
@@ -152,9 +157,8 @@ class TestSweep:
         assert summary["sampled"] is False
 
     def test_parallel_merge_matches_serial(self, monkeypatch):
-        # n = 7 clears the worker threshold, so a real 2-worker pool walks the
-        # 16 depth-4 subtrees as runs of keys and the parent puts them back in
-        # index order
+        # n = 7 clears the worker threshold, so a real 2-worker pool walks 16
+        # runs of keys and the parent puts them back in index order
         import pohst.analysis as analysis
 
         pools = []
@@ -218,9 +222,12 @@ class TestSweep:
         assert next(records) == analysis.sweep_one(8, 0)
         records.close()
         assert len(tasks) == analysis.WALK_TASKS
-        for r, run in enumerate(tasks):  # run r holds the keys whose top 4 bits are r
-            assert run.tolist() == sorted(key_of(8, i) for i in indices if key_of(8, i) >> 4 == r)
-        assert np.concatenate(tasks).tolist() == sorted(key_of(8, i) for i in indices)
+        keys = sorted(key_of(8, i) for i in indices)
+        assert np.concatenate(tasks).tolist() == keys
+        # no run walks more than the path to its first key and its share of
+        # the nodes that the other keys open below their predecessors
+        share = -(-(walk_nodes(8, keys) - 9) // analysis.WALK_TASKS)
+        assert max(walk_nodes(8, run.tolist()) for run in tasks) <= 9 + share
         assert shutdowns == [(True, True)]
 
     def test_construction_failure_yields_flagged_record(self, monkeypatch):
