@@ -491,6 +491,30 @@ GOLDEN_VIOLATION_DIGEST = (
     "4ee1596f33f073f8fbc014d8450d306f8c8c9d2a59fb353f804a542c0dd84fc9"
 )
 
+# SHA-256 over report.ok, or the IndexError, of validate_partition on the
+# same seeded mutations, recorded before the shape rule became one sign
+# table and one geometry: the violation digest pins messages, this one
+# pins verdicts alone
+GOLDEN_VERDICT_DIGEST = (
+    "25c66e536504aae2cf3df4277cae7291e80a5c082ef6162d4833daec08b643a0"
+)
+
+# SHA-256 over whether validate_partition flags the shape of a lone group,
+# for every pattern with n <= 4, both targets, every shape and every
+# ordered tuple of distinct pairs of the triangle with the shape's member
+# count, recorded before the same change
+GOLDEN_SHAPE_VERDICT_DIGEST = (
+    "9f095060903385a0e17d1344f5a088169353fc2e59cdeda4deb08a01aa3c57b4"
+)
+
+SHAPE_SIZES = {
+    Shape.POSITIVE_SINGLETON: 1,
+    Shape.NEGATIVE_SINGLETON: 1,
+    Shape.MIXED_PAIR: 2,
+    Shape.L_TRIPLE: 3,
+    Shape.RECTANGLE_QUAD: 4,
+}
+
 MUTATIONS = ("drop", "relabel", "duplicate", "shift", "append")
 
 
@@ -520,6 +544,26 @@ def mutate(part, kind, rng):
     return GoodPartition(part.target, tuple(groups), part.method)
 
 
+def mutation_reports():
+    """``(sigma, target, kind, report)`` for the seeded mutations of every K
+    and J ladder partition with n <= 8; ``report`` is the ``IndexError``
+    when a mutation moves a member out of range."""
+    rng = random.Random(20221)
+    for n in range(1, 9):
+        for sigma in all_sigmas(n):
+            for part in (construct_eta(sigma)[0], build_pi(sigma)):
+                for kind in MUTATIONS:
+                    for _ in range(2):
+                        mutated = mutate(part, kind, rng)
+                        if mutated is None:
+                            continue
+                        try:
+                            report = validate_partition(sigma, mutated)
+                        except IndexError as exc:
+                            report = exc
+                        yield sigma, part.target, kind, report
+
+
 class TestSerialization:
     def test_golden_partition_digest(self):
         digest = hashlib.sha256()
@@ -538,23 +582,51 @@ class TestSerialization:
 
     def test_golden_violation_digest(self):
         digest = hashlib.sha256()
-        rng = random.Random(20221)
-        for n in range(1, 9):
-            for sigma in all_sigmas(n):
-                for part in (construct_eta(sigma)[0], build_pi(sigma)):
-                    for kind in MUTATIONS:
-                        for _ in range(2):
-                            mutated = mutate(part, kind, rng)
-                            if mutated is None:
-                                continue
-                            try:
-                                verdict = list(validate_partition(sigma, mutated).violations)
-                            except IndexError as exc:
-                                verdict = f"IndexError: {exc}"
-                            doc = [sigma.to_string(), part.target, kind, verdict]
-                            digest.update(json.dumps(doc).encode())
-                            digest.update(b"\n")
+        for sigma, target, kind, report in mutation_reports():
+            if isinstance(report, IndexError):
+                verdict = f"IndexError: {report}"
+            else:
+                verdict = list(report.violations)
+            doc = [sigma.to_string(), target, kind, verdict]
+            digest.update(json.dumps(doc).encode())
+            digest.update(b"\n")
         assert digest.hexdigest() == GOLDEN_VIOLATION_DIGEST
+
+    def test_golden_verdict_digest(self):
+        digest = hashlib.sha256()
+        for sigma, target, kind, report in mutation_reports():
+            verdict = "IndexError" if isinstance(report, IndexError) else report.ok
+            digest.update(json.dumps([sigma.to_string(), target, kind, verdict]).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_VERDICT_DIGEST
+
+    def test_golden_shape_verdicts(self):
+        # the shape findings of group 0 are the violations that name its shape
+        digest = hashlib.sha256()
+        cases = 0
+        for n in range(1, 5):
+            triangle = [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
+            lone_groups = {
+                (target, shape): [
+                    GoodPartition(target, (PartitionGroup(shape, members),))
+                    for members in itertools.permutations(triangle, SHAPE_SIZES[shape])
+                ]
+                for target in ("K", "J")
+                for shape in Shape
+            }
+            for sigma in all_sigmas(n):
+                ctx = PatternContext(sigma)
+                for (target, shape), parts in lone_groups.items():
+                    flag = f"group 0 ({shape.value}):"
+                    verdicts = bytes(
+                        any(v.startswith(flag) for v in validate_partition(ctx, part).violations)
+                        for part in parts
+                    )
+                    cases += len(verdicts)
+                    digest.update(f"{sigma.to_string()} {target} {shape.value} ".encode())
+                    digest.update(verdicts)
+        assert cases == 196_344
+        assert digest.hexdigest() == GOLDEN_SHAPE_VERDICT_DIGEST
 
     def test_partition_json_schema(self):
         part, trace = construct_eta(SignVector.from_string("--"))
