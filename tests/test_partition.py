@@ -3,10 +3,13 @@
 import hashlib
 import itertools
 import json
+import math
+import operator
 import random
 
 import pytest
 
+from pohst.certify import check_pohst_case, group_bound
 from pohst.signs import (
     PatternContext,
     SignVector,
@@ -27,6 +30,7 @@ from pohst.partition import (
     build_pi,
     check_construction_invariants,
     construct_eta,
+    eta_partition,
     search_partition,
     validate_partition,
 )
@@ -230,6 +234,46 @@ class TestBuildPi:
                 part = build_pi(sigma)
                 assert validate_partition(sigma, part).ok
                 assert part.heavy_count == 0
+
+
+class TestElementaryCases:
+    def test_groups_are_the_four_inequalities(self):
+        # a group's first member (c2, r1) is the argument a of its
+        # elementary case and its last member (c1, r2) the product of all
+        # the arguments, so b is (r1 + 1, r2) or (c1, c2 - 1) and c is
+        # (r1 + 1, r2); the ladder's partitions, not the cached ones
+        rng = random.Random(16)
+        groups = 0
+        for n in range(1, 13):
+            for sigma in all_sigmas(n):
+                x = [s * rng.uniform(0.01, 0.99) for s in sigma]
+                # run[i][j] = x_i * ... * x_j
+                run = [[]] + [[0.0] * i + list(itertools.accumulate(x[i - 1:], operator.mul))
+                              for i in range(1, n + 1)]
+                ctx = PatternContext(sigma)
+                for part in (eta_partition(ctx), build_pi(ctx)):
+                    for g in part.groups:
+                        # the ladder lists members in construction order
+                        (c2, r1), (c1, r2) = g.members[0], g.members[-1]
+                        a = run[c2][r1]
+                        if g.shape is Shape.POSITIVE_SINGLETON:
+                            # its factor 1 - a is at most 1 without a case
+                            assert a >= 0
+                            continue
+                        if g.shape is Shape.NEGATIVE_SINGLETON:
+                            case, args = 1, (a,)
+                        elif g.shape is Shape.MIXED_PAIR:
+                            case, args = 2, (a, run[r1 + 1][r2] if c1 == c2 else run[c1][c2 - 1])
+                        elif g.shape is Shape.L_TRIPLE:
+                            case, args = 3, (a, run[r1 + 1][r2])
+                        else:
+                            case, args = 4, (a, run[c1][c2 - 1], run[r1 + 1][r2])
+                        check = check_pohst_case(case, *args)
+                        assert check.holds and check.bound == group_bound(g)
+                        product = math.prod(1.0 - run[i][j] for i, j in g.members)
+                        assert abs(check.value - product) <= 1e-12 * product
+                        groups += 1
+        assert groups == 196_402
 
 
 def reference_ladder(sigma, target):
