@@ -1,20 +1,27 @@
 """Good-partition construction and validation.
 
 The canonical set K and the non-canonical set J of a sign pattern are
-decomposed into groups of five admissible shapes:
+decomposed into groups of five admissible shapes.  Each shape is stated
+once: by the product signs of its members in construction order (rows
+ascend, and within a row the starts descend), and by the members that its
+first member ``(c2, r1)`` and its last member ``(c1, r2)`` fix.  The first
+member is the argument a of an elementary case and the last the product of
+all its arguments, so the ranges b = ``(r1 + 1, r2)`` or ``(c1, c2 - 1)``
+and c = ``(r1 + 1, r2)`` are the other arguments:
 
-* ``PositiveSingleton`` -- one pair of positive product sign;
-* ``MixedPair`` -- a positive pair inside a negative pair that shares its
-  start column or its end row;
-* ``RectangleQuad`` -- four pairs on two columns x two rows with signs
-  ``+ - / - +`` (positive on the main diagonal);
-* ``NegativeSingleton`` -- one pair of negative product sign;
-* ``LTriple`` -- a positive pair with a negative row-mate to its right and
-  a negative column-mate below it that ends just before the row-mate starts.
+* ``PositiveSingleton`` ``(+)`` -- one pair; a >= 0 bounds its factor by 1;
+* ``NegativeSingleton`` ``(-)`` -- one pair, elementary case 1;
+* ``MixedPair`` ``(+, -)`` -- first and last share exactly one column or
+  one row, case 2;
+* ``LTriple`` ``(-, -, +)`` -- ``(c, r1), (r1 + 1, r2), (c, r2)``, case 3;
+* ``RectangleQuad`` ``(+, -, -, +)`` -- ``(c2, r1), (c1, r1), (c2, r2),
+  (c1, r2)``, case 4.
 
-The last two shapes are *heavy*: their factor product is only bounded by 2
+The two heavy shapes, cases 1 and 3, bound their factor product by 2
 rather than 1, and a good partition of K must contain exactly
-``min(alpha + 1, beta)`` of them.  J admits the first three shapes only.
+``min(alpha + 1, beta)`` of them.  J admits the other three shapes only.
+One shape rule, ``_shape_findings``, holds a group to its sign tuple and
+its geometry; the validator and the sweep walk's row check share it.
 
 One deterministic case ladder builds both partitions: negatives are
 absorbed in construction order, each one either mated to a free positive
@@ -54,7 +61,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from pohst.signs import (
     Pair,
@@ -80,12 +87,13 @@ HEAVY_SHAPES = (Shape.NEGATIVE_SINGLETON, Shape.L_TRIPLE)
 # inside the interpreter's default recursion limit of 1000
 MAX_SEARCH_N = 48
 
-_MEMBER_COUNT = {
-    Shape.POSITIVE_SINGLETON: 1,
-    Shape.MIXED_PAIR: 2,
-    Shape.RECTANGLE_QUAD: 4,
-    Shape.NEGATIVE_SINGLETON: 1,
-    Shape.L_TRIPLE: 3,
+# the product signs of each shape's members in construction order
+_SIGNS = {
+    Shape.POSITIVE_SINGLETON: (1,),
+    Shape.NEGATIVE_SINGLETON: (-1,),
+    Shape.MIXED_PAIR: (1, -1),
+    Shape.L_TRIPLE: (-1, -1, 1),
+    Shape.RECTANGLE_QUAD: (1, -1, -1, 1),
 }
 
 
@@ -201,63 +209,45 @@ def _context(sigma: SignVector | PatternContext) -> PatternContext:
     return sigma if isinstance(sigma, PatternContext) else PatternContext(sigma)
 
 
-def _shape_findings(shape: Shape, members: tuple[Pair, ...], signs: list[int]) -> list[str]:
+def _geometry(shape: Shape, first: Pair, last: Pair) -> Optional[tuple[Pair, ...]]:
+    """The members, in construction order, of the ``shape`` group with this
+    first and last member; ``None`` when there is no such group.
+
+    The first member is the argument a of the shape's elementary case and
+    the last the product of all its arguments.
+    """
+    (c2, r1), (c1, r2) = first, last
+    if shape is Shape.MIXED_PAIR:
+        return (first, last) if (c1 == c2) != (r1 == r2) else None
+    if shape is Shape.L_TRIPLE:
+        return (first, (r1 + 1, r2), last) if c1 == c2 else None
+    if shape is Shape.RECTANGLE_QUAD:
+        return (first, (c1, r1), (c2, r2), last) if c1 < c2 and r1 < r2 else None
+    return (first,)
+
+
+def _shape_findings(
+    shape: Shape, members: tuple[Pair, ...], rows: Sequence[int], pos: Sequence[int]
+) -> list[str]:
     """Shape and sign rules for one group, as human-readable findings.
 
-    ``signs[k]`` is the product sign of ``members[k]``, or 0 when that pair
-    lies outside the target set.
+    Sorted into construction order, the members must be the ones their
+    first and last fix, which also rules out repeated members and a wrong
+    count, and carry the signs of ``_SIGNS[shape]`` on the bit rows
+    ``rows`` and positive bit rows ``pos`` of the target set.
     """
-    count = len(members)
-    if count > 1 and len(set(members)) != count:
-        return ["repeated member"]
-    if count != _MEMBER_COUNT[shape]:
-        return [f"{shape.value} needs {_MEMBER_COUNT[shape]} members, has {count}"]
-    if 0 in signs:
-        return ["member outside the target set"]
-    if count == 1:
-        if shape is Shape.POSITIVE_SINGLETON:
-            return [] if signs[0] > 0 else [f"singleton {members[0]} has negative product sign"]
-        return [] if signs[0] < 0 else [f"singleton {members[0]} has positive product sign"]
-    if shape is Shape.MIXED_PAIR:
-        if signs[0] == signs[1]:
-            return ["mixed pair needs one positive and one negative member"]
-        (pi, pj), (ni, nj) = members if signs[0] > 0 else members[::-1]
-        if (ni <= pi and nj == pj) or (ni == pi and pj <= nj):
-            return []
-        return [f"negative {(ni, nj)} does not enclose positive {(pi, pj)} along a row or column"]
-    if shape is Shape.RECTANGLE_QUAD:
-        # four distinct members on two columns and two rows fill the rectangle
-        cols = sorted({p[0] for p in members})
-        rows = sorted({p[1] for p in members})
-        if len(cols) != 2 or len(rows) != 2:
-            return ["rectangle needs two columns and two rows"]
-        (a, b), (u, v) = cols, rows
-        sign = dict(zip(members, signs))
-        return [
-            f"rectangle corner {p} has sign {sign[p]}, wants {w}"
-            for p, w in (((b, u), 1), ((a, u), -1), ((b, v), -1), ((a, v), 1))
-            if sign[p] != w
-        ]
-    # Shape.L_TRIPLE
-    pos = [p for p, s in zip(members, signs) if s > 0]
-    neg = [p for p, s in zip(members, signs) if s < 0]
-    if len(pos) != 1:
-        return ["L-triple needs one positive and two negative members"]
-    i, j = pos[0]
-    row_mates = [p for p in neg if p[1] == j and p[0] > i]
-    col_mates = [p for p in neg if p[0] == i and p[1] < j]
-    if len(row_mates) != 1 or len(col_mates) != 1:
-        return [
-            f"L-triple around {pos[0]} needs one row mate after it and one column mate below it"
-        ]
-    if col_mates[0][1] != row_mates[0][0] - 1:
-        # elementary case 3 needs the column mate and the row mate to split
-        # the positive pair's product exactly
-        return [
-            f"L-triple column mate {col_mates[0]} does not end just before "
-            f"row mate {row_mates[0]} starts"
-        ]
-    return []
+    ordered = tuple(sorted(members, key=pair_sort_key))
+    if not ordered or ordered != _geometry(shape, ordered[0], ordered[-1]):
+        return [f"members {ordered} do not match the shape's geometry"]
+    findings = []
+    for (i, j), sign in zip(ordered, _SIGNS[shape]):
+        if not rows[j] >> i & 1:
+            findings.append(f"member {(i, j)} lies outside the target set")
+        elif (1 if pos[j] >> i & 1 else -1) != sign:
+            findings.append(
+                f"member {(i, j)} has {'negative' if sign > 0 else 'positive'} product sign"
+            )
+    return findings
 
 
 def validate_partition(
@@ -280,7 +270,6 @@ def validate_partition(
     heavy = 0
     for idx, group in enumerate(part.groups):
         members = group.members
-        signs = []
         for p in members:
             i, j = p
             if not (1 <= i <= j <= n):
@@ -291,12 +280,9 @@ def validate_partition(
                 violations.append(f"pair {p} appears in groups {first} and {idx}")
             else:
                 seen[j] |= bit
-            if rows[j] & bit:
-                signs.append(1 if pos[j] & bit else -1)
-            else:
-                signs.append(0)
+            if not rows[j] & bit:
                 violations.append(f"group {idx}: pair {p} is not in the {target} set")
-        for finding in _shape_findings(group.shape, members, signs):
+        for finding in _shape_findings(group.shape, members, rows, pos):
             violations.append(f"group {idx} ({group.shape.value}): {finding}")
         if group.shape in HEAVY_SHAPES:
             heavy += 1
@@ -502,8 +488,7 @@ def _checked_row(
             if seen[row] & bit:
                 raise LadderStuck(state.sigma, target, None, f"pair {(i, row)} taken twice")
             seen[row] |= bit
-        signs = [(1 if pos[r] >> i & 1 else -1) if rows[r] >> i & 1 else 0 for i, r in members]
-        findings = _shape_findings(shape, members, signs)
+        findings = _shape_findings(shape, members, rows, pos)
         if findings:
             raise LadderStuck(state.sigma, target, None, findings[0])
         if shape in HEAVY_SHAPES and len(new) == len(members):

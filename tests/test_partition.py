@@ -49,9 +49,9 @@ def members_of(part):
     return {g.members for g in part.groups}
 
 
-def shape_violations(group, signmap):
+def shape_violations(group, sigma, target):
     """The validator's shape and sign rules for one group, as findings."""
-    return _shape_findings(group.shape, group.members, [signmap.get(p, 0) for p in group.members])
+    return _shape_findings(group.shape, group.members, *PatternContext(sigma).rows(target))
 
 
 class TestValidate:
@@ -121,26 +121,35 @@ class TestValidate:
 
     def test_mixed_pair_geometry(self):
         # in K of "--" the negative (1, 1) lies below the positive (1, 2) in
-        # its column instead of enclosing it
-        kmap = pair_sign_maps(SignVector.from_string("--"))[1]
-        findings = shape_violations(group(Shape.MIXED_PAIR, (1, 2), (1, 1)), kmap)
-        assert findings == ["negative (1, 1) does not enclose positive (1, 2) along a row or column"]
-        jmap = pair_sign_maps(SignVector.from_string("+-"))[0]
-        assert not shape_violations(group(Shape.MIXED_PAIR, (1, 1), (1, 2)), jmap)
+        # its column instead of enclosing it, so in construction order the
+        # signs read (-, +)
+        sigma = SignVector.from_string("--")
+        findings = shape_violations(group(Shape.MIXED_PAIR, (1, 2), (1, 1)), sigma, "K")
+        assert findings == [
+            "member (1, 1) has negative product sign",
+            "member (1, 2) has positive product sign",
+        ]
+        # (1, 1) and (2, 2) share no column and no row
+        findings = shape_violations(group(Shape.MIXED_PAIR, (2, 2), (1, 1)), sigma, "K")
+        assert findings == ["members ((1, 1), (2, 2)) do not match the shape's geometry"]
+        good = group(Shape.MIXED_PAIR, (1, 1), (1, 2))
+        assert not shape_violations(good, SignVector.from_string("+-"), "J")
 
     def test_l_triple_geometry(self):
         sigma = SignVector.from_string("--")
         good = group(Shape.L_TRIPLE, (1, 1), (1, 2), (2, 2))
-        assert not shape_violations(good, pair_sign_maps(sigma)[1])
+        assert not shape_violations(good, sigma, "K")
         bad = group(Shape.L_TRIPLE, (1, 1), (2, 2), (1, 2))
         # same members, shape inference must not depend on member order
-        assert not shape_violations(bad, pair_sign_maps(sigma)[1])
+        assert not shape_violations(bad, sigma, "K")
         # column mate (1,1) and row mate (4,4) are not adjacent, so the
         # triple is not elementary case 3: at x = (-1, 1e-3, 1e-3, -1) its
         # product is about 4 against a bound of 2
         sigma = SignVector.from_string("-++-")
         gapped = group(Shape.L_TRIPLE, (1, 1), (1, 4), (4, 4))
-        assert shape_violations(gapped, pair_sign_maps(sigma)[1])
+        assert shape_violations(gapped, sigma, "K") == [
+            "members ((1, 1), (4, 4), (1, 4)) do not match the shape's geometry"
+        ]
         part = GoodPartition("K", (
             gapped,
             group(Shape.MIXED_PAIR, (2, 3), (1, 3)),
@@ -148,7 +157,7 @@ class TestValidate:
         ))
         report = validate_partition(sigma, part)
         assert not report.ok
-        assert any("does not end just before" in v for v in report.violations)
+        assert any("do not match the shape's geometry" in v for v in report.violations)
 
 
 class TestBuildEta:
@@ -183,13 +192,11 @@ class TestBuildEta:
                 assert trace.op3_uses == part.heavy_count == min_heavy_target(sigma)
 
     def test_intermediate_groups_respect_shapes(self):
-        kmaps = {}
         for sigma in all_sigmas(6):
             _, trace = construct_eta(sigma)
-            kmap = pair_sign_maps(sigma)[1]
             for step in trace.steps:
                 produced = PartitionGroup(step.shape, step.produced)
-                assert not shape_violations(produced, kmap)
+                assert not shape_violations(produced, sigma, "K")
 
     def test_operations_conserve_heavy_budget(self):
         # heavy count moves only through operation 3; operation 4 trades one
@@ -530,9 +537,10 @@ GOLDEN_PARTITION_DIGEST = (
 
 # SHA-256 over the verdicts and violation messages of validate_partition on
 # seeded mutations of every K and J ladder partition with n <= 8, recorded
-# before the validator moved onto bit rows
+# when the shape rule became one sign table and one geometry, which changed
+# messages only (GOLDEN_VERDICT_DIGEST held)
 GOLDEN_VIOLATION_DIGEST = (
-    "4ee1596f33f073f8fbc014d8450d306f8c8c9d2a59fb353f804a542c0dd84fc9"
+    "283b655c5063997f06d7f425b9379e4bfd434895f7a3641d47b2d95093affc58"
 )
 
 # SHA-256 over report.ok, or the IndexError, of validate_partition on the
