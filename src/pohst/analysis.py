@@ -281,7 +281,8 @@ def sweep(
     is one walk over the sign prefixes of its patterns (:func:`_walk`),
     whose records stream out once it is done; parallel workers take
     ``WALK_TASKS`` runs of its keys of about equal walk node counts.
-    Output is independent of ``jobs``, which is capped at the CPU count.
+    Output is independent of ``jobs``, which must be positive and is
+    capped at the CPU count.
     """
     if not (0 <= n <= MAX_SWEEP_N):
         raise ValueError(f"sweep size must lie in 0..{MAX_SWEEP_N}, got {n}")
@@ -289,6 +290,8 @@ def sweep(
         raise ValueError(f"sweep seed must be non-negative, got {seed}")
     if exhaustive_cap < 1:
         raise ValueError(f"exhaustive cap must be positive, got {exhaustive_cap}")
+    if jobs < 1:
+        raise ValueError(f"sweep jobs must be positive, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     if not n:
         return iter(())

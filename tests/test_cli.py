@@ -236,6 +236,13 @@ class TestSweep:
         assert code == 2 and "error" in doc
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_exits_two_before_opening(self, capsys, tmp_path, jobs):
+        out = tmp_path / "x.jsonl"
+        code, doc = run(capsys, "sweep", "2", "--out", str(out), "--jobs", jobs)
+        assert code == 2 and "jobs must be positive" in doc["error"]
+        assert not out.exists()
+
     def test_unwritable_path(self, capsys):
         code, doc = run(capsys, "sweep", "2", "--out", "/nonexistent-dir/x.jsonl")
         assert code == 1
