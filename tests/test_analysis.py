@@ -142,7 +142,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("kwargs", [
         {"n": 25}, {"n": 21, "seed": -1}, {"n": 4, "seed": -1}, {"n": 4, "exhaustive_cap": 0},
-    ], ids=["size", "sampled-seed", "seed", "cap"])
+        {"n": 4, "jobs": 0}, {"n": 4, "jobs": -1},
+    ], ids=["size", "sampled-seed", "seed", "cap", "jobs-0", "jobs-negative"])
     def test_bad_arguments_raise_on_call(self, kwargs):
         # checked before any record is asked for, so callers can fail early
         with pytest.raises(ValueError):
