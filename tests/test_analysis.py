@@ -413,6 +413,49 @@ class TestMaximize:
         with pytest.raises(ValueError):
             MaximizeConfig(restarts=0)
 
+    # SHA-256 over the evaluation count, best value, restart values and best
+    # point (floats as hex) of every case of golden_maximize_cases, recorded
+    # with the scalar line search, one objective call per point
+    GOLDEN_MAXIMIZE_DIGEST = (
+        "531a56da9f9dc0f8569dbb84be6806b293f8f9d8cc34f20bf95cbc9b37b142a7"
+    )
+
+    @staticmethod
+    def golden_maximize_cases():
+        # every pattern with n <= 6; their three restarts stop after
+        # different iteration counts on 122 of the 127 patterns
+        small = MaximizeConfig(restarts=3, iterations=6, seed=1)
+        for n in range(7):
+            for index in range(1 << n):
+                yield pattern_from_index(n, index), small
+        # seeded longer patterns with few iterations; at n = 10 and 16 some
+        # restarts stop before the cap, at n = 24 and 64 all reach it
+        rng = random.Random(2212)
+        for n, count, cfg in (
+            (10, 3, MaximizeConfig(restarts=4, iterations=3, seed=5, delta=1e-3)),
+            (16, 2, MaximizeConfig(restarts=3, iterations=2, seed=2)),
+            (24, 2, MaximizeConfig(restarts=2, iterations=1, seed=7)),
+            (64, 1, MaximizeConfig(restarts=2, iterations=1, seed=3)),
+        ):
+            for _ in range(count):
+                yield SignVector(tuple(rng.choice((1, -1)) for _ in range(n))), cfg
+
+    def test_golden_maximize_digest(self):
+        digest = hashlib.sha256()
+        for sigma, cfg in self.golden_maximize_cases():
+            result = maximize_f(sigma, cfg)
+            doc = [
+                result.sigma,
+                [cfg.restarts, cfg.iterations, cfg.seed, cfg.delta.hex()],
+                result.evaluations,
+                result.best_value.hex(),
+                [v.hex() for v in result.restart_values],
+                [v.hex() for v in result.best_x],
+            ]
+            digest.update(json.dumps(doc).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == self.GOLDEN_MAXIMIZE_DIGEST
+
 
 class TestIdentity:
     def test_three_point_residual_is_exact_zero(self):
