@@ -21,7 +21,7 @@ from pohst.analysis import (
     sweep_one,
     sweep_summary,
 )
-from pohst.certify import RealVectorY, eval_P, partitions_for
+from pohst.certify import RealVectorY, eval_P, factor_matrix, partitions_for
 from pohst.partition import Shape, build_pi, eta_partition
 from pohst.signs import SignVector, min_heavy_target
 
@@ -40,6 +40,19 @@ def assert_flags_derived(records):
     for rec in records:
         assert rec.ladder == (rec.heavy >= 0)
         assert rec.valid == (rec.heavy == rec.target)
+
+
+def objective(x):
+    """The product of all factors ``1 - x_i * ... * x_j`` of a list ``x``, one
+    running product per start row, multiplied in lexicographic ``(i, j)`` order."""
+    n = len(x)
+    total = 1.0
+    for i in range(n):
+        running = 1.0
+        for j in range(i, n):
+            running *= x[j]
+            total *= 1.0 - running
+    return total
 
 
 def key_of(n, index):
@@ -412,6 +425,20 @@ class TestMaximize:
             MaximizeConfig(delta=0.0)
         with pytest.raises(ValueError):
             MaximizeConfig(restarts=0)
+
+    def test_batch_objective_matches_scalar_reference(self):
+        # maximize_f evaluates its line points as factor_matrix(X).prod(axis=1),
+        # up to 8 restarts of 17 points per batch; every row must equal the
+        # scalar running product bit for bit, with n = 0 giving 1.0
+        rng = np.random.default_rng(17)
+        assert factor_matrix(np.empty((3, 0))).prod(axis=1).tolist() == [1.0] * 3
+        for rows in range(1, 137):
+            n = 7 * rows % 65  # every n in 0..64 comes up twice
+            X = (1.0 - rng.random((rows, n))) * rng.choice((-1.0, 1.0), (rows, n))
+            full = rng.random((rows, n)) < 0.2  # full magnitudes, as restart 0 starts
+            X[full] = np.sign(X[full])
+            batch = factor_matrix(X).prod(axis=1).tolist()
+            assert batch == [objective(x) for x in X.tolist()]
 
     # SHA-256 over the evaluation count, best value, restart values and best
     # point (floats as hex) of every case of golden_maximize_cases, recorded

@@ -627,11 +627,11 @@ class TestMaximizeLengthCap:
         class Reached(Exception):
             pass
 
-        def refuse(x):
+        def refuse(X):
             raise Reached
 
-        # the line search's objective: reached only once the length passed
-        monkeypatch.setattr(analysis, "_objective", refuse)
+        # the line search's batch evaluator: reached only once the length passed
+        monkeypatch.setattr(analysis, "factor_matrix", refuse)
         cap = analysis.MAX_MAXIMIZE_N
         code, doc = run(capsys, "maximize", "-" * (cap + 1))
         assert code == 2 and f"at most {cap} signs" in doc["error"]
@@ -646,10 +646,10 @@ class TestMaximizeEvaluationCap:
         class Reached(Exception):
             pass
 
-        def refuse(x):
+        def refuse(X):
             raise Reached
 
-        monkeypatch.setattr(analysis, "_objective", refuse)
+        monkeypatch.setattr(analysis, "factor_matrix", refuse)
         cap = analysis.MAX_MAXIMIZE_EVALUATIONS
         # one sign: each restart costs at most 1 + 44 * iterations
         # evaluations, so 320 restarts of 71 iterations need exactly 10**6
