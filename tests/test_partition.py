@@ -79,6 +79,19 @@ class TestValidate:
         assert not report.ok
         assert any("positive product sign" in v for v in report.violations)
 
+    def test_member_outside_target_reported_once(self):
+        # (1, 2) lies in K for "++"; the shape rule alone names it
+        sigma = SignVector.from_string("++")
+        part = GoodPartition("J", (
+            group(Shape.POSITIVE_SINGLETON, (1, 2)),
+            group(Shape.POSITIVE_SINGLETON, (1, 1)),
+            group(Shape.POSITIVE_SINGLETON, (2, 2)),
+        ))
+        report = validate_partition(sigma, part)
+        assert report.violations == (
+            "group 0 (PositiveSingleton): member (1, 2) lies outside the target set",
+        )
+
     def test_heavy_count_enforced(self):
         # all-singleton cover of K is shape-valid but over-heavy
         sigma = SignVector.from_string("--")
@@ -537,10 +550,10 @@ GOLDEN_PARTITION_DIGEST = (
 
 # SHA-256 over the verdicts and violation messages of validate_partition on
 # seeded mutations of every K and J ladder partition with n <= 8, recorded
-# when the shape rule became one sign table and one geometry, which changed
-# messages only (GOLDEN_VERDICT_DIGEST held)
+# when the shape rule became the one check that a member lies in the target
+# set, which changed messages only (GOLDEN_VERDICT_DIGEST held)
 GOLDEN_VIOLATION_DIGEST = (
-    "283b655c5063997f06d7f425b9379e4bfd434895f7a3641d47b2d95093affc58"
+    "cfd6003d5eece39dec7e395ee5fab664c0fdc9f110f9484ac1a7b1f1b53d70d3"
 )
 
 # SHA-256 over report.ok, or the IndexError, of validate_partition on the
