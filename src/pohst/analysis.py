@@ -16,8 +16,10 @@ both validated constructions per pattern, is the walk's reference.
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
 are suprema approached as a coordinate shrinks to the magnitude floor, so
-results report the best value found and never claim attainment.  Every
-probe is checked live against the certified bound for its pattern.
+results report the best value found and never claim attainment.  The
+restarts climb in lockstep, so each stage of a line search is one
+``factor_matrix`` batch over every restart still climbing.  Every probe is
+checked live against the certified bound for its pattern.
 
 ``identity_residual`` and ``iterated_identity_residual`` evaluate both
 sides of the leave-one-out and leave-two-out product identities
@@ -433,9 +435,10 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
                 # the first highest point of each line, which a strict > scan
                 # in point order keeps
                 top = v.argmax(axis=1)
-                up = v[rows, top] > local_best
-                local_best[up] = v[rows[up], top[up]]
-                cand_best[up] = points[rows[up], top[up]]
+                peak = v[rows, top]
+                up = peak > local_best
+                local_best[up] = peak[up]
+                cand_best[up] = points[rows, top][up]
             mags[active, k] = cand_best
             improved += local_best - value
             values[active] = local_best
