@@ -379,17 +379,16 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
 
     Patterns longer than ``MAX_MAXIMIZE_N`` raise ``ValueError``.  At 64
     signs with the default config, 24 patterns (all-minus, all-plus, both
-    alternations and 20 seeded random ones) took 1.4-8.7 s of CPU each,
-    32-111 us per evaluation and the worst 104,200 evaluations, on a
+    alternations and 20 seeded random ones) took 0.7-1.6 s of CPU each,
+    15-19 us per evaluation and the worst 98,568 evaluations, on a
     2-vCPU x86 host with CPython 3.11 and numpy 2.4.
 
     A config whose worst case ``restarts * (1 + iterations * n * 44)``
     exceeds ``MAX_MAXIMIZE_EVALUATIONS`` = 10**6 raises ``ValueError``
     before the first evaluation; the default config needs at most
-    8 * (1 + 40 * 64 * 44) = 901,128.  A batch costs about as much at 9 rows
-    as at 136, so evaluations cost most with one restart at 64 signs,
-    287-348 us of CPU each on the same host, and no accepted call runs
-    longer than about 4.8-5.8 min.
+    8 * (1 + 40 * 64 * 44) = 901,128.  Evaluations cost most with one
+    restart at 64 signs, 27-41 us of CPU each on the same host, so no
+    accepted call runs longer than about 0.7 min.
     """
     n = len(sigma)
     if n > MAX_MAXIMIZE_N:
@@ -550,10 +549,14 @@ def bound_soundness_sample(
     One stable sort of the pattern codes makes each pattern a contiguous
     block of samples; per block, ``factor_matrix`` builds the factors and
     one ``reduceat`` forms every group product of both partitions.  ``n``
-    must lie in 0..63, where a pattern code fits a non-negative int64.
+    must lie in 0..63, where a pattern code fits a non-negative int64.  The
+    tolerance must be finite, since a NaN or infinite one admits every
+    product; a negative one is allowed and tightens the bounds.
     """
     if not (0 <= n <= MAX_SOUNDNESS_N):
         raise ValueError(f"soundness size must lie in 0..{MAX_SOUNDNESS_N}, got {n}")
+    if not math.isfinite(tolerance):
+        raise ValueError(f"soundness tolerance must be finite, got {tolerance!r}")
     rng = np.random.default_rng(seed)
     X = 1.0 - rng.random((samples, n))
     negative = rng.random((samples, n)) < 0.5

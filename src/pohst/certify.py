@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -48,20 +48,26 @@ class DomainError(ValueError):
     """An input violates the hypotheses of the statement being evaluated."""
 
 
+def _nonzero_floats(entries: Iterable) -> tuple[float, ...]:
+    """``entries`` as a float tuple; :class:`DomainError` unless each is finite and nonzero."""
+    values = tuple(float(v) for v in entries)
+    for v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"entries must be finite, got {v!r}")
+        if v == 0:
+            raise DomainError("entries must be nonzero")
+    return values
+
+
 @dataclass(frozen=True)
 class RealVectorX:
-    """Nonzero reals with ``|x_i| <= 1``; the boundary is allowed."""
+    """Nonzero reals with ``|x_i| <= 1``, stored as floats; the boundary is allowed."""
 
     entries: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(float(v) for v in self.entries))
+        object.__setattr__(self, "entries", _nonzero_floats(self.entries))
         for v in self.entries:
-            if not math.isfinite(v):
-                raise DomainError(f"entries must be finite, got {v!r}")
-            if v == 0:
-                raise DomainError("entries must be nonzero")
             if abs(v) > 1:
                 raise DomainError(f"entries must satisfy |x| <= 1, got {v!r}")
 
@@ -74,19 +80,14 @@ class RealVectorX:
 
 @dataclass(frozen=True)
 class RealVectorY:
-    """Nonzero reals with strictly increasing absolute values."""
+    """Nonzero reals with strictly increasing absolute values, stored as floats."""
 
     entries: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(float(v) for v in self.entries))
+        object.__setattr__(self, "entries", _nonzero_floats(self.entries))
         prev = None
         for v in self.entries:
-            if not math.isfinite(v):
-                raise DomainError(f"entries must be finite, got {v!r}")
-            if v == 0:
-                raise DomainError("entries must be nonzero")
             if prev is not None and abs(v) <= prev:
                 raise DomainError(
                     f"absolute values must grow strictly, got |{v!r}| after {prev!r}"
@@ -118,22 +119,23 @@ def factor_table(x: RealVectorX) -> dict[Pair, float]:
 def factor_matrix(X: np.ndarray) -> np.ndarray:
     """Batch ``factor_table``: a ``(rows, n)`` array to ``(rows, n(n+1)/2)`` factors.
 
-    Columns follow the table's lexicographic ``(i, j)`` order, and each
-    running product extends the previous column by one entry exactly as
-    the scalar loop does, so every row equals ``factor_table`` of that row
-    bit for bit.  The result is Fortran-ordered: the factors of one pair
-    are contiguous, which keeps the running products, column gathers and
-    row products vectorized over the rows.
+    Columns follow the table's lexicographic ``(i, j)`` order.  Start row i
+    owns the ``n - i`` contiguous columns of pairs ``(i, i..n)``, and one
+    ``np.multiply.accumulate`` over entries i..n writes all of its running
+    products there; an accumulate multiplies left to right as the scalar
+    loop does, so every row equals ``factor_table`` of that row bit for bit.
+    A batch costs n numpy calls plus the final subtraction, and each
+    accumulate loops once per row, so the cost grows with rows * n.  The
+    result is Fortran-ordered: the factors of one pair are contiguous,
+    which keeps the column gathers and row products vectorized over the
+    rows.
     """
     rows, n = X.shape
     FT = np.empty((n * (n + 1) // 2, rows))
     col = 0
     for i in range(n):
-        FT[col] = X[:, i]
-        for j in range(i + 1, n):
-            np.multiply(FT[col], X[:, j], out=FT[col + 1])
-            col += 1
-        col += 1
+        np.multiply.accumulate(X[:, i:], axis=1, out=FT[col:col + n - i].T)
+        col += n - i
     return np.subtract(1.0, FT, out=FT).T
 
 

@@ -620,3 +620,12 @@ class TestSoundnessSample:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="0..63"):
             bound_soundness_sample(n, 200)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tolerance, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("samples drawn before the tolerance check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            bound_soundness_sample(4, 2000, tolerance=tolerance)

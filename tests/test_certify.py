@@ -1,6 +1,7 @@
 """Numeric evaluation, elementary inequalities and certificates."""
 
 import itertools
+import json
 import math
 import random
 
@@ -64,6 +65,18 @@ class TestVectors:
             RealVectorY((1.0, 0.0, 2.0))
         RealVectorY((1.0, -2.0, 4.0))
 
+    @pytest.mark.parametrize("entries", [(1, -1), [1, -1], (True, -1)])
+    def test_x_entries_become_floats(self, entries):
+        x = RealVectorX(entries)
+        assert x.entries == (1.0, -1.0) and all(type(v) is float for v in x.entries)
+        doc = certify_x(x).to_json_dict()["input"]
+        assert json.dumps(doc) == '{"kind": "x", "values": [1.0, -1.0]}'
+
+    def test_y_entries_become_floats(self):
+        y = RealVectorY((True, -2, np.int64(4)))
+        assert y.entries == (1.0, -2.0, 4.0) and all(type(v) is float for v in y.entries)
+        assert json.dumps(certify_y(y).to_json_dict()["input"]["values"]) == "[1.0, -2.0, 4.0]"
+
 
 class TestEvaluation:
     def test_factor_examples(self):
@@ -95,15 +108,16 @@ class TestEvaluation:
             f = eval_f(x_from_y(y))
             assert abs(P - f) <= 1e-12 * max(abs(P), abs(f))
 
-    @pytest.mark.parametrize("n", [0, 1, 12])
+    @pytest.mark.parametrize("n", [0, 1, 12, 64])
     def test_factor_matrix_rows_equal_factor_table(self, n):
         rng = np.random.default_rng(n)
-        X = (1.0 - rng.random((300, n))) * np.where(rng.random((300, n)) < 0.5, -1.0, 1.0)
-        F = factor_matrix(X)
-        assert F.shape == (300, n * (n + 1) // 2)
-        for row, values in zip(X, F):
-            table = factor_table(RealVectorX(tuple(float(v) for v in row)))
-            assert [v.hex() for v in table.values()] == [float(v).hex() for v in values]
+        for rows in (1, 17, 300):
+            X = (1.0 - rng.random((rows, n))) * np.where(rng.random((rows, n)) < 0.5, -1.0, 1.0)
+            F = factor_matrix(X)
+            assert F.shape == (rows, n * (n + 1) // 2)
+            for row, values in zip(X, F):
+                table = factor_table(RealVectorX(row))
+                assert [v.hex() for v in table.values()] == [float(v).hex() for v in values]
 
     def test_factor_sign_ranges(self):
         rng = random.Random(5)
