@@ -50,7 +50,7 @@ class DomainError(ValueError):
 
 def _nonzero_floats(entries: Iterable) -> tuple[float, ...]:
     """``entries`` as a float tuple; :class:`DomainError` unless each is finite and nonzero."""
-    values = tuple(float(v) for v in entries)
+    values = tuple(map(float, entries))
     for v in values:
         if not math.isfinite(v):
             raise DomainError(f"entries must be finite, got {v!r}")
