@@ -10,8 +10,9 @@ each node runs the shared ladder row step once for every requested
 pattern below it, and the checks of its rows and leaves live beside
 ``validate_partition`` in :mod:`pohst.partition`.  The walk enters only
 the prefixes that lead to a requested pattern, so a sampled sweep takes
-the same path as an exhaustive one.  ``sweep_one``, one context and
-both validated constructions per pattern, is the walk's reference.
+the same path as an exhaustive one.  The walk is the one construction
+this module runs (soundness sampling reads ``partitions_for``); the tests
+hold it to a per-pattern reference.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -41,8 +42,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pohst.signs import PatternContext, SignVector, min_heavy_target
-from pohst.partition import (
-    LadderStuck, _checked_leaf, _checked_row, _LadderState, build_pi, eta_partition)
+from pohst.partition import LadderStuck, _checked_leaf, _checked_row, _LadderState
 from pohst.certify import (
     DEFAULT_TOLERANCE, RealVectorY, factor_matrix, group_bound, pair_factor_table,
     partitions_for)
@@ -121,23 +121,6 @@ def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> np.ndarray:
     return np.unique(np.concatenate((np.arange(0, total, stride, dtype=np.int64), drawn)))
 
 
-def sweep_one(n: int, index: int) -> SweepRecord:
-    """Record for one pattern; a stuck ladder surfaces as heavy = -1, ladder = False.
-
-    One context feeds both validated constructions directly, bypassing the
-    ``partitions_for`` cache.  ``sweep`` never calls it: this is the
-    per-pattern reference that the tests hold the prefix walk to."""
-    ctx = PatternContext(pattern_from_index(n, index))
-    sigma, target = ctx.sigma.to_string(), ctx.target
-    sizes = ctx.size("J"), ctx.size("K")
-    try:
-        heavy = eta_partition(ctx).heavy_count
-        build_pi(ctx)
-    except LadderStuck:
-        heavy = -1
-    return SweepRecord(sigma, *sizes, heavy, target)
-
-
 def _walk(n: int, keys: np.ndarray) -> np.ndarray:
     """The ``(len(keys), 3)`` int16 array of heavy count, |K| and target.
 
@@ -160,9 +143,9 @@ def _walk(n: int, keys: np.ndarray) -> np.ndarray:
 
     The checks live beside ``validate_partition`` in :mod:`pohst.partition`:
     ``_checked_row`` at each node, ``_checked_leaf`` at each leaf.  Either
-    raises ``LadderStuck``, which flags every pattern below the node as
-    ``sweep_one`` does, with heavy = -1.  |J| is not counted: J and K
-    split the ``n(n+1)/2`` pairs of the triangle.
+    raises ``LadderStuck``, which flags every pattern below the node with
+    heavy = -1, as a stuck per-pattern construction would be.  |J| is not
+    counted: J and K split the ``n(n+1)/2`` pairs of the triangle.
     """
     size = len(keys)
     # one column per field, so each leaf makes three scalar writes

@@ -347,8 +347,11 @@ def certify_y(y: RealVectorY, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
     The exponent is computed from the y signs directly and cross-checked
     against the prefix-count form coming out of the change of variables;
     the two cannot differ because ``min(p, m)`` is invariant under a global
-    sign flip.  Raises :class:`DomainError` as ``certify_x`` does.
+    sign flip.  Raises :class:`DomainError` as ``certify_x`` does, and for
+    an empty y, which has no x vector, before any partition is built.
     """
+    if not len(y):
+        raise DomainError("a y vector needs at least one entry")
     x = x_from_y(y)
     cert = certify_x(x, tolerance)
     p = sum(1 for v in y.entries if v > 0)

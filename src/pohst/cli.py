@@ -27,10 +27,11 @@ per iteration); longer patterns exit 2.
 ``partition``'s search and both modes take at most ``MAX_SEARCH_N`` = 48
 signs (the search recurses once per negative pair); longer patterns exit 2.
 ``certify`` takes at most ``MAX_CERTIFY_N`` = 1024 x entries (1025 y
-entries; a certificate costs O(n^2)); longer vectors exit 2.  ``identity``
-takes at most ``MAX_IDENTITY_N`` = 64 y entries (the leave-two-out side
-costs O(n^4)); longer vectors exit 2.  A ``--tolerance`` of ``certify`` or
-``identity`` that is negative or not finite exits 2.
+entries; a certificate costs O(n^2)); longer vectors exit 2, as does an
+empty y.  ``identity`` takes at most ``MAX_IDENTITY_N`` = 64 y entries
+(the leave-two-out side costs O(n^4)); longer vectors exit 2.  A
+``--tolerance`` of ``certify`` or ``identity`` that is negative or not
+finite exits 2.
 """
 
 from __future__ import annotations

@@ -31,18 +31,18 @@ singleton in its row tail (operation 1), mated down its column (operation
 on a level before the column mate: the negative is parked as a heavy
 singleton on an unstable level (operation 3), or folded into an L-triple
 with the surviving heavy singleton one row below its start on a stable
-level (operation 4).  One row step, ``_ladder_row``, holds every move: it
-absorbs the negatives of one row into an explicit state (free rows and
-columns, live row-mate pairs, heavy starts) and reports each group it
-forms or grows.  The per-pattern ladder runs it over rows 1..n, the sweep
-walk in :mod:`pohst.analysis` once per node through ``_checked_row``,
-which with ``_checked_leaf`` checks what ``validate_partition`` checks.
-``construct_eta`` (with the trace), ``eta_partition`` (without one) and
+level (operation 4).  One row step, ``_ladder_row``, holds every move and
+only moves: it absorbs the negatives of one row into an explicit state
+(free rows and columns, live row-mate pairs, heavy starts) and reports
+each group it forms or grows.  The per-pattern ladder runs it over rows
+1..n, the sweep walk in :mod:`pohst.analysis` once per node through
+``_checked_row``, which with ``_checked_leaf`` checks what
+``validate_partition`` checks.  ``construct_eta``, ``eta_partition`` and
 ``build_pi`` validate the ladder's partition of K or J once and raise
 :class:`LadderStuck` when it is stuck or invalid: the ladder is the only
-construction path.  Trace steps are built only for callers that read
-them.  ``search_partition``, the independent backtracking oracle over the
-same move set, serves the tests and the CLI's search modes only.
+construction path.  ``construct_eta`` alone then has ``_trace`` read K's
+trace off the row step's reports.  ``search_partition``, the independent
+oracle over the same move set, serves the tests and the CLI's search modes.
 ``validate_partition`` checks any claimed partition against the shape and count rules.
 
 The ladder and the validator work on the bit rows of a
@@ -184,6 +184,14 @@ class ConstructionTrace:
             "op3_uses": self.op3_uses,
             "steps": [s.to_json_dict() for s in self.steps],
         }
+
+
+# a row step's report: shape, members in construction order, new members
+_Report = tuple[Shape, tuple[Pair, ...], tuple[Pair, ...]]
+
+# per reported shape: K's operation and the negative's position among the members
+_MOVES = {Shape.MIXED_PAIR: (1, 1), Shape.RECTANGLE_QUAD: (2, 2),
+          Shape.NEGATIVE_SINGLETON: (3, 0), Shape.L_TRIPLE: (4, 1)}
 
 
 @dataclass(frozen=True)
@@ -356,8 +364,7 @@ def _ladder_row(
     pos: int,
     stable: bool,
     heavy: bool,
-    steps: Optional[list[TraceStep]] = None,
-) -> list[tuple[Shape, tuple[Pair, ...], tuple[Pair, ...]]]:
+) -> list[_Report]:
     """Absorb the negatives of row ``j`` into ``state``: the one copy of the moves.
 
     ``row`` and ``pos`` are the row's pairs and positive pairs of the target
@@ -373,8 +380,8 @@ def _ladder_row(
     The row mate is the lowest free bit above i, the column mate the
     highest free bit below j.  Every group formed or grown is reported as
     ``(shape, members, new members)``, members in construction order; a
-    grown group keeps its first member.  ``TraceStep``s, with K's case
-    numbers, are appended to ``steps`` only when the caller passes a list.
+    grown group keeps its first member.  Each negative gets one report, so
+    the reports are also all :func:`_trace` reads to number K's cases.
     Raises :class:`LadderStuck` when a negative has no move.
     """
     free_row, free_col, row_pairs = state.free_row, state.free_col, state.row_pairs
@@ -404,19 +411,14 @@ def _ladder_row(
             pair_low[j * stride + i2] = i
             members = ((i2, j), neg)
             reports.append((Shape.MIXED_PAIR, members, members))
-            if steps is not None:
-                steps.append(TraceStep(neg, 1, 1, (members[:1],), members, Shape.MIXED_PAIR))
             continue
 
-        case = 0
         if heavy:
             failures += 1
             if failures == 1 and not stable:
                 heavy_start[j] = i
                 members = (neg,)
                 reports.append((Shape.NEGATIVE_SINGLETON, members, members))
-                if steps is not None:
-                    steps.append(TraceStep(neg, 2, 3, (), members, Shape.NEGATIVE_SINGLETON))
                 continue
             if failures == 1:
                 ell = heavy_start[i - 1]
@@ -427,15 +429,11 @@ def _ladder_row(
                     low, top = (ell, i - 1), (ell, j)
                     # grows the heavy singleton (ell, i - 1)
                     reports.append((Shape.L_TRIPLE, (low, neg, top), (neg, top)))
-                    if steps is not None:
-                        steps.append(TraceStep(
-                            neg, 5, 4, ((low,), (top,)), (low, neg, top), Shape.L_TRIPLE))
                     continue
                 raise LadderStuck(
                     state.sigma, "K", neg,
                     "no heavy singleton survives one row below the start",
                 )
-            case = 6 if stable else (3 if failures == 2 else 4)
 
         below = free_col[i] & below_j
         if below:
@@ -444,8 +442,6 @@ def _ladder_row(
             free_row[j2] ^= 1 << i
             members = ((i, j2), neg)
             reports.append((Shape.MIXED_PAIR, members, members))
-            if steps is not None:
-                steps.append(TraceStep(neg, case, 1, (members[:1],), members, Shape.MIXED_PAIR))
             continue
 
         candidates = row_pairs[i] & below_j
@@ -460,11 +456,6 @@ def _ladder_row(
                 pair, corner = ((i, ell), (c, ell)), (c, j)
                 # grows the row-mate pair, which starts with its positive member
                 reports.append((Shape.RECTANGLE_QUAD, pair + (neg, corner), (neg, corner)))
-                if steps is not None:
-                    steps.append(TraceStep(
-                        neg, case, 2, (pair, (corner,)), pair + (neg, corner),
-                        Shape.RECTANGLE_QUAD,
-                    ))
                 break
         else:
             raise LadderStuck(
@@ -506,15 +497,13 @@ def _checked_leaf(
             raise LadderStuck(state.sigma, target, None, "groups and free pairs do not tile")
 
 
-def _ladder(
-    ctx: PatternContext, target: str, trace: bool = True
-) -> tuple[GoodPartition, Optional[ConstructionTrace]]:
+def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[_Report]]]:
     """Run the case ladder over K or J, row by row through :func:`_ladder_row`.
 
     Raises :class:`LadderStuck` on any gap.  The live groups are keyed by
     the position of their first member, so one sort on an int key orders
-    the partition.  K alone has a trace, recorded when ``trace`` is true;
-    otherwise the trace is ``None``.
+    the partition.  Returned beside it are the row step's reports, one list
+    per row, from which :func:`_trace` reads K's trace.
 
     The result is not validated here; :func:`construct_eta`,
     :func:`eta_partition` and :func:`build_pi` validate it once.
@@ -524,13 +513,14 @@ def _ladder(
     rows, pos = ctx.rows(target)
     stable = ctx.stable
     state = _LadderState(n, ctx.sigma)
-    steps: Optional[list[TraceStep]] = [] if heavy and trace else None
+    reports = []
     # live groups keyed by their first member (i, j) as j * stride - i,
     # which ascends in construction order
     stride = n + 1
     groups: dict[int, tuple[Shape, tuple[Pair, ...]]] = {}
     for j in range(1, n + 1):
-        for shape, members, _ in _ladder_row(state, j, rows[j], pos[j], stable[j], heavy, steps):
+        reports.append(_ladder_row(state, j, rows[j], pos[j], stable[j], heavy))
+        for shape, members, _ in reports[-1]:
             i, first_row = members[0]
             groups[first_row * stride - i] = (shape, members)
 
@@ -543,12 +533,34 @@ def _ladder(
             row ^= low
 
     ordered = tuple(PartitionGroup(*groups[key]) for key in sorted(groups))
-    if not heavy:
-        return GoodPartition(target, ordered, "greedy"), None
-    part = GoodPartition(target, ordered, "ladder")
-    if steps is None:
-        return part, None
-    return part, ConstructionTrace(tuple(steps), sum(s.operation == 3 for s in steps))
+    return GoodPartition(target, ordered, "ladder" if heavy else "greedy"), reports
+
+
+def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTrace:
+    """K's trace, read off the ladder's reports on ``ctx``, one list per row.
+
+    The shape fixes the operation and the negative's place (``_MOVES``);
+    the members before and after it are what the move consumed.  A mixed
+    pair starting in the negative's row is its row mate, case 1; any other
+    report is a row failure: case 2 for operation 3, case 5 for operation
+    4, else case 6 on a stable level, case 3 at the second failure, 4 later.
+    """
+    steps = []
+    for j, row in enumerate(reports, 1):
+        failures = 0
+        for shape, members, _ in row:
+            operation, at = _MOVES[shape]
+            if shape is Shape.MIXED_PAIR and members[0][1] == j:
+                case = 1
+            else:
+                failures += 1
+                if operation > 2:
+                    case = 2 if operation == 3 else 5
+                else:
+                    case = 6 if ctx.stable[j] else (3 if failures == 2 else 4)
+            consumed = tuple(part for part in (members[:at], members[at + 1:]) if part)
+            steps.append(TraceStep(members[at], case, operation, consumed, members, shape))
+    return ConstructionTrace(tuple(steps), sum(s.operation == 3 for s in steps))
 
 
 def _checked(ctx: PatternContext, part: GoodPartition) -> GoodPartition:
@@ -566,16 +578,16 @@ def _checked(ctx: PatternContext, part: GoodPartition) -> GoodPartition:
 def construct_eta(
     sigma: SignVector | PatternContext,
 ) -> tuple[GoodPartition, ConstructionTrace]:
-    """Validated good partition of K and its trace.  Raises :class:`LadderStuck`."""
+    """Validated good partition of K, then its trace.  Raises :class:`LadderStuck`."""
     ctx = _context(sigma)
-    part, trace = _ladder(ctx, "K")
-    return _checked(ctx, part), trace
+    part, reports = _ladder(ctx, "K")
+    return _checked(ctx, part), _trace(ctx, reports)
 
 
 def eta_partition(sigma: SignVector | PatternContext) -> GoodPartition:
-    """Validated good partition of K, built without a trace.  Raises :class:`LadderStuck`."""
+    """Validated good partition of K, without a trace.  Raises :class:`LadderStuck`."""
     ctx = _context(sigma)
-    return _checked(ctx, _ladder(ctx, "K", trace=False)[0])
+    return _checked(ctx, _ladder(ctx, "K")[0])
 
 
 def build_pi(sigma: SignVector | PatternContext) -> GoodPartition:

@@ -12,18 +12,18 @@ from pohst.analysis import (
     MAX_IDENTITY_N,
     DegenerateInput,
     MaximizeConfig,
+    SweepRecord,
     bound_soundness_sample,
     identity_residual,
     iterated_identity_residual,
     maximize_f,
     pattern_from_index,
     sweep,
-    sweep_one,
     sweep_summary,
 )
 from pohst.certify import RealVectorY, eval_P, factor_matrix, partitions_for
-from pohst.partition import Shape, build_pi, eta_partition
-from pohst.signs import SignVector, min_heavy_target
+from pohst.partition import LadderStuck, Shape, build_pi, eta_partition
+from pohst.signs import PatternContext, SignVector, min_heavy_target
 
 
 def random_y(rng, n, growth=(0.1, 2.0)):
@@ -33,6 +33,19 @@ def random_y(rng, n, growth=(0.1, 2.0)):
         out.append(rng.choice((1, -1)) * mag)
         mag *= 1.0 + rng.uniform(*growth)
     return RealVectorY(tuple(out))
+
+
+def sweep_one(n, index):
+    """The walk's per-pattern reference: one context feeds both validated
+    constructions, bypassing the ``partitions_for`` cache, and a stuck
+    ladder surfaces as heavy = -1."""
+    ctx = PatternContext(pattern_from_index(n, index))
+    try:
+        heavy = eta_partition(ctx).heavy_count
+        build_pi(ctx)
+    except LadderStuck:
+        heavy = -1
+    return SweepRecord(ctx.sigma.to_string(), ctx.size("J"), ctx.size("K"), heavy, ctx.target)
 
 
 def assert_flags_derived(records):
@@ -233,7 +246,7 @@ class TestSweep:
         assert 64 <= len(indices) <= 2 ** 8
         records = sweep(8, jobs=2, exhaustive_cap=cap)
         assert tasks == [] and shutdowns == []  # nothing runs before the first record
-        assert next(records) == analysis.sweep_one(8, 0)
+        assert next(records) == sweep_one(8, 0)
         records.close()
         assert len(tasks) == analysis.WALK_TASKS
         keys = sorted(key_of(8, i) for i in indices)
@@ -288,8 +301,6 @@ class TestWalk:
     """The exhaustive sweep's prefix walk against the per-pattern reference."""
 
     def test_matches_sweep_one_through_n12(self):
-        from pohst.analysis import sweep_one
-
         for n in range(1, 13):
             assert list(sweep(n)) == [sweep_one(n, i) for i in range(1 << n)]
 
@@ -297,7 +308,7 @@ class TestWalk:
     def test_subtree_matches_sweep_one(self, n):
         # every pattern under one seeded depth-8 prefix, where the runs are
         # complete, plus 200 scattered ones, whose paths the walk prunes
-        from pohst.analysis import _walk, sweep_one
+        from pohst.analysis import _walk
 
         rng = random.Random(n)
         prefix = rng.randrange(1 << 8)
@@ -315,17 +326,13 @@ class TestWalk:
                 rec.heavy, rec.J, rec.K, rec.target)
 
     def test_sampled_sweep_walks_without_sweep_one(self, monkeypatch):
+        # pohst.analysis holds no per-pattern path, so the sampled sweep walks
         import pohst.analysis as analysis
 
         monkeypatch.setattr(analysis, "SUBSAMPLE_RANDOM_COUNT", 40)
         indices = analysis._sweep_indices(8, 0, 16).tolist()
         assert 16 < len(indices) < 64
-        reference = [analysis.sweep_one(8, i) for i in indices]
-
-        def refuse(n, index):
-            raise AssertionError("sweep called sweep_one")
-
-        monkeypatch.setattr(analysis, "sweep_one", refuse)
+        reference = [sweep_one(8, i) for i in indices]
         assert list(sweep(8, exhaustive_cap=16)) == reference
 
     @pytest.mark.parametrize("where", ["report", "state", "new"])

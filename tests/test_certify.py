@@ -290,6 +290,22 @@ class TestPartitionCache:
 
 
 class TestCertifyY:
+    def test_empty_y_rejected_before_partitions(self, monkeypatch):
+        import pohst.certify as certify
+
+        def refuse(sigma):
+            raise AssertionError("a partition was built")
+
+        monkeypatch.setattr(certify, "partitions_for", refuse)
+        with pytest.raises(DomainError, match="at least one entry"):
+            certify_y(RealVectorY(()))
+        monkeypatch.undo()
+        # an empty x vector is the one-entry y case
+        cert = certify_x(RealVectorX(()))
+        assert cert.ok and (cert.n_x, cert.n_y, cert.total) == (0, 1, 1.0)
+        cert = certify_y(RealVectorY((-3.0,)))
+        assert cert.ok and (cert.n_x, cert.n_y, cert.total) == (0, 1, 1.0)
+
     def test_examples(self):
         cert = certify_y(RealVectorY((1.0, -2.0, 4.0)))
         assert cert.ok and cert.exponent == 1 and cert.total == 1.6875

@@ -141,6 +141,14 @@ class TestCertify:
         assert code == 2
         assert "error" in doc
 
+    def test_empty_y_is_a_usage_error(self, capsys):
+        code, doc = run(capsys, "certify", "--y", "")
+        assert code == 2 and "at least one entry" in doc["error"]
+        # an empty x vector is the one-entry y case
+        code, doc = run(capsys, "certify", "--x", "")
+        assert code == 0 and (doc["n_x"], doc["n_y"]) == (0, 1)
+        assert doc["input"] == {"kind": "x", "values": []}
+
     def test_consecutive_calls_leak_no_state(self, capsys):
         # the parser is built once per process; options of one call must
         # not survive into the next
@@ -415,7 +423,7 @@ class TestExitCodeSurfaces:
         import pohst.partition as partition
         from pohst.certify import partitions_for
 
-        def stuck(ctx, target, trace=True):
+        def stuck(ctx, target):
             raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
 
         monkeypatch.setattr(partition, "_ladder", stuck)
@@ -542,7 +550,7 @@ class TestExitCodeSurfaces:
         for argv in self.GOLDEN_ARGV:
             record(argv)
 
-        def stuck(ctx, target, trace=True):
+        def stuck(ctx, target):
             raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
 
         with monkeypatch.context() as patched:

@@ -19,7 +19,6 @@ from pohst.signs import (
 )
 from pohst.partition import (
     MAX_SEARCH_N,
-    _ladder,
     _shape_findings,
     ConstructionTrace,
     GoodPartition,
@@ -372,11 +371,29 @@ def reference_ladder(sigma, target):
 
 class TestBitRowLadder:
     def test_matches_reference_ladder(self):
+        # K's trace is read off the row step's reports after the ladder ran
         for n in range(11):
             for sigma in all_sigmas(n):
                 ctx = PatternContext(sigma)
-                for target in ("K", "J"):
-                    assert _ladder(ctx, target) == reference_ladder(sigma, target)
+                for target, built in (("K", construct_eta(ctx)), ("J", (build_pi(ctx), None))):
+                    assert built == reference_ladder(sigma, target)
+
+    def test_untraced_builds_make_no_trace_step(self, monkeypatch):
+        import pohst.partition as partition
+        from pohst.certify import partitions_for
+
+        def refuse(*args):
+            raise AssertionError("a trace step was built")
+
+        monkeypatch.setattr(partition, "TraceStep", refuse)
+        for n in range(9):
+            for sigma in all_sigmas(n):
+                ctx = PatternContext(sigma)
+                assert eta_partition(ctx) == reference_ladder(sigma, "K")[0]
+                assert build_pi(ctx) == reference_ladder(sigma, "J")[0]
+                assert partitions_for.__wrapped__(sigma) == (eta_partition(ctx), build_pi(ctx))
+        with pytest.raises(AssertionError, match="trace step"):
+            construct_eta(SignVector.from_string("-+-"))
 
 
 class TestSearch:
