@@ -49,6 +49,11 @@ from pohst.certify import (
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
+# bound_soundness_sample feeds factor_matrix chunks of whole patterns of
+# about this many samples.  At n = 10 and 200,000 samples, chunks of 1,024
+# to 4,096 samples ran at the same speed, but 4,096 left glibc's heap more
+# fragmented and raised the peak RSS by about 6% (5 MiB)
+_SOUNDNESS_CHUNK = 2048
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 # parallel sweeps split their sorted keys into this many runs of about equal
 # walk node counts, exhaustive or sampled, so two workers stay balanced
@@ -362,16 +367,16 @@ def maximize_f(sigma: SignVector, cfg: MaximizeConfig = MaximizeConfig()) -> Max
 
     Patterns longer than ``MAX_MAXIMIZE_N`` raise ``ValueError``.  At 64
     signs with the default config, 24 patterns (all-minus, all-plus, both
-    alternations and 20 seeded random ones) took 0.7-1.6 s of CPU each,
-    15-19 us per evaluation and the worst 98,568 evaluations, on a
-    2-vCPU x86 host with CPython 3.11 and numpy 2.4.
+    alternations and 20 seeded random ones) took 0.3-0.8 s of CPU each,
+    7-10 us per evaluation and at most 92,936 evaluations, on a 2-vCPU
+    x86 host with CPython 3.11 and numpy 2.4.
 
     A config whose worst case ``restarts * (1 + iterations * n * 44)``
     exceeds ``MAX_MAXIMIZE_EVALUATIONS`` = 10**6 raises ``ValueError``
     before the first evaluation; the default config needs at most
     8 * (1 + 40 * 64 * 44) = 901,128.  Evaluations cost most with one
-    restart at 64 signs, 27-41 us of CPU each on the same host, so no
-    accepted call runs longer than about 0.7 min.
+    restart at 64 signs, 18-22 us of CPU each on the same host, so no
+    accepted call runs longer than about 0.4 min.
     """
     n = len(sigma)
     if n > MAX_MAXIMIZE_N:
@@ -530,11 +535,20 @@ def bound_soundness_sample(
     against ``2**min(p, m)``, relatively to ``tolerance``.
 
     One stable sort of the pattern codes makes each pattern a contiguous
-    block of samples; per block, ``factor_matrix`` builds the factors and
-    one ``reduceat`` forms every group product of both partitions.  ``n``
-    must lie in 0..63, where a pattern code fits a non-negative int64.  The
-    tolerance must be finite, since a NaN or infinite one admits every
-    product; a negative one is allowed and tightens the bounds.
+    block of samples; the codes are ``uint16`` for n <= 16, where NumPy's
+    stable sort is a radix sort, and the blocks start where the sorted
+    codes change.  Whole blocks are cut into chunks of about
+    ``_SOUNDNESS_CHUNK`` samples, and each chunk makes one
+    ``factor_matrix`` call and one total product per sample; a block
+    longer than a chunk is a chunk of its own.  Each pattern's group
+    products come from a ``(4, groups)`` slot table of its members'
+    factor columns, padded with the slot of a row of 1.0 appended to the
+    chunk's factors, in three multiplies; they multiply the members left
+    to right, as the group product does, and multiplying by 1.0 is exact.
+    ``n`` must lie in 0..63, where a pattern code fits a non-negative
+    int64.  The tolerance must be finite, since a NaN or infinite one
+    admits every product; a negative one is allowed and tightens the
+    bounds.
     """
     if not (0 <= n <= MAX_SOUNDNESS_N):
         raise ValueError(f"soundness size must lie in 0..{MAX_SOUNDNESS_N}, got {n}")
@@ -543,40 +557,77 @@ def bound_soundness_sample(
     rng = np.random.default_rng(seed)
     X = 1.0 - rng.random((samples, n))
     negative = rng.random((samples, n)) < 0.5
-    np.negative(X, out=X, where=negative)
-    codes = negative.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    np.copysign(X, -negative.view(np.int8), out=X)  # faster than a where= negation
+    code_type = np.uint16 if n <= 16 else np.int64
+    codes = negative.astype(code_type) @ (1 << np.arange(n, dtype=code_type))
     order = np.argsort(codes, kind="stable")
-    codes, heads, sizes = np.unique(codes[order], return_index=True, return_counts=True)
+    codes = codes[order]
+    heads = (np.flatnonzero(np.diff(codes)) + 1).tolist()
+    starts = [0] + heads if samples else []
 
+    pairs = n * (n + 1) // 2
     col = {pair: k for k, pair in enumerate(
         (i, j) for i in range(1, n + 1) for j in range(i, n + 1))}
-    total_violations = 0
-    group_violations = 0
-    max_total_ratio = 0.0
-    max_group_ratio = 0.0
-    for code, head, size in zip(codes.tolist(), heads.tolist(), sizes.tolist()):
+    pad = [pairs] * 4  # the slot of the row of 1.0 below each chunk's factors
+    chunks = []  # per chunk: violations of totals and groups, their max ratios
+    lo = 0
+    blocks = []  # per pattern of the open chunk: size, slot table, group bounds, bound
+    for start, end, code in zip(starts, heads + [samples], codes[starts].tolist()):
         sigma = pattern_from_index(n, code)
         k_part, j_part = partitions_for(sigma)
-        F = factor_matrix(X[order[head: head + size]])
-        total = F.prod(axis=1)
-        bound = 2.0 ** min_heavy_target(sigma)
-        max_total_ratio = max(max_total_ratio, float((total / bound).max()))
-        total_violations += int((total > bound * (1.0 + tolerance)).sum())
         groups = k_part.groups + j_part.groups
-        if not groups:  # n = 0: the triangle is empty
-            continue
-        cols = [col[p] for group in groups for p in group.members]
-        offsets = np.cumsum([0] + [len(group.members) for group in groups[:-1]])
-        gb = np.array([group_bound(group) for group in groups], dtype=float)
-        prods = np.multiply.reduceat(F[:, cols], offsets, axis=1)
-        max_group_ratio = max(max_group_ratio, float((prods / gb).max()))
-        group_violations += int((prods > gb * (1.0 + tolerance)).sum())
+        slots = []
+        for group in groups:
+            members = [col[p] for p in group.members]
+            slots += members + pad[len(members):]
+        blocks.append((end - start, np.array(slots).reshape(-1, 4).T,
+                       [float(group_bound(group)) for group in groups],
+                       2.0 ** min_heavy_target(sigma)))
+        if end - lo >= _SOUNDNESS_CHUNK or end == samples:
+            chunks.append(_check_chunk(X[order[lo:end]], blocks, tolerance))
+            lo, blocks = end, []
+    # the zero row stands for no chunk at all when no sample is drawn
+    total_violations, group_violations, total_ratios, group_ratios = zip((0, 0, 0.0, 0.0), *chunks)
     return SoundnessReport(
         n=n,
         samples=samples,
-        patterns=len(codes),
-        total_violations=total_violations,
-        group_violations=group_violations,
-        max_total_ratio=max_total_ratio,
-        max_group_ratio=max_group_ratio,
+        patterns=len(starts),
+        total_violations=sum(total_violations),
+        group_violations=sum(group_violations),
+        max_total_ratio=max(total_ratios),
+        max_group_ratio=max(group_ratios),
     )
+
+
+def _check_chunk(X: np.ndarray, blocks: list, tolerance: float) -> tuple[int, int, float, float]:
+    """Violations of totals and of groups in one chunk, and their max ratios.
+
+    ``blocks`` lists the chunk's patterns in row order, each with its
+    number of rows, slot table, group bounds and total bound.
+    """
+    sizes, tables, group_bounds, bounds = zip(*blocks)
+    F = factor_matrix(X)
+    rows, pairs = F.shape
+    total = F.prod(axis=1)
+    bound = np.repeat(bounds, sizes)
+    total_violations = int((total > bound * (1.0 + tolerance)).sum())
+    total_ratio = float((total / bound).max())
+    if not pairs:  # n = 0: the triangle is empty
+        return total_violations, 0, total_ratio, 0.0
+    padded = np.empty((pairs + 1, rows))
+    padded[:pairs] = F.T
+    padded[pairs] = 1.0
+    counts = [len(gb) for gb in group_bounds]
+    prods = np.empty(sum(c * s for c, s in zip(counts, sizes)))
+    start = at = 0
+    for table, count, size in zip(tables, counts, sizes):
+        members = padded[table, start:start + size]  # (4, groups, rows of the block)
+        out = prods[at:at + count * size].reshape(count, size)
+        np.multiply(members[0], members[1], out=out)
+        out *= members[2]
+        out *= members[3]
+        start += size
+        at += count * size
+    gb = np.repeat(np.concatenate(group_bounds), np.repeat(sizes, counts))
+    group_violations = int((prods > gb * (1.0 + tolerance)).sum())
+    return total_violations, group_violations, total_ratio, float((prods / gb).max())

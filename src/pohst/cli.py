@@ -107,8 +107,11 @@ def _parse_pattern(text: str) -> SignVector:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
+    """Comma-separated floats; a blank list is empty, a blank entry is malformed."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"malformed numeric list {text!r}") from None
 

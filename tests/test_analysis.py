@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from pohst.analysis import (
+    _SOUNDNESS_CHUNK,
     MAX_IDENTITY_N,
     DegenerateInput,
     MaximizeConfig,
+    SoundnessReport,
     SweepRecord,
     bound_soundness_sample,
     identity_residual,
@@ -21,7 +23,7 @@ from pohst.analysis import (
     sweep,
     sweep_summary,
 )
-from pohst.certify import RealVectorY, eval_P, factor_matrix, partitions_for
+from pohst.certify import RealVectorY, eval_P, factor_matrix, group_bound, partitions_for
 from pohst.partition import LadderStuck, Shape, build_pi, eta_partition
 from pohst.signs import PatternContext, SignVector, min_heavy_target
 
@@ -66,6 +68,43 @@ def objective(x):
             running *= x[j]
             total *= 1.0 - running
     return total
+
+
+def soundness_reference(n, samples, seed=0, tolerance=1e-12):
+    """``bound_soundness_sample``'s per-pattern reference: the same draws,
+    one ``factor_matrix`` call per pattern block and one ``reduceat`` over
+    its member columns for the group products."""
+    rng = np.random.default_rng(seed)
+    X = 1.0 - rng.random((samples, n))
+    negative = rng.random((samples, n)) < 0.5
+    np.negative(X, out=X, where=negative)
+    codes = negative.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    order = np.argsort(codes, kind="stable")
+    codes, heads, sizes = np.unique(codes[order], return_index=True, return_counts=True)
+
+    col = {pair: k for k, pair in enumerate(
+        (i, j) for i in range(1, n + 1) for j in range(i, n + 1))}
+    total_violations = group_violations = 0
+    max_total_ratio = max_group_ratio = 0.0
+    for code, head, size in zip(codes.tolist(), heads.tolist(), sizes.tolist()):
+        sigma = pattern_from_index(n, code)
+        k_part, j_part = partitions_for(sigma)
+        F = factor_matrix(X[order[head: head + size]])
+        total = F.prod(axis=1)
+        bound = 2.0 ** min_heavy_target(sigma)
+        max_total_ratio = max(max_total_ratio, float((total / bound).max()))
+        total_violations += int((total > bound * (1.0 + tolerance)).sum())
+        groups = k_part.groups + j_part.groups
+        if not groups:  # n = 0: the triangle is empty
+            continue
+        cols = [col[p] for group in groups for p in group.members]
+        offsets = np.cumsum([0] + [len(group.members) for group in groups[:-1]])
+        gb = np.array([group_bound(group) for group in groups], dtype=float)
+        prods = np.multiply.reduceat(F[:, cols], offsets, axis=1)
+        max_group_ratio = max(max_group_ratio, float((prods / gb).max()))
+        group_violations += int((prods > gb * (1.0 + tolerance)).sum())
+    return SoundnessReport(n, samples, len(codes), total_violations, group_violations,
+                           max_total_ratio, max_group_ratio)
 
 
 def key_of(n, index):
@@ -618,6 +657,26 @@ class TestSoundnessSample:
         report = bound_soundness_sample(n, samples, seed=seed, tolerance=-1.0)
         assert report.total_violations == samples
         assert report.group_violations == groups
+
+    @pytest.mark.parametrize("n, samples, seed, tolerance", [
+        # one pattern block spans three chunks and more
+        (0, 3 * _SOUNDNESS_CHUNK + 17, 6, 1e-12),
+        (1, 6 * _SOUNDNESS_CHUNK + 5, 7, 1e-12),
+        # blocks of about 50 and 8 samples straddle the chunk ends
+        (8, 3 * _SOUNDNESS_CHUNK + 301, 8, 1e-12),
+        (10, 2 * _SOUNDNESS_CHUNK + 99, 9, -2.0),
+        # uint16 codes up to n = 16, int64 codes beyond
+        (16, 1500, 10, 1e-12),
+        (20, 400, 11, 1e-12),
+        (3, 900, 12, -2.0),
+        (7, 0, 13, 1e-12),
+    ])
+    def test_matches_per_pattern_reference(self, n, samples, seed, tolerance):
+        report = bound_soundness_sample(n, samples, seed=seed, tolerance=tolerance)
+        reference = soundness_reference(n, samples, seed=seed, tolerance=tolerance)
+        assert report == reference
+        assert (report.max_total_ratio.hex(), report.max_group_ratio.hex()) == (
+            reference.max_total_ratio.hex(), reference.max_group_ratio.hex())
 
     @pytest.mark.parametrize("n", [-1, 64, 65])
     def test_rejects_sizes_whose_codes_overflow(self, n, monkeypatch):

@@ -111,7 +111,9 @@ class TestEvaluation:
     @pytest.mark.parametrize("n", [0, 1, 12, 64])
     def test_factor_matrix_rows_equal_factor_table(self, n):
         rng = np.random.default_rng(n)
-        for rows in (1, 17, 300):
+        # single rows at every n, 64 included, and at n = 12 a block of
+        # 5,000 rows, larger than a soundness chunk
+        for rows in (1, 17, 300) + ((5000,) if n == 12 else ()):
             X = (1.0 - rng.random((rows, n))) * np.where(rng.random((rows, n)) < 0.5, -1.0, 1.0)
             F = factor_matrix(X)
             assert F.shape == (rows, n * (n + 1) // 2)

@@ -149,6 +149,15 @@ class TestCertify:
         assert code == 0 and (doc["n_x"], doc["n_y"]) == (0, 1)
         assert doc["input"] == {"kind": "x", "values": []}
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--x", "0.5,,-0.5"), ("--x", ","), ("--x", "0.5, ,-0.5"), ("--x", ",0.5"),
+        ("--y", "1,"), ("--y", "1,,-2"),
+    ])
+    def test_empty_entry_is_malformed(self, capsys, flag, values):
+        # an empty entry inside a list is an error, not a dropped entry
+        code, doc = run(capsys, "certify", flag, values)
+        assert code == 2 and "malformed numeric list" in doc["error"]
+
     def test_consecutive_calls_leak_no_state(self, capsys):
         # the parser is built once per process; options of one call must
         # not survive into the next
