@@ -459,6 +459,20 @@ class TestSearch:
             part, _ = construct_eta(sigma)
             assert part.heavy_count == found_k.heavy_count
 
+    def test_golden_search_digest(self):
+        digest = hashlib.sha256()
+        for n in range(9):
+            for sigma in all_sigmas(n):
+                target = min_heavy_target(sigma)
+                budgets = [("K", target), ("K", target - 1), ("J", 0)]
+                for kind, budget in budgets if target else budgets[::2]:
+                    found = search_partition(sigma, kind, budget)
+                    doc = [sigma.to_string(), kind, budget,
+                           None if found is None else found.to_json_dict()]
+                    digest.update(json.dumps(doc, sort_keys=True).encode())
+                    digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_SEARCH_DIGEST
+
 
 class TestConstructEta:
     def test_reports_ladder_path(self):
@@ -587,6 +601,14 @@ GOLDEN_VERDICT_DIGEST = (
 # count, recorded before the same change
 GOLDEN_SHAPE_VERDICT_DIGEST = (
     "9f095060903385a0e17d1344f5a088169353fc2e59cdeda4deb08a01aa3c57b4"
+)
+
+# SHA-256 over the to_json_dict() of search_partition, or null for None, on
+# every pattern with n <= 8: K at min(p, m) and at min(p, m) - 1 where that
+# is not negative, J at 0; recorded before the search moved onto the
+# context's bit rows and one group dict keyed by first member
+GOLDEN_SEARCH_DIGEST = (
+    "4de009123e67d6c5d200d98e9c24dbdac3030dc02a09ab270fdbefcd617f2d8f"
 )
 
 SHAPE_SIZES = {
