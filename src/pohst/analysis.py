@@ -532,7 +532,9 @@ def bound_soundness_sample(
     Draws ``samples`` box vectors with uniform magnitudes in (0, 1] and
     uniform signs, shares the cached partitions across each sign pattern
     and verifies every group product against its shape bound and the total
-    against ``2**min(p, m)``, relatively to ``tolerance``.
+    against ``2**min(p, m)``, relatively to ``tolerance``.  The signs are
+    drawn in blocks of ``_SOUNDNESS_CHUNK`` rows, the stream of one draw
+    without its full-size float array.
 
     One stable sort of the pattern codes makes each pattern a contiguous
     block of samples; the codes are ``uint16`` for n <= 16, where NumPy's
@@ -555,8 +557,12 @@ def bound_soundness_sample(
     if not math.isfinite(tolerance):
         raise ValueError(f"soundness tolerance must be finite, got {tolerance!r}")
     rng = np.random.default_rng(seed)
-    X = 1.0 - rng.random((samples, n))
-    negative = rng.random((samples, n)) < 0.5
+    X = rng.random((samples, n))
+    np.subtract(1.0, X, out=X)
+    negative = np.empty((samples, n), bool)
+    for at in range(0, samples, _SOUNDNESS_CHUNK):
+        block = negative[at:at + _SOUNDNESS_CHUNK]
+        np.less(rng.random(block.shape), 0.5, out=block)
     np.copysign(X, -negative.view(np.int8), out=X)  # faster than a where= negation
     code_type = np.uint16 if n <= 16 else np.int64
     codes = negative.astype(code_type) @ (1 << np.arange(n, dtype=code_type))

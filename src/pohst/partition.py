@@ -20,8 +20,9 @@ and c = ``(r1 + 1, r2)`` are the other arguments:
 The two heavy shapes, cases 1 and 3, bound their factor product by 2
 rather than 1, and a good partition of K must contain exactly
 ``min(alpha + 1, beta)`` of them.  J admits the other three shapes only.
-One shape rule, ``_shape_findings``, holds a group to its sign tuple and
-its geometry; the validator and the sweep walk's row check share it.
+One shape rule, ``_shape_findings``, holds a group's members, taken in
+construction order, to its sign tuple and its geometry; the validator,
+which sorts each group once, and the sweep walk's row check share it.
 
 One deterministic case ladder builds both partitions: negatives are
 absorbed in construction order, each one either mated to a free positive
@@ -42,10 +43,12 @@ each group it forms or grows.  The per-pattern ladder runs it over rows
 :class:`LadderStuck` when it is stuck or invalid: the ladder is the only
 construction path.  ``construct_eta`` alone then has ``_trace`` read K's
 trace off the row step's reports.  ``search_partition``, the independent
-oracle over the same move set, serves the tests and the CLI's search modes.
-``validate_partition`` checks any claimed partition against the shape and count rules.
+oracle over the same move set, serves the tests and the CLI's search
+modes; like the ladder, it keeps its live groups in one dict keyed by
+first member.  ``validate_partition`` checks any claimed partition against
+the shape and count rules.
 
-The ladder and the validator work on the bit rows of a
+The ladder, the search and the validator work on the bit rows of a
 :class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
 are found by lowest/highest-set-bit scans, every group's members come out
 already in construction order, so the partition needs one sort on an int
@@ -61,13 +64,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from pohst.signs import (
     Pair,
     PatternContext,
     SignVector,
-    pair_sign_maps,
     pair_sort_key,
 )
 
@@ -200,19 +202,6 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def _sorted_group(shape: Shape, members: Iterable[Pair]) -> PartitionGroup:
-    return PartitionGroup(shape, tuple(sorted(members, key=pair_sort_key)))
-
-
-def _canonical_partition(
-    target: str, groups: Iterable[PartitionGroup], method: str
-) -> GoodPartition:
-    ordered = tuple(
-        sorted(groups, key=lambda g: pair_sort_key(g.members[0]))
-    )
-    return GoodPartition(target=target, groups=ordered, method=method)
-
-
 def _context(sigma: SignVector | PatternContext) -> PatternContext:
     return sigma if isinstance(sigma, PatternContext) else PatternContext(sigma)
 
@@ -239,16 +228,15 @@ def _shape_findings(
 ) -> list[str]:
     """Shape and sign rules for one group, as human-readable findings.
 
-    Sorted into construction order, the members must be the ones their
-    first and last fix, which also rules out repeated members and a wrong
-    count, and carry the signs of ``_SIGNS[shape]`` on the bit rows
+    Taken in construction order, not sorted, the members must be the ones
+    their first and last fix, which also rules out repeated members and a
+    wrong count, and carry the signs of ``_SIGNS[shape]`` on the bit rows
     ``rows`` and positive bit rows ``pos`` of the target set.
     """
-    ordered = tuple(sorted(members, key=pair_sort_key))
-    if not ordered or ordered != _geometry(shape, ordered[0], ordered[-1]):
-        return [f"members {ordered} do not match the shape's geometry"]
+    if not members or members != _geometry(shape, members[0], members[-1]):
+        return [f"members {members} do not match the shape's geometry"]
     findings = []
-    for (i, j), sign in zip(ordered, _SIGNS[shape]):
+    for (i, j), sign in zip(members, _SIGNS[shape]):
         if not rows[j] >> i & 1:
             findings.append(f"member {(i, j)} lies outside the target set")
         elif (1 if pos[j] >> i & 1 else -1) != sign:
@@ -263,8 +251,9 @@ def validate_partition(
 ) -> ValidationReport:
     """Check coverage, disjointness, shapes, signs and the heavy-group count.
 
-    Every group is held to the shape rule on the bit rows of the pattern's
-    context, which alone reports a member outside the target set.
+    Every group, its members sorted into construction order once, is held
+    to the shape rule on the bit rows of the pattern's context, which alone
+    reports a member outside the target set.
     Violations are returned as data; nothing raises except out-of-range
     member pairs, which break the precondition.
     """
@@ -289,7 +278,8 @@ def validate_partition(
                 violations.append(f"pair {p} appears in groups {first} and {idx}")
             else:
                 seen[j] |= bit
-        for finding in _shape_findings(group.shape, members, rows, pos):
+        ordered = tuple(sorted(members, key=pair_sort_key))
+        for finding in _shape_findings(group.shape, ordered, rows, pos):
             violations.append(f"group {idx} ({group.shape.value}): {finding}")
         if group.shape in HEAVY_SHAPES:
             heavy += 1
@@ -523,17 +513,22 @@ def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[
         for shape, members, _ in reports[-1]:
             i, first_row = members[0]
             groups[first_row * stride - i] = (shape, members)
+    return _assembled(target, groups, state.free_row, "ladder" if heavy else "greedy"), reports
 
-    for j in range(1, n + 1):
-        row = state.free_row[j]
+
+def _assembled(target: str, groups: dict, free_row: list[int], method: str) -> GoodPartition:
+    """The partition of ``groups``, keyed by first member (i, j) as
+    ``j * len(free_row) - i``, and of the positive singletons in the bit
+    rows ``free_row``, in construction order."""
+    stride = len(free_row)
+    for j, row in enumerate(free_row):
         while row:
             low = row & -row
             i = low.bit_length() - 1
             groups[j * stride - i] = (Shape.POSITIVE_SINGLETON, ((i, j),))
             row ^= low
-
     ordered = tuple(PartitionGroup(*groups[key]) for key in sorted(groups))
-    return GoodPartition(target, ordered, "ladder" if heavy else "greedy"), reports
+    return GoodPartition(target, ordered, method)
 
 
 def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTrace:
@@ -608,6 +603,9 @@ def search_partition(
     ``heavy_budget`` exactly is returned.  Patterns longer than
     ``MAX_SEARCH_N`` raise ``ValueError``.
 
+    The free pairs are the context's bit rows and the live groups one dict
+    keyed by first member, a key that a grown rectangle or triple keeps.
+
     The move set reaches every admissible partition: within any group the
     negatives occupy strictly earlier positions than the pairs completing
     them (a rectangle's low negative precedes its high one, a triple's
@@ -621,115 +619,60 @@ def search_partition(
         raise ValueError(
             f"the search handles patterns of length at most {MAX_SEARCH_N}, got {len(sigma)}"
         )
-    signmap = pair_sign_maps(sigma)[0 if target == "J" else 1]
-    allow_heavy = target == "K"
-    if not allow_heavy and heavy_budget:
+    if target == "J" and heavy_budget:
         raise ValueError("J partitions admit no heavy groups")
-
-    negatives = sorted((p for p, s in signmap.items() if s < 0), key=pair_sort_key)
-    pos_free: set[Pair] = {p for p, s in signmap.items() if s > 0}
-    hpartner: dict[Pair, tuple[int, Pair]] = {}
-    heavies_by_row: dict[int, list[tuple[int, Pair]]] = {}
-    groups: dict[int, PartitionGroup] = {}
+    rows, pos = PatternContext(sigma).rows(target)
+    stride = len(rows)  # (i, j) is keyed j * stride - i, as in _ladder
+    negatives = [(i, j) for j in range(stride) for i in range(j, 0, -1)
+                 if (rows[j] & ~pos[j]) >> i & 1]
+    free = list(pos)
     total = len(negatives)
-    state = {"next_gid": 0}
-    solution: list[GoodPartition] = []
+    groups: dict[int, tuple[Shape, tuple[Pair, ...]]] = {}
 
-    def add_group(shape: Shape, members: tuple[Pair, ...]) -> int:
-        gid = state["next_gid"]
-        state["next_gid"] += 1
-        groups[gid] = _sorted_group(shape, members)
-        return gid
+    def moves(neg: Pair, heavies: int) -> Iterator[tuple[int, tuple, int, int]]:
+        """Per move for ``neg``, in branch order: its key, group, row and bit taken."""
+        i, j = neg
+        for i2 in range(i + 1, j + 1):
+            if free[j] >> i2 & 1:
+                yield j * stride - i2, (Shape.MIXED_PAIR, ((i2, j), neg)), j, 1 << i2
+        for j2 in range(j - 1, i - 1, -1):
+            if free[j2] >> i & 1:
+                yield j2 * stride - i, (Shape.MIXED_PAIR, ((i, j2), neg)), j2, 1 << i
+        for ell in range(j - 1, i - 1, -1):
+            shape, members = groups.get(ell * stride - i, (None, ()))
+            if shape is Shape.MIXED_PAIR and members[1][1] == ell:
+                c = members[1][0]
+                if free[j] >> c & 1:
+                    grown = members + (neg, (c, j))
+                    yield ell * stride - i, (Shape.RECTANGLE_QUAD, grown), j, 1 << c
+        for c in range(i - 1, 0, -1):
+            shape, members = groups.get((i - 1) * stride - c, (None, ()))
+            if shape is Shape.NEGATIVE_SINGLETON and free[j] >> c & 1:
+                grown = members + (neg, (c, j))
+                yield (i - 1) * stride - c, (Shape.L_TRIPLE, grown), j, 1 << c
+        if heavies < heavy_budget:
+            yield j * stride - i, (Shape.NEGATIVE_SINGLETON, (neg,)), j, 0
 
     def dfs(k: int, heavies: int) -> bool:
         if heavy_budget - heavies > total - k:
             return False  # not enough negatives left to reach the budget
         if k == total:
-            if heavies != heavy_budget:
-                return False
-            final = list(groups.values())
-            final.extend(
-                PartitionGroup(Shape.POSITIVE_SINGLETON, (p,)) for p in pos_free
-            )
-            solution.append(_canonical_partition(target, final, "search"))
-            return True
-        i, j = negatives[k]
-        neg = (i, j)
-
-        for i2 in range(i + 1, j + 1):
-            mate = (i2, j)
-            if mate not in pos_free:
-                continue
-            pos_free.discard(mate)
-            gid = add_group(Shape.MIXED_PAIR, (mate, neg))
-            hpartner[mate] = (gid, neg)
-            if dfs(k + 1, heavies):
+            return heavies == heavy_budget
+        for key, group, row, bit in moves(negatives[k], heavies):
+            grown = groups.get(key)
+            groups[key] = group
+            free[row] ^= bit
+            # only a new heavy singleton adds a heavy group
+            if dfs(k + 1, heavies + (group[0] is Shape.NEGATIVE_SINGLETON)):
                 return True
-            del hpartner[mate]
-            del groups[gid]
-            pos_free.add(mate)
-
-        for j2 in range(j - 1, i - 1, -1):
-            mate = (i, j2)
-            if mate not in pos_free:
-                continue
-            pos_free.discard(mate)
-            gid = add_group(Shape.MIXED_PAIR, (mate, neg))
-            if dfs(k + 1, heavies):
-                return True
-            del groups[gid]
-            pos_free.add(mate)
-
-        for ell in range(j - 1, i - 1, -1):
-            entry = hpartner.get((i, ell))
-            if entry is None:
-                continue
-            gid_pair, low_neg = entry
-            corner = (low_neg[0], j)
-            if corner not in pos_free:
-                continue
-            pos_free.discard(corner)
-            pair_group = groups.pop(gid_pair)
-            del hpartner[(i, ell)]
-            gid = add_group(Shape.RECTANGLE_QUAD, ((i, ell), low_neg, neg, corner))
-            if dfs(k + 1, heavies):
-                return True
-            del groups[gid]
-            hpartner[(i, ell)] = (gid_pair, low_neg)
-            groups[gid_pair] = pair_group
-            pos_free.add(corner)
-
-        if allow_heavy and i > 1:
-            row_list = heavies_by_row.get(i - 1, [])
-            for pos_idx in range(len(row_list)):
-                gid_low, low = row_list[pos_idx]
-                top = (low[0], j)
-                if top not in pos_free:
-                    continue
-                pos_free.discard(top)
-                del groups[gid_low]
-                row_list.pop(pos_idx)
-                gid = add_group(Shape.L_TRIPLE, (low, top, neg))
-                if dfs(k + 1, heavies):
-                    return True
-                del groups[gid]
-                row_list.insert(pos_idx, (gid_low, low))
-                groups[gid_low] = PartitionGroup(Shape.NEGATIVE_SINGLETON, (low,))
-                pos_free.add(top)
-
-        if allow_heavy and heavies < heavy_budget:
-            gid = add_group(Shape.NEGATIVE_SINGLETON, (neg,))
-            heavies_by_row.setdefault(j, []).append((gid, neg))
-            if dfs(k + 1, heavies + 1):
-                return True
-            heavies_by_row[j].pop()
-            del groups[gid]
-
+            free[row] ^= bit
+            if grown:
+                groups[key] = grown
+            else:
+                del groups[key]
         return False
 
-    if dfs(0, 0):
-        return solution[0]
-    return None
+    return _assembled(target, groups, free, "search") if dfs(0, 0) else None
 
 
 def check_construction_invariants(

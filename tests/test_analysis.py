@@ -426,6 +426,37 @@ class TestWalk:
         assert len(flagged) > 10 and flagged == with_rectangle.intersection(indices)
         assert all(rec.heavy == -1 and not rec.ladder for rec in records if not rec.valid)
 
+    def test_out_of_order_mixed_pair_is_flagged(self, monkeypatch):
+        # the shape rule takes a reported group's members in construction
+        # order as they come, so a row step that reports a column mate's
+        # pair negative first flags exactly the patterns whose partitions
+        # hold such a pair, instead of having it sorted back
+        import pohst.partition as partition
+
+        n = 8
+        with_column_pair = {
+            index for index in range(1 << n)
+            if any(
+                group.shape is Shape.MIXED_PAIR and group.members[0][1] != group.members[1][1]
+                for build in (eta_partition, build_pi)
+                for group in build(pattern_from_index(n, index)).groups
+            )
+        }
+        real = partition._ladder_row
+
+        def mutant(*args):
+            return [
+                (shape, members[::-1] if shape is Shape.MIXED_PAIR
+                 and members[0][1] != members[1][1] else members, new)
+                for shape, members, new in real(*args)
+            ]
+
+        monkeypatch.setattr(partition, "_ladder_row", mutant)
+        records = list(sweep(n))
+        flagged = {index for index, rec in enumerate(records) if not rec.valid}
+        assert len(flagged) > 100 and flagged == with_column_pair
+        assert all(rec.heavy == -1 for rec in records if not rec.valid)
+
 
 class TestMaximize:
     def test_negative_seed_rejected(self):
@@ -659,7 +690,8 @@ class TestSoundnessSample:
         assert report.group_violations == groups
 
     @pytest.mark.parametrize("n, samples, seed, tolerance", [
-        # one pattern block spans three chunks and more
+        # one pattern block spans three chunks and more; from n = 1 the
+        # sign draws run over as many blocks and a ragged tail
         (0, 3 * _SOUNDNESS_CHUNK + 17, 6, 1e-12),
         (1, 6 * _SOUNDNESS_CHUNK + 5, 7, 1e-12),
         # blocks of about 50 and 8 samples straddle the chunk ends

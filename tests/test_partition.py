@@ -49,8 +49,10 @@ def members_of(part):
 
 
 def shape_violations(group, sigma, target):
-    """The validator's shape and sign rules for one group, as findings."""
-    return _shape_findings(group.shape, group.members, *PatternContext(sigma).rows(target))
+    """The validator's shape and sign rules for one group, as findings; the
+    members are sorted into construction order first, as the validator does."""
+    members = tuple(sorted(group.members, key=pair_sort_key))
+    return _shape_findings(group.shape, members, *PatternContext(sigma).rows(target))
 
 
 class TestValidate:
