@@ -659,15 +659,15 @@ def search_partition(
         if k == total:
             return heavies == heavy_budget
         for key, group, row, bit in moves(negatives[k], heavies):
-            grown = groups.get(key)
+            replaced = groups.get(key)  # the group a rectangle or triple grows
             groups[key] = group
             free[row] ^= bit
             # only a new heavy singleton adds a heavy group
             if dfs(k + 1, heavies + (group[0] is Shape.NEGATIVE_SINGLETON)):
                 return True
             free[row] ^= bit
-            if grown:
-                groups[key] = grown
+            if replaced:
+                groups[key] = replaced
             else:
                 del groups[key]
         return False
