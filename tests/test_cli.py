@@ -470,6 +470,36 @@ class TestExitCodeSurfaces:
         code, _ = run(capsys, "maximize", "+")
         assert code == 4
 
+    def test_invalid_sweep_exits_five(self, capsys, tmp_path, monkeypatch):
+        # a row step that leaves each rectangle's corner free, as in the
+        # walk's mutant test, flags every pattern with a rectangle; the
+        # flagged lines must carry heavy -1 and false flags byte for byte
+        import pohst.partition as partition
+        from pohst.analysis import sweep
+        from pohst.partition import Shape
+
+        real = partition._ladder_row
+
+        def mutant(state, j, *args):
+            reports = real(state, j, *args)
+            for shape, members, _ in reports:
+                if shape is Shape.RECTANGLE_QUAD:
+                    state.free_row[j] |= 1 << members[3][0]
+            return reports
+
+        monkeypatch.setattr(partition, "_ladder_row", mutant)
+        records = list(sweep(8))
+        flagged = [rec for rec in records if not rec.valid]
+        assert len(flagged) > 100
+        out = tmp_path / "s.jsonl"
+        code, doc = run(capsys, "sweep", "8", "--out", str(out))
+        assert code == 5
+        assert doc["patterns"] == 256 and doc["invalid"] == len(flagged)
+        assert out.read_text().splitlines() == [
+            json.dumps(rec.to_json_dict(), sort_keys=True) for rec in records]
+        assert '"heavy": -1, "ladder": false' in out.read_text()
+        assert all(rec.heavy == -1 and not rec.ladder for rec in flagged)
+
     # the success path and every error path of each command; sweep writes
     # its relative --out under the test's working directory
     GOLDEN_ARGV = (
