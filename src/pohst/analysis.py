@@ -78,6 +78,11 @@ class DegenerateInput(ValueError):
     """A zero factor makes the requested identity residual meaningless."""
 
 
+# a sweep record's JSON line, its keys in sorted order
+_RECORD_LINE = (
+    '{"J": %d, "K": %d, "heavy": %d, "ladder": %s, "sigma": "%s", "target": %d, "valid": %s}\n')
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """One pattern of a sweep; ``heavy`` is -1 when a ladder got stuck or a
@@ -109,6 +114,14 @@ class SweepRecord:
             "ladder": self.ladder,
             "valid": self.valid,
         }
+
+    def to_json_line(self) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True)`` and a newline,
+        from one template: sigma holds only ``+`` and ``-``, so nothing
+        needs escaping."""
+        heavy, target = self.heavy, self.target
+        return _RECORD_LINE % (self.J, self.K, heavy, "true" if heavy >= 0 else "false",
+                               self.sigma, target, "true" if heavy == target else "false")
 
 
 def pattern_from_index(n: int, index: int) -> SignVector:

@@ -32,7 +32,6 @@ from pohst.signs import Pair, PatternContext, SignVector, min_heavy_target
 from pohst.partition import (
     GoodPartition,
     PartitionGroup,
-    HEAVY_SHAPES,
     build_pi,
     eta_partition,
 )
@@ -230,7 +229,7 @@ def check_pohst_case(
 
 def group_bound(group: PartitionGroup) -> int:
     """Per-group bound: 2 for the heavy shapes, 1 for everything else."""
-    return 2 if group.shape in HEAVY_SHAPES else 1
+    return 2 if group.shape.heavy else 1
 
 
 @dataclass(frozen=True)

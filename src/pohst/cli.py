@@ -181,9 +181,9 @@ def cmd_certify(ns) -> tuple[dict, int]:
 
 def _written(handle, records):
     """Write each record as one JSON line and pass it on, keeping none."""
+    write = handle.write
     for record in records:
-        handle.write(json.dumps(record.to_json_dict(), sort_keys=True))
-        handle.write("\n")
+        write(record.to_json_line())
         yield record
 
 

@@ -2,12 +2,14 @@
 
 The canonical set K and the non-canonical set J of a sign pattern are
 decomposed into groups of five admissible shapes.  Each shape is stated
-once: by the product signs of its members in construction order (rows
-ascend, and within a row the starts descend), and by the members that its
-first member ``(c2, r1)`` and its last member ``(c1, r2)`` fix.  The first
-member is the argument a of an elementary case and the last the product of
-all its arguments, so the ranges b = ``(r1 + 1, r2)`` or ``(c1, c2 - 1)``
-and c = ``(r1 + 1, r2)`` are the other arguments:
+once, on its :class:`Shape` member: by the product signs of its members in
+construction order (rows ascend, and within a row the starts descend), by
+whether it is heavy, and by K's move that reports it; ``_geometry`` adds
+the members that its first member ``(c2, r1)`` and its last member
+``(c1, r2)`` fix.  The first member is the argument a of an elementary
+case and the last the product of all its arguments, so the ranges
+b = ``(r1 + 1, r2)`` or ``(c1, c2 - 1)`` and c = ``(r1 + 1, r2)`` are the
+other arguments:
 
 * ``PositiveSingleton`` ``(+)`` -- one pair; a >= 0 bounds its factor by 1;
 * ``NegativeSingleton`` ``(-)`` -- one pair, elementary case 1;
@@ -21,8 +23,9 @@ The two heavy shapes, cases 1 and 3, bound their factor product by 2
 rather than 1, and a good partition of K must contain exactly
 ``min(alpha + 1, beta)`` of them.  J admits the other three shapes only.
 One shape rule, ``_shape_findings``, holds a group's members, taken in
-construction order, to its sign tuple and its geometry; the validator,
-which sorts each group once, and the sweep walk's row check share it.
+construction order, to its sign tuple and its geometry in one pass that
+words findings only on a mismatch; the validator, which sorts each group
+once, and the sweep walk's row check share it.
 
 One deterministic case ladder builds both partitions: negatives are
 absorbed in construction order, each one either mated to a free positive
@@ -75,28 +78,44 @@ from pohst.signs import (
 
 
 class Shape(enum.Enum):
-    POSITIVE_SINGLETON = "PositiveSingleton"
-    MIXED_PAIR = "MixedPair"
-    RECTANGLE_QUAD = "RectangleQuad"
-    NEGATIVE_SINGLETON = "NegativeSingleton"
-    L_TRIPLE = "LTriple"
+    """An admissible group shape; ``value`` is its JSON name.
+
+    ``signs`` are the product signs of its members in construction order
+    and ``states`` the same as member states (2 for a positive pair, 1 for a
+    negative one).  ``heavy`` marks the two shapes whose factor product is
+    bounded by 2.  ``move`` is K's operation that reports the shape and the
+    negative's position among its members, ``None`` for the positive
+    singleton, which no move reports.
+    """
+
+    POSITIVE_SINGLETON = "PositiveSingleton", (1,), False, None
+    MIXED_PAIR = "MixedPair", (1, -1), False, (1, 1)
+    RECTANGLE_QUAD = "RectangleQuad", (1, -1, -1, 1), False, (2, 2)
+    NEGATIVE_SINGLETON = "NegativeSingleton", (-1,), True, (3, 0)
+    L_TRIPLE = "LTriple", (-1, -1, 1), True, (4, 1)
+
+    def __new__(
+        cls, value: str, signs: tuple[int, ...], heavy: bool, move: Optional[tuple[int, int]]
+    ) -> "Shape":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.signs = signs
+        member.states = tuple(2 if sign > 0 else 1 for sign in signs)
+        member.heavy = heavy
+        member.move = move
+        return member
 
 
-HEAVY_SHAPES = (Shape.NEGATIVE_SINGLETON, Shape.L_TRIPLE)
+# the members the hot paths compare against: on CPython 3.11 each read of
+# an Enum class attribute costs about as much as a short function call
+_POSITIVE_SINGLETON, _MIXED_PAIR, _RECTANGLE_QUAD = (
+    Shape.POSITIVE_SINGLETON, Shape.MIXED_PAIR, Shape.RECTANGLE_QUAD)
+_NEGATIVE_SINGLETON, _L_TRIPLE = Shape.NEGATIVE_SINGLETON, Shape.L_TRIPLE
 
 # search_partition recurses once per negative pair: at most 600 at this
 # length (the all-minus pattern, ceil(49/2) * floor(49/2), all in K), well
 # inside the interpreter's default recursion limit of 1000
 MAX_SEARCH_N = 48
-
-# the product signs of each shape's members in construction order
-_SIGNS = {
-    Shape.POSITIVE_SINGLETON: (1,),
-    Shape.NEGATIVE_SINGLETON: (-1,),
-    Shape.MIXED_PAIR: (1, -1),
-    Shape.L_TRIPLE: (-1, -1, 1),
-    Shape.RECTANGLE_QUAD: (1, -1, -1, 1),
-}
 
 
 class LadderStuck(RuntimeError):
@@ -148,7 +167,7 @@ class GoodPartition:
 
     @property
     def heavy_count(self) -> int:
-        return sum(1 for g in self.groups if g.shape in HEAVY_SHAPES)
+        return sum(1 for g in self.groups if g.shape.heavy)
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,10 +210,6 @@ class ConstructionTrace:
 # a row step's report: shape, members in construction order, new members
 _Report = tuple[Shape, tuple[Pair, ...], tuple[Pair, ...]]
 
-# per reported shape: K's operation and the negative's position among the members
-_MOVES = {Shape.MIXED_PAIR: (1, 1), Shape.RECTANGLE_QUAD: (2, 2),
-          Shape.NEGATIVE_SINGLETON: (3, 0), Shape.L_TRIPLE: (4, 1)}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -214,11 +229,11 @@ def _geometry(shape: Shape, first: Pair, last: Pair) -> Optional[tuple[Pair, ...
     the last the product of all its arguments.
     """
     (c2, r1), (c1, r2) = first, last
-    if shape is Shape.MIXED_PAIR:
+    if shape is _MIXED_PAIR:
         return (first, last) if (c1 == c2) != (r1 == r2) else None
-    if shape is Shape.L_TRIPLE:
+    if shape is _L_TRIPLE:
         return (first, (r1 + 1, r2), last) if c1 == c2 else None
-    if shape is Shape.RECTANGLE_QUAD:
+    if shape is _RECTANGLE_QUAD:
         return (first, (c1, r1), (c2, r2), last) if c1 < c2 and r1 < r2 else None
     return (first,)
 
@@ -230,18 +245,27 @@ def _shape_findings(
 
     Taken in construction order, not sorted, the members must be the ones
     their first and last fix, which also rules out repeated members and a
-    wrong count, and carry the signs of ``_SIGNS[shape]`` on the bit rows
-    ``rows`` and positive bit rows ``pos`` of the target set.
+    wrong count, and their states on the bit rows ``rows`` and positive bit
+    rows ``pos`` of the target set must be ``shape.states``.  A member's
+    state is 2 for a positive pair of the target set, 1 for a negative one
+    and 0 for a pair outside it.  One pass compares the states and returns
+    no findings when they all match; only a mismatch has them worded.
     """
     if not members or members != _geometry(shape, members[0], members[-1]):
         return [f"members {members} do not match the shape's geometry"]
+    for (i, j), want in zip(members, shape.states):
+        if (rows[j] >> i & 1) + (pos[j] >> i & 1) != want:
+            break
+    else:
+        return []
     findings = []
-    for (i, j), sign in zip(members, _SIGNS[shape]):
-        if not rows[j] >> i & 1:
+    for (i, j), want in zip(members, shape.states):
+        state = (rows[j] >> i & 1) + (pos[j] >> i & 1)
+        if not state:
             findings.append(f"member {(i, j)} lies outside the target set")
-        elif (1 if pos[j] >> i & 1 else -1) != sign:
+        elif state != want:
             findings.append(
-                f"member {(i, j)} has {'negative' if sign > 0 else 'positive'} product sign"
+                f"member {(i, j)} has {'negative' if want == 2 else 'positive'} product sign"
             )
     return findings
 
@@ -281,7 +305,7 @@ def validate_partition(
         ordered = tuple(sorted(members, key=pair_sort_key))
         for finding in _shape_findings(group.shape, ordered, rows, pos):
             violations.append(f"group {idx} ({group.shape.value}): {finding}")
-        if group.shape in HEAVY_SHAPES:
+        if group.shape.heavy:
             heavy += 1
             if target == "J":
                 violations.append(
@@ -400,7 +424,7 @@ def _ladder_row(
             row_pairs[i2] |= bit
             pair_low[j * stride + i2] = i
             members = ((i2, j), neg)
-            reports.append((Shape.MIXED_PAIR, members, members))
+            reports.append((_MIXED_PAIR, members, members))
             continue
 
         if heavy:
@@ -408,7 +432,7 @@ def _ladder_row(
             if failures == 1 and not stable:
                 heavy_start[j] = i
                 members = (neg,)
-                reports.append((Shape.NEGATIVE_SINGLETON, members, members))
+                reports.append((_NEGATIVE_SINGLETON, members, members))
                 continue
             if failures == 1:
                 ell = heavy_start[i - 1]
@@ -418,7 +442,7 @@ def _ladder_row(
                     heavy_start[i - 1] = 0
                     low, top = (ell, i - 1), (ell, j)
                     # grows the heavy singleton (ell, i - 1)
-                    reports.append((Shape.L_TRIPLE, (low, neg, top), (neg, top)))
+                    reports.append((_L_TRIPLE, (low, neg, top), (neg, top)))
                     continue
                 raise LadderStuck(
                     state.sigma, "K", neg,
@@ -431,7 +455,7 @@ def _ladder_row(
             free_col[i] ^= 1 << j2
             free_row[j2] ^= 1 << i
             members = ((i, j2), neg)
-            reports.append((Shape.MIXED_PAIR, members, members))
+            reports.append((_MIXED_PAIR, members, members))
             continue
 
         candidates = row_pairs[i] & below_j
@@ -445,7 +469,7 @@ def _ladder_row(
                 row_pairs[i] ^= 1 << ell
                 pair, corner = ((i, ell), (c, ell)), (c, j)
                 # grows the row-mate pair, which starts with its positive member
-                reports.append((Shape.RECTANGLE_QUAD, pair + (neg, corner), (neg, corner)))
+                reports.append((_RECTANGLE_QUAD, pair + (neg, corner), (neg, corner)))
                 break
         else:
             raise LadderStuck(
@@ -471,7 +495,7 @@ def _checked_row(
         findings = _shape_findings(shape, members, rows, pos)
         if findings:
             raise LadderStuck(state.sigma, target, None, findings[0])
-        if shape in HEAVY_SHAPES and len(new) == len(members):
+        if shape.heavy and len(new) == len(members):
             state.heavy_formed += 1
 
 
@@ -525,7 +549,7 @@ def _assembled(target: str, groups: dict, free_row: list[int], method: str) -> G
         while row:
             low = row & -row
             i = low.bit_length() - 1
-            groups[j * stride - i] = (Shape.POSITIVE_SINGLETON, ((i, j),))
+            groups[j * stride - i] = (_POSITIVE_SINGLETON, ((i, j),))
             row ^= low
     ordered = tuple(PartitionGroup(*groups[key]) for key in sorted(groups))
     return GoodPartition(target, ordered, method)
@@ -534,7 +558,7 @@ def _assembled(target: str, groups: dict, free_row: list[int], method: str) -> G
 def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTrace:
     """K's trace, read off the ladder's reports on ``ctx``, one list per row.
 
-    The shape fixes the operation and the negative's place (``_MOVES``);
+    The shape fixes the operation and the negative's place (``shape.move``);
     the members before and after it are what the move consumed.  A mixed
     pair starting in the negative's row is its row mate, case 1; any other
     report is a row failure: case 2 for operation 3, case 5 for operation
@@ -544,8 +568,8 @@ def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTra
     for j, row in enumerate(reports, 1):
         failures = 0
         for shape, members, _ in row:
-            operation, at = _MOVES[shape]
-            if shape is Shape.MIXED_PAIR and members[0][1] == j:
+            operation, at = shape.move
+            if shape is _MIXED_PAIR and members[0][1] == j:
                 case = 1
             else:
                 failures += 1
@@ -634,24 +658,24 @@ def search_partition(
         i, j = neg
         for i2 in range(i + 1, j + 1):
             if free[j] >> i2 & 1:
-                yield j * stride - i2, (Shape.MIXED_PAIR, ((i2, j), neg)), j, 1 << i2
+                yield j * stride - i2, (_MIXED_PAIR, ((i2, j), neg)), j, 1 << i2
         for j2 in range(j - 1, i - 1, -1):
             if free[j2] >> i & 1:
-                yield j2 * stride - i, (Shape.MIXED_PAIR, ((i, j2), neg)), j2, 1 << i
+                yield j2 * stride - i, (_MIXED_PAIR, ((i, j2), neg)), j2, 1 << i
         for ell in range(j - 1, i - 1, -1):
             shape, members = groups.get(ell * stride - i, (None, ()))
-            if shape is Shape.MIXED_PAIR and members[1][1] == ell:
+            if shape is _MIXED_PAIR and members[1][1] == ell:
                 c = members[1][0]
                 if free[j] >> c & 1:
                     grown = members + (neg, (c, j))
-                    yield ell * stride - i, (Shape.RECTANGLE_QUAD, grown), j, 1 << c
+                    yield ell * stride - i, (_RECTANGLE_QUAD, grown), j, 1 << c
         for c in range(i - 1, 0, -1):
             shape, members = groups.get((i - 1) * stride - c, (None, ()))
-            if shape is Shape.NEGATIVE_SINGLETON and free[j] >> c & 1:
+            if shape is _NEGATIVE_SINGLETON and free[j] >> c & 1:
                 grown = members + (neg, (c, j))
-                yield (i - 1) * stride - c, (Shape.L_TRIPLE, grown), j, 1 << c
+                yield (i - 1) * stride - c, (_L_TRIPLE, grown), j, 1 << c
         if heavies < heavy_budget:
-            yield j * stride - i, (Shape.NEGATIVE_SINGLETON, (neg,)), j, 0
+            yield j * stride - i, (_NEGATIVE_SINGLETON, (neg,)), j, 0
 
     def dfs(k: int, heavies: int) -> bool:
         if heavy_budget - heavies > total - k:
@@ -663,7 +687,7 @@ def search_partition(
             groups[key] = group
             free[row] ^= bit
             # only a new heavy singleton adds a heavy group
-            if dfs(k + 1, heavies + (group[0] is Shape.NEGATIVE_SINGLETON)):
+            if dfs(k + 1, heavies + (group[0] is _NEGATIVE_SINGLETON)):
                 return True
             free[row] ^= bit
             if replaced:

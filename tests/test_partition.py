@@ -6,9 +6,11 @@ import json
 import math
 import operator
 import random
+import re
 
 import pytest
 
+import pohst.partition
 from pohst.certify import check_pohst_case, group_bound
 from pohst.signs import (
     PatternContext,
@@ -53,6 +55,33 @@ def shape_violations(group, sigma, target):
     members are sorted into construction order first, as the validator does."""
     members = tuple(sorted(group.members, key=pair_sort_key))
     return _shape_findings(group.shape, members, *PatternContext(sigma).rows(target))
+
+
+class TestShapeTable:
+    # the shape list of the module docstring: ``Name`` ``(+, -)``
+    DOC_SIGNS = {
+        name: tuple(1 if sign == "+" else -1 for sign in signs.split(", "))
+        for name, signs in re.findall(r"``(\w+)`` ``\(([+, -]+)\)``", pohst.partition.__doc__)
+    }
+
+    @pytest.mark.parametrize("shape", list(Shape), ids=lambda shape: shape.value)
+    def test_member_attributes(self, shape):
+        assert shape.signs == self.DOC_SIGNS[shape.value]
+        assert shape.states == tuple(2 if sign > 0 else 1 for sign in shape.signs)
+        assert shape.heavy == (shape in (Shape.NEGATIVE_SINGLETON, Shape.L_TRIPLE))
+        assert Shape(shape.value) is shape
+        members = ((1, 1),) * len(shape.signs)
+        assert group_bound(PartitionGroup(shape, members)) == (2 if shape.heavy else 1)
+        # every shape but the positive singleton is reported by one of K's
+        # moves, whose negative carries a - sign
+        if shape is Shape.POSITIVE_SINGLETON:
+            assert shape.move is None
+        else:
+            assert shape.signs[shape.move[1]] == -1
+
+    def test_every_shape_and_operation_once(self):
+        assert set(self.DOC_SIGNS) == {shape.value for shape in Shape}
+        assert sorted(shape.move[0] for shape in Shape if shape.move) == [1, 2, 3, 4]
 
 
 class TestValidate:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pohst"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "pohst"
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
@@ -58,3 +59,56 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each ``_private`` name that a module of
+    ``modules`` (module name to source) binds at its top level and that no
+    source there or in ``readers`` reads, as a name or as an attribute.
+
+    Dunder names are not private; binding a name, or importing it, is no read.
+    """
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in bound
+                       if name.startswith("_") and not name.endswith("__")
+                       and name not in read]
+    return unread
+
+
+def test_private_name_checker_flags_only_unread_names():
+    module = (
+        "_TABLE = {1: 2}\n"
+        "_A, _B = 1, 2\n"
+        "__all__ = []\n"
+        "def _helper():\n"
+        "    return _TABLE[_A]\n"
+        "class _Gone:\n"
+        "    pass\n"
+    )
+    reader = "import mod\nfrom mod import _Gone\nmod._helper()\n"
+    assert unread_private_names({"mod": module}, [reader]) == ["mod._B", "mod._Gone"]
+    assert unread_private_names({"mod": module}, []) == ["mod._B", "mod._helper", "mod._Gone"]
+
+
+def test_every_private_name_is_read():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert unread_private_names(modules, readers) == []
