@@ -81,8 +81,8 @@ class Shape(enum.Enum):
     """An admissible group shape; ``value`` is its JSON name.
 
     ``signs`` are the product signs of its members in construction order
-    and ``states`` the same as member states (2 for a positive pair, 1 for a
-    negative one).  ``heavy`` marks the two shapes whose factor product is
+    and ``states`` the member states that ``_shape_findings`` compares (2
+    for a positive pair, 1 for a negative one).  ``heavy`` marks the two shapes whose factor product is
     bounded by 2.  ``move`` is K's operation that reports the shape and the
     negative's position among its members, ``None`` for the positive
     singleton, which no move reports.
