@@ -610,6 +610,14 @@ GOLDEN_PARTITION_DIGEST = (
     "ac8891e6c19972f4b490f9766e0a4a6dc3bff0ba36ebedfd90ad9167f011cc26"
 )
 
+# the same SHA-256 over the 252 patterns of long_patterns (n = 10..48),
+# where the ladder's choice of column mate is exercised well past the
+# exhaustive range; recorded while the row step kept its free pairs in both
+# bit rows and bit columns
+GOLDEN_LONG_PARTITION_DIGEST = (
+    "f7a9ded83b477b7adb543ae3935d0c429f4a40cba3610ae5cc2ee8ccfc31d258"
+)
+
 # SHA-256 over the verdicts and violation messages of validate_partition on
 # seeded mutations of every K and J ladder partition with n <= 8, recorded
 # when the shape rule became the one check that a member lies in the target
@@ -699,6 +707,18 @@ def mutation_reports():
                         yield sigma, part.target, kind, report
 
 
+def long_patterns():
+    """8 seeded patterns for each n = 10..40, then the all-minus and the
+    alternating pattern at n = 24 and 48."""
+    rng = random.Random(2212)
+    for n in range(10, 41):
+        for _ in range(8):
+            yield SignVector(tuple(rng.choice((1, -1)) for _ in range(n)))
+    for n in (24, 48):
+        yield SignVector((-1,) * n)
+        yield SignVector((1, -1) * (n // 2))
+
+
 class TestSerialization:
     def test_golden_partition_digest(self):
         digest = hashlib.sha256()
@@ -714,6 +734,20 @@ class TestSerialization:
                 digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
                 digest.update(b"\n")
         assert digest.hexdigest() == GOLDEN_PARTITION_DIGEST
+
+    def test_golden_long_partition_digest(self):
+        digest = hashlib.sha256()
+        for sigma in long_patterns():
+            part, trace = construct_eta(sigma)
+            doc = {
+                "sigma": sigma.to_string(),
+                "eta": part.to_json_dict(),
+                "trace": trace.to_json_dict(),
+                "pi": build_pi(sigma).to_json_dict(),
+            }
+            digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_LONG_PARTITION_DIGEST
 
     def test_golden_violation_digest(self):
         digest = hashlib.sha256()
