@@ -37,7 +37,7 @@ singleton on an unstable level (operation 3), or folded into an L-triple
 with the surviving heavy singleton one row below its start on a stable
 level (operation 4).  One row step, ``_ladder_row``, holds every move and
 only moves: it absorbs the negatives of one row into an explicit state
-(free rows and columns, live row-mate pairs, heavy starts) and reports
+(free bit rows, live row-mate pairs, heavy starts) and reports
 each group it forms or grows.  The per-pattern ladder runs it over rows
 1..n, the sweep walk in :mod:`pohst.analysis` once per node through
 ``_checked_row``, which with ``_checked_leaf`` checks what
@@ -52,10 +52,11 @@ first member.  ``validate_partition`` checks any claimed partition against
 the shape and count rules.
 
 The ladder, the search and the validator work on the bit rows of a
-:class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
-are found by lowest/highest-set-bit scans, every group's members come out
-already in construction order, so the partition needs one sort on an int
-key and no per-group sort, and the validator checks membership, signs,
+:class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): a row
+mate is found by a lowest-set-bit read on its row and a column mate by a
+scan down the rows for its bit, every group's members come out already in
+construction order, so the partition needs one sort on an int key and no
+per-group sort, and the validator checks membership, signs,
 disjointness and coverage by bit tests.  ``construct_eta``,
 ``eta_partition``, ``build_pi``, ``validate_partition`` and
 ``check_construction_invariants`` take a context or a
@@ -328,23 +329,23 @@ def validate_partition(
 class _LadderState:
     """What the case ladder carries from one row to the next.
 
-    The free positive pairs live in bit rows (bit i of ``free_row[j]``) and
-    bit columns (bit j of ``free_col[i]``).  Bit ell of ``row_pairs[i]``
-    marks (i, ell) as the positive member of a live row-mate pair, which a
-    rectangle may still complete; ``pair_low[ell * (n + 1) + i]`` is the
-    start column of that pair's negative member.  ``heavy_start[j]`` is the
+    The free positive pairs live in bit rows alone (bit i of
+    ``free_row[j]``), where the row step scans for column mates too.  Bit
+    ell of ``row_pairs[i]`` marks (i, ell) as the positive member of a live
+    row-mate pair, which a rectangle may still complete;
+    ``pair_low[ell * (n + 1) + i]`` is the start column of that pair's
+    negative member.  ``heavy_start[j]`` is the
     start of row j's live heavy singleton (at most one), 0 if none.
     ``seen`` (pairs in groups) and ``heavy_formed`` serve a walk's checks.
     ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
     when the state belongs to a walk over sign prefixes.
     """
 
-    __slots__ = ("free_row", "free_col", "row_pairs", "pair_low", "heavy_start", "seen",
-                 "heavy_formed", "sigma")
+    __slots__ = ("free_row", "row_pairs", "pair_low", "heavy_start", "seen", "heavy_formed",
+                 "sigma")
 
     def __init__(self, n: int, sigma: Optional[SignVector] = None) -> None:
         self.free_row = [0] * (n + 1)
-        self.free_col = [0] * (n + 1)
         self.row_pairs = [0] * (n + 1)
         self.pair_low = [0] * (n + 1) ** 2
         self.heavy_start = [0] * (n + 1)
@@ -361,7 +362,6 @@ class _LadderState:
         """
         other = _LadderState.__new__(_LadderState)
         other.free_row = self.free_row[:]
-        other.free_col = self.free_col[:]
         other.row_pairs = self.row_pairs[:]
         other.pair_low = self.pair_low
         other.heavy_start = self.heavy_start[:]
@@ -391,25 +391,22 @@ def _ladder_row(
     earlier heavy singleton at the first row failure on a stable level, and
     nothing else touches the count.
 
-    The row mate is the lowest free bit above i, the column mate the
-    highest free bit below j.  Every group formed or grown is reported as
-    ``(shape, members, new members)``, members in construction order; a
-    grown group keeps its first member.  Each negative gets one report, so
+    The row mate is the lowest free bit above i in row ``j``, the column
+    mate the highest row below ``j`` with bit i free, found by scanning the
+    rows from ``j - 1`` down to ``i``.  Every group formed or grown is
+    reported as ``(shape, members, new members)``, members in construction
+    order; a grown group keeps its first member.  Each negative gets one report, so
     the reports are also all :func:`_trace` reads to number K's cases.
     Raises :class:`LadderStuck` when a negative has no move.
     """
-    free_row, free_col, row_pairs = state.free_row, state.free_col, state.row_pairs
+    free_row, row_pairs = state.free_row, state.row_pairs
     pair_low, heavy_start = state.pair_low, state.heavy_start
     stride = len(free_row)
     bit = 1 << j
     below_j = bit - 1
     free_row[j] = pos
-    while pos:
-        low = pos & -pos
-        free_col[low.bit_length() - 1] |= bit
-        pos ^= low
     reports = []
-    negatives = row & ~free_row[j]
+    negatives = row & ~pos
     failures = 0
     while negatives:
         i = negatives.bit_length() - 1
@@ -420,7 +417,6 @@ def _ladder_row(
         if above:
             i2 = (above & -above).bit_length() - 1
             free_row[j] ^= 1 << i2
-            free_col[i2] ^= bit
             row_pairs[i2] |= bit
             pair_low[j * stride + i2] = i
             members = ((i2, j), neg)
@@ -438,7 +434,6 @@ def _ladder_row(
                 ell = heavy_start[i - 1]
                 if ell and free_row[j] >> ell & 1:
                     free_row[j] ^= 1 << ell
-                    free_col[ell] ^= bit
                     heavy_start[i - 1] = 0
                     low, top = (ell, i - 1), (ell, j)
                     # grows the heavy singleton (ell, i - 1)
@@ -449,10 +444,10 @@ def _ladder_row(
                     "no heavy singleton survives one row below the start",
                 )
 
-        below = free_col[i] & below_j
-        if below:
-            j2 = below.bit_length() - 1
-            free_col[i] ^= 1 << j2
+        j2 = j - 1
+        while j2 >= i and not free_row[j2] >> i & 1:
+            j2 -= 1
+        if j2 >= i:
             free_row[j2] ^= 1 << i
             members = ((i, j2), neg)
             reports.append((_MIXED_PAIR, members, members))
@@ -465,7 +460,6 @@ def _ladder_row(
             c = pair_low[ell * stride + i]
             if free_row[j] >> c & 1:
                 free_row[j] ^= 1 << c
-                free_col[c] ^= bit
                 row_pairs[i] ^= 1 << ell
                 pair, corner = ((i, ell), (c, ell)), (c, j)
                 # grows the row-mate pair, which starts with its positive member
