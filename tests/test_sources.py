@@ -112,3 +112,61 @@ def test_every_private_name_is_read():
     modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     readers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert unread_private_names(modules, readers) == []
+
+
+def unread_slots(modules: dict[str, str]) -> list[str]:
+    """``module.Class.name`` for each name in the ``__slots__`` of a class
+    of ``modules`` (module name to source) that no source there reads as an
+    attribute.
+
+    A read in the value assigned to the attribute of the same name, as in
+    ``other.x = self.x[:]``, is a copy and no read.
+    """
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    copies = {
+        id(attr) for node in nodes if isinstance(node, ast.Assign)
+        for attr in ast.walk(node.value) if isinstance(attr, ast.Attribute)
+        and any(getattr(target, "attr", None) == attr.attr for target in node.targets)
+    }
+    read = {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in copies}
+    unread = []
+    for module, tree in trees.items():
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for cls in classes:
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                        getattr(target, "id", None) == "__slots__" for target in node.targets):
+                    slots = ast.literal_eval(node.value)
+                    unread += [f"{module}.{cls.name}.{name}"
+                               for name in ([slots] if isinstance(slots, str) else slots)
+                               if name not in read]
+    return unread
+
+
+def test_slot_checker_flags_slots_only_set_and_copied():
+    module = (
+        "class Box:\n"
+        "    __slots__ = ('kept', 'copied', 'unpacked')\n"
+        "    def __init__(self):\n"
+        "        self.kept = self.copied = self.unpacked = [0]\n"
+        "    def copy(self):\n"
+        "        other = Box.__new__(Box)\n"
+        "        other.kept = self.kept[:]\n"
+        "        other.copied = self.copied[:]\n"
+        "        other.unpacked = self.unpacked\n"
+        "        return other\n"
+        "class Flag:\n"
+        "    __slots__ = 'on'\n"
+        "def use(box):\n"
+        "    first, rest = box.unpacked, box.kept\n"
+        "    return first + rest\n"
+    )
+    assert unread_slots({"mod": module}) == ["mod.Box.copied", "mod.Flag.on"]
+
+
+def test_every_slot_is_read():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_slots(modules) == []
