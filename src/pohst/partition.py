@@ -52,12 +52,11 @@ first member.  ``validate_partition`` checks any claimed partition against
 the shape and count rules.
 
 The ladder, the search and the validator work on the bit rows of a
-:class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): a row
-mate is found by a lowest-set-bit read on its row and a column mate by a
-scan down the rows for its bit, every group's members come out already in
-construction order, so the partition needs one sort on an int key and no
-per-group sort, and the validator checks membership, signs,
-disjointness and coverage by bit tests.  ``construct_eta``,
+:class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
+are found by bit scans along a row or down a column, every group's members
+come out already in construction order, so the partition needs one sort on
+an int key and no per-group sort, and the validator checks membership,
+signs, disjointness and coverage by bit tests.  ``construct_eta``,
 ``eta_partition``, ``build_pi``, ``validate_partition`` and
 ``check_construction_invariants`` take a context or a
 :class:`~pohst.signs.SignVector`, so a caller builds one context per
@@ -329,12 +328,11 @@ def validate_partition(
 class _LadderState:
     """What the case ladder carries from one row to the next.
 
-    The free positive pairs live in bit rows alone (bit i of
-    ``free_row[j]``), where the row step scans for column mates too.  Bit
-    ell of ``row_pairs[i]`` marks (i, ell) as the positive member of a live
-    row-mate pair, which a rectangle may still complete;
-    ``pair_low[ell * (n + 1) + i]`` is the start column of that pair's
-    negative member.  ``heavy_start[j]`` is the
+    The free positive pairs live in the bit rows alone: bit i of
+    ``free_row[j]``.  Bit ell of ``row_pairs[i]`` marks (i, ell) as the
+    positive member of a live row-mate pair, which a rectangle may still
+    complete; ``pair_low[ell * (n + 1) + i]`` is the start column of that
+    pair's negative member.  ``heavy_start[j]`` is the
     start of row j's live heavy singleton (at most one), 0 if none.
     ``seen`` (pairs in groups) and ``heavy_formed`` serve a walk's checks.
     ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
@@ -391,12 +389,12 @@ def _ladder_row(
     earlier heavy singleton at the first row failure on a stable level, and
     nothing else touches the count.
 
-    The row mate is the lowest free bit above i in row ``j``, the column
-    mate the highest row below ``j`` with bit i free, found by scanning the
-    rows from ``j - 1`` down to ``i``.  Every group formed or grown is
-    reported as ``(shape, members, new members)``, members in construction
-    order; a grown group keeps its first member.  Each negative gets one report, so
-    the reports are also all :func:`_trace` reads to number K's cases.
+    The row mate is the lowest free bit above i, the column mate the
+    first free bit i in rows j - 1 down to i.  Every group formed or grown
+    is reported as ``(shape, members, new members)``, members in
+    construction order; a grown group keeps its first member.  Each
+    negative gets one report, so the reports are also all :func:`_trace`
+    reads to number K's cases.
     Raises :class:`LadderStuck` when a negative has no move.
     """
     free_row, row_pairs = state.free_row, state.row_pairs
