@@ -702,6 +702,14 @@ class TestSoundnessSample:
         (20, 400, 11, 1e-12),
         (3, 900, 12, -2.0),
         (7, 0, 13, 1e-12),
+        # tightened bounds put heavy (bound 2) and light (bound 1) group
+        # products on both sides of their bounds, over two chunks and more
+        (5, 2 * _SOUNDNESS_CHUNK + 37, 14, -0.5),
+        (5, 2 * _SOUNDNESS_CHUNK + 37, 15, -0.25),
+        (8, 2 * _SOUNDNESS_CHUNK + 211, 16, -0.5),
+        (8, 2 * _SOUNDNESS_CHUNK + 211, 17, -0.25),
+        (10, 3 * _SOUNDNESS_CHUNK + 5, 18, -0.5),
+        (10, 3 * _SOUNDNESS_CHUNK + 5, 19, -0.25),
     ])
     def test_matches_per_pattern_reference(self, n, samples, seed, tolerance):
         report = bound_soundness_sample(n, samples, seed=seed, tolerance=tolerance)
