@@ -42,10 +42,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pohst.signs import PatternContext, SignVector, min_heavy_target
-from pohst.partition import LadderStuck, _checked_leaf, _checked_row, _LadderState
-from pohst.certify import (
-    DEFAULT_TOLERANCE, RealVectorY, factor_matrix, group_bound, pair_factor_table,
-    partitions_for)
+from pohst.partition import (
+    LadderStuck, _checked_leaf, _checked_row, _LadderState, build_pi, eta_partition)
+from pohst.certify import DEFAULT_TOLERANCE, RealVectorY, factor_matrix, pair_factor_table
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
@@ -537,6 +536,31 @@ class SoundnessReport:
     max_group_ratio: float
 
 
+@functools.lru_cache(maxsize=4096)
+def _slot_table(n: int, code: int) -> tuple[np.ndarray, float]:
+    """The ``(4, groups)`` slot table of pattern ``code`` and its total bound.
+
+    Column g lists the ``factor_matrix`` columns of group g of K's and then
+    J's validated ladder partition in member order; pair (i, j) sits in
+    column ``(i - 1)(2n - i + 2) / 2 + j - i``.  Free slots read the row of
+    1.0 that ``_check_chunk`` appends below a chunk's ``n(n+1)/2``
+    factors, and a heavy group (at most 3 members) reads the row of 0.5
+    below it in its last slot, so the group's product comes out divided
+    by its bound of 2.  Raises ``LadderStuck``, which is not cached.
+    """
+    ctx = PatternContext(pattern_from_index(n, code))
+    pairs = n * (n + 1) // 2
+    slots = []
+    for group in eta_partition(ctx).groups + build_pi(ctx).groups:
+        slots += [(i - 1) * (2 * n - i + 2) // 2 + j - i for i, j in group.members]
+        slots += [pairs] * (4 - len(group.members))
+        if group.shape.heavy:
+            slots[-1] = pairs + 1
+    table = np.array(slots, dtype=np.intp).reshape(-1, 4).T
+    table.flags.writeable = False
+    return table, 2.0 ** ctx.target
+
+
 def bound_soundness_sample(
     n: int, samples: int, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> SoundnessReport:
@@ -584,24 +608,11 @@ def bound_soundness_sample(
     heads = (np.flatnonzero(np.diff(codes)) + 1).tolist()
     starts = [0] + heads if samples else []
 
-    pairs = n * (n + 1) // 2
-    col = {pair: k for k, pair in enumerate(
-        (i, j) for i in range(1, n + 1) for j in range(i, n + 1))}
-    pad = [pairs] * 4  # the slot of the row of 1.0 below each chunk's factors
     chunks = []  # per chunk: violations of totals and groups, their max ratios
     lo = 0
-    blocks = []  # per pattern of the open chunk: size, slot table, group bounds, bound
+    blocks = []  # per pattern of the open chunk: size, slot table, bound
     for start, end, code in zip(starts, heads + [samples], codes[starts].tolist()):
-        sigma = pattern_from_index(n, code)
-        k_part, j_part = partitions_for(sigma)
-        groups = k_part.groups + j_part.groups
-        slots = []
-        for group in groups:
-            members = [col[p] for p in group.members]
-            slots += members + pad[len(members):]
-        blocks.append((end - start, np.array(slots).reshape(-1, 4).T,
-                       [float(group_bound(group)) for group in groups],
-                       2.0 ** min_heavy_target(sigma)))
+        blocks.append((end - start, *_slot_table(n, code)))
         if end - lo >= _SOUNDNESS_CHUNK or end == samples:
             chunks.append(_check_chunk(X[order[lo:end]], blocks, tolerance))
             lo, blocks = end, []
@@ -622,9 +633,9 @@ def _check_chunk(X: np.ndarray, blocks: list, tolerance: float) -> tuple[int, in
     """Violations of totals and of groups in one chunk, and their max ratios.
 
     ``blocks`` lists the chunk's patterns in row order, each with its
-    number of rows, slot table, group bounds and total bound.
+    number of rows, slot table and total bound.
     """
-    sizes, tables, group_bounds, bounds = zip(*blocks)
+    sizes, tables, bounds = zip(*blocks)
     F = factor_matrix(X)
     rows, pairs = F.shape
     total = F.prod(axis=1)
@@ -633,20 +644,19 @@ def _check_chunk(X: np.ndarray, blocks: list, tolerance: float) -> tuple[int, in
     total_ratio = float((total / bound).max())
     if not pairs:  # n = 0: the triangle is empty
         return total_violations, 0, total_ratio, 0.0
-    padded = np.empty((pairs + 1, rows))
+    padded = np.empty((pairs + 2, rows))
     padded[:pairs] = F.T
     padded[pairs] = 1.0
-    counts = [len(gb) for gb in group_bounds]
-    prods = np.empty(sum(c * s for c, s in zip(counts, sizes)))
+    padded[pairs + 1] = 0.5
+    ratios = np.empty(sum(table.shape[1] * size for table, size in zip(tables, sizes)))
     start = at = 0
-    for table, count, size in zip(tables, counts, sizes):
+    for table, size in zip(tables, sizes):
         members = padded[table, start:start + size]  # (4, groups, rows of the block)
-        out = prods[at:at + count * size].reshape(count, size)
+        out = ratios[at:at + members[0].size].reshape(members[0].shape)
         np.multiply(members[0], members[1], out=out)
         out *= members[2]
         out *= members[3]
         start += size
-        at += count * size
-    gb = np.repeat(np.concatenate(group_bounds), np.repeat(sizes, counts))
-    group_violations = int((prods > gb * (1.0 + tolerance)).sum())
-    return total_violations, group_violations, total_ratio, float((prods / gb).max())
+        at += out.size
+    return (total_violations, int((ratios > 1.0 + tolerance).sum()), total_ratio,
+            float(ratios.max()))

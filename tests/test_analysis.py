@@ -15,6 +15,7 @@ from pohst.analysis import (
     MaximizeConfig,
     SoundnessReport,
     SweepRecord,
+    _slot_table,
     bound_soundness_sample,
     identity_residual,
     iterated_identity_residual,
@@ -717,6 +718,61 @@ class TestSoundnessSample:
         assert report == reference
         assert (report.max_total_ratio.hex(), report.max_group_ratio.hex()) == (
             reference.max_total_ratio.hex(), reference.max_group_ratio.hex())
+
+    def test_leaves_partition_cache_untouched(self):
+        # soundness sampling keeps its own slot tables and never looks a
+        # pattern up in the certificates' partition cache
+        partitions_for.cache_clear()
+        bound_soundness_sample(6, 5000, seed=1)
+        info = partitions_for.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_second_call_hits_one_table_per_pattern(self):
+        _slot_table.cache_clear()
+        bound_soundness_sample(6, 5000, seed=1)
+        info = _slot_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 64, 64)
+        bound_soundness_sample(6, 5000, seed=2)
+        info = _slot_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (64, 64, 64)
+
+    def test_stuck_ladder_is_not_cached(self, monkeypatch):
+        import pohst.partition as partition
+
+        def refuse(state, *args):
+            raise LadderStuck(state.sigma, "K", None, "refused")
+
+        _slot_table.cache_clear()
+        monkeypatch.setattr(partition, "_ladder_row", refuse)
+        with pytest.raises(LadderStuck):
+            bound_soundness_sample(6, 5000, seed=1)
+        assert _slot_table.cache_info().currsize == 0
+        monkeypatch.undo()
+        self.test_golden_reports(6, 5000, 1)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_slot_tables_follow_the_partitions(self, n):
+        # slot s < pairs is factor_matrix column s, in lexicographic order;
+        # slot pairs is the row of 1.0 and slot pairs + 1 the row of 0.5
+        pairs = n * (n + 1) // 2
+        lexicographic = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        for code in range(1 << n):
+            sigma = pattern_from_index(n, code)
+            table, bound = _slot_table(n, code)
+            k_part, j_part = partitions_for(sigma)
+            groups = k_part.groups + j_part.groups
+            assert table.shape == (4, len(groups))
+            assert bound == 2.0 ** min_heavy_target(sigma)
+            assert sorted(slot for slot in table.ravel().tolist() if slot < pairs) == list(
+                range(pairs))
+            halved = 0
+            for group, slots in zip(groups, table.T.tolist()):
+                size, heavy = len(group.members), group.shape.heavy
+                assert tuple(lexicographic[slot] for slot in slots[:size]) == tuple(
+                    group.members)
+                assert slots[size:] == [pairs] * (4 - size - heavy) + [pairs + 1] * heavy
+                halved += pairs + 1 in slots
+            assert halved == min_heavy_target(sigma)
 
     @pytest.mark.parametrize("n", [-1, 64, 65])
     def test_rejects_sizes_whose_codes_overflow(self, n, monkeypatch):

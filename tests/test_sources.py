@@ -170,3 +170,75 @@ def test_slot_checker_flags_slots_only_set_and_copied():
 def test_every_slot_is_read():
     modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_slots(modules) == []
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Functions whose ``lru_cache`` lacks an explicit integer ``maxsize``,
+    and functions with parameters under ``functools.cache``.
+
+    ``lru_cache`` and ``cache`` count bare or as ``functools`` attributes;
+    ``maxsize`` counts as the first positional argument or by keyword.
+    """
+    def name(node: ast.expr) -> str:
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            return node.attr
+        return getattr(node, "id", "")
+
+    unbounded = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            kind = name(call.func if call else decorator)
+            if kind == "lru_cache":
+                sizes = [*call.args[:1], *(k.value for k in call.keywords
+                                           if k.arg == "maxsize")] if call else []
+                if not any(isinstance(size, ast.Constant) and type(size.value) is int
+                           for size in sizes):
+                    unbounded.append(node.name)
+            elif kind == "cache":
+                args = node.args
+                if args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg:
+                    unbounded.append(node.name)
+    return unbounded
+
+
+def test_cache_checker_flags_only_unbounded_caches():
+    bounded = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=64)\n"
+        "def a(n): pass\n"
+        "@functools.lru_cache(4096)\n"
+        "def b(n, code): pass\n"
+        "@functools.cache\n"
+        "def c(): pass\n"
+        "@cache\n"
+        "def d(): pass\n"
+    )
+    assert unbounded_caches(bounded) == []
+    unbounded = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache\n"
+        "def a(n): pass\n"
+        "@lru_cache()\n"
+        "def b(n): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def c(n): pass\n"
+        "@lru_cache(typed=True)\n"
+        "def d(n): pass\n"
+        "@lru_cache(True)\n"
+        "def e(n): pass\n"
+        "@functools.cache\n"
+        "def f(n): pass\n"
+        "@cache\n"
+        "def g(*, key): pass\n"
+    )
+    assert unbounded_caches(unbounded) == ["a", "b", "c", "d", "e", "f", "g"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
