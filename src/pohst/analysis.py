@@ -11,8 +11,10 @@ pattern below it, and the checks of its rows and leaves live beside
 ``validate_partition`` in :mod:`pohst.partition`.  The walk enters only
 the prefixes that lead to a requested pattern, so a sampled sweep takes
 the same path as an exhaustive one.  The walk is the one construction
-this module runs (soundness sampling reads ``partitions_for``); the tests
-hold it to a per-pattern reference.
+this module runs on every pattern; the tests hold it to a per-pattern
+reference.  Soundness sampling builds each pattern's ladder partitions
+once, into a cached slot table of its groups' factor columns, and never
+reads ``partitions_for``.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -547,6 +549,9 @@ def _slot_table(n: int, code: int) -> tuple[np.ndarray, float]:
     factors, and a heavy group (at most 3 members) reads the row of 0.5
     below it in its last slot, so the group's product comes out divided
     by its bound of 2.  Raises ``LadderStuck``, which is not cached.
+    2**12 entries keep every pattern of n <= 12 warm; an entry takes about
+    1.5 KiB at n = 10 and 22 KiB at n = 63 (86 MiB when full), against
+    7 and 214 KiB for the partitions it is built from.
     """
     ctx = PatternContext(pattern_from_index(n, code))
     pairs = n * (n + 1) // 2
@@ -567,11 +572,11 @@ def bound_soundness_sample(
     """Randomized check that totals and group products respect their bounds.
 
     Draws ``samples`` box vectors with uniform magnitudes in (0, 1] and
-    uniform signs, shares the cached partitions across each sign pattern
-    and verifies every group product against its shape bound and the total
-    against ``2**min(p, m)``, relatively to ``tolerance``.  The signs are
-    drawn in blocks of ``_SOUNDNESS_CHUNK`` rows, the stream of one draw
-    without its full-size float array.
+    uniform signs, checks every group product of each sign pattern's
+    validated ladder partitions of K and J against its shape bound and the
+    total against ``2**min(p, m)``, relatively to ``tolerance``.  The
+    signs are drawn in blocks of ``_SOUNDNESS_CHUNK`` rows, the stream of
+    one draw without its full-size float array.
 
     One stable sort of the pattern codes makes each pattern a contiguous
     block of samples; the codes are ``uint16`` for n <= 16, where NumPy's
@@ -580,10 +585,11 @@ def bound_soundness_sample(
     ``_SOUNDNESS_CHUNK`` samples, and each chunk makes one
     ``factor_matrix`` call and one total product per sample; a block
     longer than a chunk is a chunk of its own.  Each pattern's group
-    products come from a ``(4, groups)`` slot table of its members'
-    factor columns, padded with the slot of a row of 1.0 appended to the
-    chunk's factors, in three multiplies; they multiply the members left
-    to right, as the group product does, and multiplying by 1.0 is exact.
+    products come from its ``(4, groups)`` slot table in three multiplies
+    (see ``_check_chunk``), with each group's bound folded into the table.
+    ``_slot_table`` caches one table and total bound per ``(n, code)``, so
+    a warm call builds no partition and a cold one builds each pattern's
+    partitions once; a stuck ladder raises ``LadderStuck``.
     ``n`` must lie in 0..63, where a pattern code fits a non-negative
     int64.  The tolerance must be finite, since a NaN or infinite one
     admits every product; a negative one is allowed and tightens the
@@ -633,7 +639,19 @@ def _check_chunk(X: np.ndarray, blocks: list, tolerance: float) -> tuple[int, in
     """Violations of totals and of groups in one chunk, and their max ratios.
 
     ``blocks`` lists the chunk's patterns in row order, each with its
-    number of rows, slot table and total bound.
+    number of rows, slot table and total bound.  The slots index the
+    chunk's factor columns, a row of 1.0 below them and a row of 0.5 below
+    that.  The three multiplies run each group's members left to right, as
+    the group product does.  Free slots multiply by 1.0, which is exact,
+    except a heavy group's last one, which multiplies by 0.5, so each
+    group yields its product over its bound of 1 or 2.  The ratios and
+    violations equal those of the products against their bounds bit for
+    bit: ``x * 0.5`` rounds ``x / 2`` as the division does, and
+    ``x * 0.5 > 1 + tolerance`` is ``x > 2 (1 + tolerance)`` whenever
+    ``x * 0.5`` is exact, that is unless ``x`` is subnormal.  No heavy
+    product is: a heavy group has at most one factor ``1 - t`` below 1,
+    with ``t`` a double in [0, 1], so that factor is 0 or at least 2**-53
+    and the others are at least 1.
     """
     sizes, tables, bounds = zip(*blocks)
     F = factor_matrix(X)

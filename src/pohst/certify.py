@@ -290,16 +290,16 @@ class Certificate:
 def partitions_for(sigma: SignVector) -> tuple[GoodPartition, GoodPartition]:
     """Cached validated ladder partitions of K and J per pattern; raises ``LadderStuck``.
 
-    Holds what ``certify_x`` and ``bound_soundness_sample`` read (groups,
-    method, heavy count), not the context or the K trace, which is never
-    built.  Measured traffic: hits come only from repeated calls over one
-    pattern set, such as the ``certify`` benchmark's 64-pattern pool or the
-    ``soundness`` benchmark's 1,024 patterns at n = 10 (hit ratio 1.0 each); one
-    soundness call looks each of its patterns up once, so a call over more
-    patterns than fit gains nothing.  Tier-1, less the capacity test, makes
-    about 600 hits and 3,400 misses and peaks at 2,044 entries; a sweep
-    makes none.  2**12 entries keep every pattern of n <= 12 warm; an entry
-    takes about 7 KiB at n = 10 and 210 KiB at n = 63 (0.82 GiB when full).
+    Holds what ``certify_x`` reads (groups, method, heavy count), not the
+    context or the K trace, which is never built.  Measured traffic comes
+    from certificates alone: sweeps and soundness sampling, which keeps its
+    own slot tables, make none.  Hits come only from repeated calls over one
+    pattern set, such as the ``certify`` benchmark's 64-pattern pool (hit
+    ratio 1.0).  Tier-1, less the capacity test, makes about 3,100 hits and
+    3,900 misses and peaks at 3,203 entries, all but about 500 hits and 200
+    misses from the tests' per-pattern soundness references.  2**12 entries
+    keep every pattern of n <= 12 warm; an entry takes about 7 KiB at
+    n = 10 and 210 KiB at n = 63 (0.82 GiB when full).
     """
     ctx = PatternContext(sigma)
     return eta_partition(ctx), build_pi(ctx)
