@@ -14,6 +14,14 @@ certificate groups the factors by the good partitions of the sign pattern,
 bounds each group by 1 or 2 through the four elementary product
 inequalities, and checks the total against ``2**min(p, m)``.
 
+Everything a certificate takes from its pattern alone is a
+:class:`CertificatePlan`, built by the pattern's first certificate and
+kept on its ``partitions_for`` entry: each group's factor positions and
+bound, the pattern-only fields, and one compact JSON template of the
+group list.  A certificate then costs one factor table, one product per
+group and, for printing, one template fill; its :class:`GroupCheck`
+tuple is built only when ``groups`` is read.
+
 All comparisons are relative with a default tolerance of 1e-12; products
 run in plain double precision.
 """
@@ -21,9 +29,10 @@ run in plain double precision.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -98,9 +107,19 @@ class RealVectorY:
 
 
 def x_from_y(y: RealVectorY) -> RealVectorX:
-    """Consecutive ratios ``y_i / y_{i+1}``; strict modulus growth keeps them in (-1, 1)."""
+    """Consecutive ratios ``y_i / y_{i+1}``; strict modulus growth keeps them in (-1, 1).
+
+    A ratio too small for a double, such as ``1e-320 / 1e300``, underflows to
+    zero and raises :class:`DomainError` naming the ratio and its positions.
+    """
     ys = y.entries
-    return RealVectorX(tuple(ys[i] / ys[i + 1] for i in range(len(ys) - 1)))
+    ratios = tuple(ys[i] / ys[i + 1] for i in range(len(ys) - 1))
+    for i, ratio in enumerate(ratios, start=1):
+        if ratio == 0:
+            raise DomainError(
+                f"ratio y_{i} / y_{i + 1} = {ys[i - 1]!r} / {ys[i]!r} underflows to zero"
+            )
+    return RealVectorX(ratios)
 
 
 def factor_table(x: RealVectorX) -> dict[Pair, float]:
@@ -247,9 +266,65 @@ class GroupCheck:
         return d
 
 
+@dataclass(frozen=True, eq=False)
+class CertificatePlan:
+    """What every certificate of one sign pattern shares, built once from its partitions.
+
+    ``fields`` holds the certificate fields that depend on the pattern
+    alone.  The groups are those of K, then of J: ``bounds`` gives their
+    bounds, one byte each, and ``positions`` their members, in member
+    order, as indices into ``factor_table``'s values, where pair (i, j)
+    sits at ``(i - 1)(2n - i + 2)/2 + j - i``.  ``template`` is the compact
+    JSON of the group list, keys sorted, with a ``%s`` slot for each
+    group's ``ok`` and a ``%r`` slot for its ``product``.
+    """
+
+    fields: dict
+    partitions: tuple[GoodPartition, GoodPartition]
+    bounds: bytes
+    positions: tuple[tuple[int, ...], ...]
+    template: str
+
+
+def _certificate_plan(
+    sigma: SignVector, k_part: GoodPartition, j_part: GoodPartition
+) -> CertificatePlan:
+    n = len(sigma)
+    groups = [(part.target, group) for part in (k_part, j_part) for group in part.groups]
+    bounds = bytes(group_bound(group) for _, group in groups)
+    # pair (i, j) sits at row i's offset plus j
+    offset = [(i - 1) * (2 * n - i + 2) // 2 - i for i in range(n + 1)]
+    positions = tuple(tuple(offset[i] + j for i, j in group.members) for _, group in groups)
+    # null marks the two slots: "ok" sorts right before "product", and no
+    # other member of a group is ever null
+    blank = [GroupCheck(target, group, None, bound, None).to_json_dict()
+             for (target, group), bound in zip(groups, bounds)]
+    template = json.dumps(blank, sort_keys=True).replace(
+        '"ok": null, "product": null', '"ok": %s, "product": %r')
+    exponent = min_heavy_target(sigma)
+    fields = {
+        "sign_pattern": sigma.to_string(),
+        "n_x": n,
+        "n_y": n + 1,
+        "exponent": exponent,
+        "bound": 2.0 ** exponent,
+        "eta_method": k_part.method,
+        "pi_method": j_part.method,
+        "heavy_count": k_part.heavy_count,
+        "bounds_product_is_pow2_heavy": math.prod(bounds) == 2 ** k_part.heavy_count,
+    }
+    return CertificatePlan(fields, (k_part, j_part), bounds, positions, template)
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable record of one bound verification."""
+    """Machine-checkable record of one bound verification.
+
+    ``products`` holds the group products in plan order, the groups of K
+    and then of J.  ``groups`` builds the per-group checks from them on
+    first read; ``groups_json`` encodes the same checks from the plan's
+    template and builds none.
+    """
 
     input_kind: str
     input_values: tuple[float, ...]
@@ -261,13 +336,33 @@ class Certificate:
     bound: float
     ok: bool
     tolerance: float
-    groups: tuple[GroupCheck, ...]
+    products: tuple[float, ...]
     eta_method: str
     pi_method: str
     heavy_count: int
     bounds_product_is_pow2_heavy: bool
+    plan: CertificatePlan = field(compare=False, repr=False)
 
-    def to_json_dict(self) -> dict:
+    @cached_property
+    def groups(self) -> tuple[GroupCheck, ...]:
+        scale = 1.0 + self.tolerance
+        plan = self.plan
+        groups = ((part.target, group) for part in plan.partitions for group in part.groups)
+        return tuple(
+            GroupCheck(target, group, product, bound, product <= bound * scale)
+            for (target, group), bound, product in zip(groups, plan.bounds, self.products)
+        )
+
+    def groups_json(self) -> str:
+        """``to_json_dict()["groups"]`` as ``json.dumps(..., sort_keys=True)`` would print it."""
+        scale = 1.0 + self.tolerance
+        slots = []
+        for product, bound in zip(self.products, self.plan.bounds):
+            slots += ("true" if product <= bound * scale else "false", product)
+        return self.plan.template % tuple(slots)
+
+    def head_json_dict(self) -> dict:
+        """Every member of ``to_json_dict`` but ``groups``."""
         return {
             "input": {"kind": self.input_kind, "values": list(self.input_values)},
             "sign_pattern": self.sign_pattern,
@@ -278,31 +373,44 @@ class Certificate:
             "bound": self.bound,
             "ok": self.ok,
             "tolerance": self.tolerance,
-            "groups": [g.to_json_dict() for g in self.groups],
             "eta_method": self.eta_method,
             "pi_method": self.pi_method,
             "heavy_count": self.heavy_count,
             "bounds_product_is_pow2_heavy": self.bounds_product_is_pow2_heavy,
         }
 
+    def to_json_dict(self) -> dict:
+        return {**self.head_json_dict(), "groups": [g.to_json_dict() for g in self.groups]}
+
+
+class _Partitions(tuple):
+    """``(k_part, j_part)`` of one pattern; its first certificate sets ``plan``."""
+
+    plan: Optional[CertificatePlan] = None
+
 
 @lru_cache(maxsize=4096)
 def partitions_for(sigma: SignVector) -> tuple[GoodPartition, GoodPartition]:
     """Cached validated ladder partitions of K and J per pattern; raises ``LadderStuck``.
 
-    Holds what ``certify_x`` reads (groups, method, heavy count), not the
-    context or the K trace, which is never built.  Measured traffic comes
-    from certificates alone: sweeps and soundness sampling, which keeps its
-    own slot tables, make none.  Hits come only from repeated calls over one
-    pattern set, such as the ``certify`` benchmark's 64-pattern pool (hit
-    ratio 1.0).  Tier-1, less the capacity test, makes about 3,100 hits and
-    3,900 misses and peaks at 3,203 entries, all but about 500 hits and 200
-    misses from the tests' per-pattern soundness references.  2**12 entries
-    keep every pattern of n <= 12 warm; an entry takes about 7 KiB at
-    n = 10 and 210 KiB at n = 63 (0.82 GiB when full).
+    Holds the two partitions, not the context or the K trace, which is
+    never built; a pattern's first certificate adds its
+    :class:`CertificatePlan` to the entry, so one LRU bounds both and an
+    evicted or cleared entry drops its plan.  Sweeps and soundness
+    sampling, which keeps its own slot tables, make no traffic here.  Hits
+    come only from repeated calls over one pattern set: the ``certify``
+    benchmark's 64-pattern pool makes 64 misses and 64 plans in set-up,
+    then one hit per call (hit ratio 1.0).  Tier-1, less the two capacity
+    tests, makes 3,368 hits and 4,102 misses, builds 518 plans and peaks at
+    3,203 entries; the tests' per-pattern soundness references make 2,573
+    of the hits and 3,714 of the misses and no plan.  2**12 entries keep
+    every pattern of n <= 12 warm.  One entry, shared objects counted once,
+    takes 24 KiB of partitions and a 15 KiB plan (8.3 KiB of it the
+    template) at n = 16, 229 and 160 KiB at n = 63 (1.6 GiB when full),
+    and 65 and 43 MiB at n = 1024.
     """
     ctx = PatternContext(sigma)
-    return eta_partition(ctx), build_pi(ctx)
+    return _Partitions((eta_partition(ctx), build_pi(ctx)))
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -314,11 +422,16 @@ def check_tolerance(tolerance: float) -> None:
 def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certificate:
     """Certificate for the full product of a box vector.
 
-    Builds the partitions for the sign pattern of x, bounds every group by
-    its shape bound and the total by ``2**min(p, m)``, all relatively to
-    ``tolerance``.  Vectors longer than ``MAX_CERTIFY_N``, and a tolerance
-    that is negative or not finite, raise :class:`DomainError` before any
-    partition is built.
+    Looks up the partitions for the sign pattern of x (one
+    ``partitions_for`` call) and their plan, built here on the pattern's
+    first certificate.  It reads ``factor_table(x)``'s values as a flat
+    list, multiplies each group's factors in member order, bounds every
+    group by its shape bound and the total by ``2**min(p, m)``, all
+    relatively to ``tolerance``; it builds no :class:`GroupCheck`.  At
+    n = 16 on 2 vCPUs a warm call takes about 45 µs, 22 µs of it in
+    ``factor_table`` (110 µs before the plan).  Vectors longer than
+    ``MAX_CERTIFY_N``, and a tolerance that is negative or not finite,
+    raise :class:`DomainError` before any partition is built.
     """
     check_tolerance(tolerance)
     if len(x) > MAX_CERTIFY_N:
@@ -327,41 +440,30 @@ def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
             f"({MAX_CERTIFY_N + 1} y entries), got {len(x)} x entries"
         )
     sigma = x.sign_vector()
-    k_part, j_part = partitions_for(sigma)
-    table = factor_table(x)
-    checks: list[GroupCheck] = []
-    for part in (k_part, j_part):
-        for group in part.groups:
-            product = 1.0
-            for p in group.members:
-                product *= table[p]
-            bnd = group_bound(group)
-            checks.append(
-                GroupCheck(part.target, group, product, bnd, product <= bnd * (1.0 + tolerance))
-            )
-    total = math.prod(table.values(), start=1.0)
-    exponent = min_heavy_target(sigma)
-    bound = 2.0 ** exponent
-    ok = total <= bound * (1.0 + tolerance) and all(c.ok for c in checks)
-    bounds_product = 1
-    for c in checks:
-        bounds_product *= c.bound
+    partitions = partitions_for(sigma)
+    plan = partitions.plan
+    if plan is None:
+        plan = partitions.plan = _certificate_plan(sigma, *partitions)
+    values = list(factor_table(x).values())
+    products = []
+    for positions in plan.positions:
+        product = 1.0
+        for k in positions:
+            product *= values[k]
+        products.append(product)
+    total = math.prod(values, start=1.0)
+    scale = 1.0 + tolerance
+    ok = total <= plan.fields["bound"] * scale and all(
+        product <= bound * scale for product, bound in zip(products, plan.bounds))
     return Certificate(
         input_kind="x",
         input_values=x.entries,
-        sign_pattern=sigma.to_string(),
-        n_x=len(x),
-        n_y=len(x) + 1,
-        exponent=exponent,
         total=total,
-        bound=bound,
         ok=ok,
         tolerance=tolerance,
-        groups=tuple(checks),
-        eta_method=k_part.method,
-        pi_method=j_part.method,
-        heavy_count=k_part.heavy_count,
-        bounds_product_is_pow2_heavy=bounds_product == 2 ** k_part.heavy_count,
+        products=tuple(products),
+        plan=plan,
+        **plan.fields,
     )
 
 

@@ -14,7 +14,10 @@ files) and reports through the exit code:
 Handlers return their payload and exit code and raise on failure; ``main``
 is the one place that maps exceptions to exit codes.  A success document
 carries a ``manifest``; an error document holds ``error``, plus ``sigma``
-and ``target`` for exit 3, and no manifest.
+and ``target`` for exit 3, and no manifest.  A payload member may arrive
+already encoded (:class:`Encoded`, as ``certify``'s groups do, filled into
+their pattern's template); the printed bytes are those of ``json.dumps``
+either way.
 
 Sign patterns are compact ``'+'``/``'-'`` strings; numeric vectors are
 comma-separated decimals.  A leading ``-`` in a pattern would normally read
@@ -78,10 +81,40 @@ EXIT_SWEEP_INVALID = 5
 MAX_PATTERN_N = 1024
 
 _PATTERN_RE = re.compile(r"[+-]+")
+# options whose value may start with '-' and does not always read as a
+# negative number to argparse ('-0.5,0.5', '-1e-3')
+_NUMERIC_FLAGS = ("--x", "--y", "--tolerance", "--delta")
+
+
+class Encoded(str):
+    """A payload member that is already compact JSON with sorted keys."""
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _emit(ns, payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2 if ns.pretty else None))
+    """Print ``json.dumps(payload, sort_keys=True)``, indented for ``--pretty``.
+
+    Members marked :class:`Encoded` are printed as they stand; each run of
+    other members between them, in key order, is one encoder call.
+    """
+    if ns.pretty:
+        decoded = {k: json.loads(v) if isinstance(v, Encoded) else v for k, v in payload.items()}
+        print(json.dumps(decoded, sort_keys=True, indent=2))
+        return
+    parts, run = [], {}
+    for key, value in sorted(payload.items()):
+        if isinstance(value, Encoded):
+            if run:
+                parts.append(_encode(run)[1:-1])
+                run = {}
+            parts.append(f"{_encode(key)}: {value}")
+        else:
+            run[key] = value
+    if run:
+        parts.append(_encode(run)[1:-1])
+    print("{" + ", ".join(parts) + "}")
 
 
 def _manifest(ns) -> dict:
@@ -176,7 +209,8 @@ def cmd_certify(ns) -> tuple[dict, int]:
         cert = certify_x(RealVectorX(_parse_floats(ns.x)), ns.tolerance)
     else:
         cert = certify_y(RealVectorY(_parse_floats(ns.y)), ns.tolerance)
-    return cert.to_json_dict(), EXIT_OK if cert.ok else EXIT_BOUND
+    doc = {**cert.head_json_dict(), "groups": Encoded(cert.groups_json())}
+    return doc, EXIT_OK if cert.ok else EXIT_BOUND
 
 
 def _written(handle, records):
@@ -293,17 +327,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _guard_argv(argv: list[str]) -> list[str]:
     """Keep leading '-' arguments out of argparse's option matching.
 
-    Plain sign patterns get a '--' separator inserted before them; numeric
-    vector flags are merged into '--x=...' form so values like '-0.5,0.5'
-    survive.
+    Plain sign patterns get a '--' separator inserted before them; every
+    value of a numeric flag that starts with '-' is merged into '--x=...'
+    form, so values like '-0.5,0.5' and '-1e-3' survive.
     """
     if not argv:
         return argv
-    out = list(argv)
-    for pos in range(len(out) - 1):
-        if out[pos] in ("--x", "--y") and out[pos + 1].startswith("-"):
-            out[pos: pos + 2] = [f"{out[pos]}={out[pos + 1]}"]
-            break
+    out = []
+    pos = 0
+    while pos < len(argv):
+        tok = argv[pos]
+        if tok in _NUMERIC_FLAGS and pos + 1 < len(argv) and argv[pos + 1].startswith("-"):
+            out.append(f"{tok}={argv[pos + 1]}")
+            pos += 2
+        else:
+            out.append(tok)
+            pos += 1
     if out[0] in ("classify", "partition", "maximize"):
         for pos in range(1, len(out)):
             tok = out[pos]

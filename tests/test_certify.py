@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pohst.certify import (
     Certificate,
     DomainError,
+    GroupCheck,
     RealVectorX,
     RealVectorY,
     certify_x,
@@ -94,6 +96,12 @@ class TestEvaluation:
         assert x_from_y(RealVectorY((1.0, -2.0, 4.0))).entries == (-0.5, -0.5)
         assert x_from_y(RealVectorY((1.0, 2.0))).entries == (0.5,)
         assert x_from_y(RealVectorY((3.0, -6.0, 12.0, -24.0))).entries == (-0.5,) * 3
+
+    def test_x_from_y_names_an_underflowing_ratio(self):
+        with pytest.raises(DomainError, match=r"ratio y_2 / y_3 = 1e-320 / 1e\+300 underflows"):
+            x_from_y(RealVectorY((5e-321, 1e-320, 1e300)))
+        # a subnormal ratio is still a nonzero entry
+        assert x_from_y(RealVectorY((1e-310, 1e10))).entries == (1e-320,)
 
     def test_eval_P_examples(self):
         assert eval_P(RealVectorY((1.0, -2.0))) == 1.5
@@ -208,6 +216,40 @@ class TestCertifyX:
                 regrouped *= check.product
             assert abs(cert.total - regrouped) <= 1e-10 * max(cert.total, regrouped, 1e-300)
 
+    def test_groups_match_per_group_reference(self):
+        # the checks certify_x built before products came from the cached
+        # plan: each group's factors multiplied in member order
+        rng = random.Random(2503)
+        for n in list(range(0, 13)) + [16, 23, 40]:
+            for tolerance in (0.0, 1e-12):
+                x = random_x(rng, n)
+                cert = certify_x(x, tolerance)
+                table = factor_table(x)
+                reference = []
+                for part in partitions_for(x.sign_vector()):
+                    for group in part.groups:
+                        product = 1.0
+                        for pair in group.members:
+                            product *= table[pair]
+                        bound = group_bound(group)
+                        reference.append(GroupCheck(part.target, group, product, bound,
+                                                    product <= bound * (1.0 + tolerance)))
+                assert cert.groups == tuple(reference)
+                assert [p.hex() for p in cert.products] == [g.product.hex() for g in reference]
+                assert cert.groups is cert.groups  # built once
+                assert cert.total == math.prod(table.values(), start=1.0)
+
+    def test_groups_json_matches_to_json_dict(self):
+        rng = random.Random(2504)
+        for n in range(0, 20):
+            cert = certify_x(random_x(rng, n))
+            assert cert.groups_json() == json.dumps(cert.to_json_dict()["groups"], sort_keys=True)
+        # a group over its bound prints false in its own slot
+        cert = certify_x(RealVectorX((-1.0, 0.5, -1.0)), 0.0)
+        over = replace(cert, products=tuple(p * 1.5 for p in cert.products))
+        assert over.groups_json() == json.dumps(over.to_json_dict()["groups"], sort_keys=True)
+        assert [g["ok"] for g in json.loads(over.groups_json())] == [False, False, True]
+
     def test_bounds_product_records_heavy_power(self):
         cert = certify_x(RealVectorX((-0.5, 0.5)))
         assert cert.bounds_product_is_pow2_heavy
@@ -288,6 +330,36 @@ class TestPartitionCache:
             partitions_for(sigma)
         info = partitions_for.cache_info()
         assert (info.misses, info.maxsize, info.currsize) == (4102, 4096, 4096)
+        partitions_for.cache_clear()
+
+
+    def test_plan_lives_in_its_entry(self):
+        partitions_for.cache_clear()
+        sigma = SignVector((1, -1, -1))
+        assert partitions_for(sigma).plan is None  # built by the first certificate
+        cert = certify_x(RealVectorX((0.5, -0.5, -0.25)))
+        assert partitions_for(sigma).plan is cert.plan
+        assert certify_x(RealVectorX((0.25, -0.75, -1.0))).plan is cert.plan
+        assert partitions_for.cache_info().currsize == 1
+        partitions_for.cache_clear()
+        assert certify_x(RealVectorX((0.5, -0.5, -0.25))).plan is not cert.plan
+        partitions_for.cache_clear()
+
+    def test_plans_share_the_capacity(self):
+        # the capacity test's 4,102 patterns, each certified: the plans are
+        # evicted with their entries
+        partitions_for.cache_clear()
+        sigmas = [SignVector(bits) for n in range(1, 12)
+                  for bits in itertools.product((1, -1), repeat=n)]
+        sigmas += [SignVector((1,) * 11 + (s,)) for s in (1, -1)]
+        sigmas += [SignVector((-1,) * k + (1,) * (12 - k)) for k in range(1, 7)]
+        plans = [certify_x(RealVectorX(tuple(0.5 * s for s in sigma))).plan for sigma in sigmas]
+        assert len(set(map(id, plans))) == 4102
+        info = partitions_for.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4102, 4096)
+        assert all(partitions_for(sigma).plan is plan
+                   for sigma, plan in zip(sigmas[-4096:], plans[-4096:]))
+        assert partitions_for(sigmas[0]).plan is None  # evicted, then rebuilt bare
         partitions_for.cache_clear()
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from pohst import cli
 from pohst.analysis import sweep_summary
+from pohst.certify import RealVectorX, RealVectorY, certify_x, certify_y
 from pohst.cli import main
 
 
@@ -220,11 +221,107 @@ class TestCertify:
         code, doc = run(capsys, "certify", flag, values, "--tolerance", tolerance)
         assert code == 2 and "tolerance" in doc["error"]
 
+    def test_underflowing_ratio_is_named(self, capsys):
+        # no y entry is zero, but y_1 / y_2 underflows to 0.0
+        code, doc = run(capsys, "certify", "--y", "1e-320,1e300")
+        assert code == 2
+        assert doc["error"] == "ratio y_1 / y_2 = 1e-320 / 1e+300 underflows to zero"
+
     def test_requires_exactly_one_vector(self, capsys):
         code, _ = run(capsys, "certify", "--x", "0.5", "--y", "1,2")
         assert code == 2
         code, _ = run(capsys, "certify")
         assert code == 2
+
+
+class TestCertifyDocument:
+    """The printed certificate is ``json.dumps`` of the manifest and
+    ``Certificate.to_json_dict()``, byte for byte, although ``certify``
+    encodes its groups from the pattern's cached plan."""
+
+    @staticmethod
+    def reference(manifest, cert, **kwargs):
+        return json.dumps({"manifest": manifest, **cert.to_json_dict()}, sort_keys=True,
+                          **kwargs) + "\n"
+
+    def check(self, capsys, *argv, cert):
+        code = main(["certify", *argv])
+        out = capsys.readouterr().out
+        manifest = json.loads(out)["manifest"]
+        assert out == self.reference(manifest, cert)
+        return code, manifest
+
+    @staticmethod
+    def seeded_x(rng, n):
+        return tuple(rng.choice((1, -1)) * (1.0 - rng.random()) for _ in range(n))
+
+    def test_seeded_x_vectors(self, capsys):
+        rng = random.Random(2501)
+        for n in range(41):
+            for _ in range(3):
+                xs = self.seeded_x(rng, n)
+                code, _ = self.check(capsys, "--x", ",".join(map(repr, xs)),
+                                     cert=certify_x(RealVectorX(xs)))
+                assert code == 0
+
+    def test_seeded_y_vectors(self, capsys):
+        rng = random.Random(2502)
+        for n in range(41):
+            mag = rng.uniform(0.5, 2.0)
+            ys = []
+            for _ in range(n + 1):
+                ys.append(rng.choice((1, -1)) * mag)
+                mag *= 1.0 + rng.uniform(0.01, 2.0)
+            code, _ = self.check(capsys, "--y", ",".join(map(repr, ys)),
+                                 cert=certify_y(RealVectorY(ys)))
+            assert code == 0
+
+    @pytest.mark.parametrize("xs", [
+        (1.0,), (-1.0,), (1.0, -1.0, 1.0), (-1.0,) * 9, (-0.5,) * 40, (-1.0,) * 40,
+        (0.5, 1.0, -1.0, -0.25, 1.0, -1.0),
+    ])
+    def test_boundary_and_all_minus(self, capsys, xs):
+        # entries of modulus 1 give factors of exactly 0.0 and 2.0
+        cert = certify_x(RealVectorX(xs))
+        code, _ = self.check(capsys, "--x", ",".join(map(repr, xs)), cert=cert)
+        assert code == 0
+
+    @pytest.mark.parametrize("argv, certify", [
+        (("--x", "-0.5,0.25,-1.0"), lambda: certify_x(RealVectorX((-0.5, 0.25, -1.0)))),
+        (("--y", "1,-2,4"), lambda: certify_y(RealVectorY((1.0, -2.0, 4.0)))),
+    ])
+    def test_pretty_is_the_indented_form(self, capsys, argv, certify):
+        assert main(["certify", "--pretty", *argv]) == 0
+        out = capsys.readouterr().out
+        manifest = json.loads(out)["manifest"]
+        assert out == self.reference(manifest, certify(), indent=2)
+
+    def test_replaced_certificate_prints_its_own_ok(self, capsys, monkeypatch):
+        import dataclasses
+
+        real = certify_x
+        replaced = []
+
+        def pessimist(x, tolerance):
+            replaced.append(dataclasses.replace(real(x, tolerance), ok=False))
+            return replaced[-1]
+
+        monkeypatch.setattr(cli, "certify_x", pessimist)
+        code = main(["certify", "--x", "-0.5,0.5,0.25"])
+        out = capsys.readouterr().out
+        assert code == 4 and '"ok": false, "pi_method"' in out
+        assert out == self.reference(json.loads(out)["manifest"], replaced[-1])
+        # every group still checks, only the certificate's own ok changed
+        assert all(group["ok"] for group in json.loads(out)["groups"])
+
+    def test_equal_length_patterns_keep_their_own_plans(self, capsys):
+        a, b = (0.5, -0.5, 0.5, -0.5), (-0.5, 0.5, -0.5, 0.5)
+        cert_a, cert_b = certify_x(RealVectorX(a)), certify_x(RealVectorX(b))
+        assert cert_a.plan is not cert_b.plan
+        assert certify_x(RealVectorX((0.25, -0.75, 0.5, -0.125))).plan is cert_a.plan
+        for xs in (a, b, a):
+            cert = certify_x(RealVectorX(xs))
+            self.check(capsys, "--x", ",".join(map(repr, xs)), cert=cert)
 
 
 class TestSweep:
@@ -712,6 +809,28 @@ class TestParsing:
     def test_double_dash_passthrough(self, capsys):
         code, doc = run(capsys, "classify", "--", "-+-")
         assert code == 0 and doc["sigma"] == "-+-"
+
+    @pytest.mark.parametrize("argv, error", [
+        (("certify", "--x", "-0.5", "--y", "-1,2"), "provide exactly one of --x or --y"),
+        (("certify", "--y", "-1,2", "--x", "-0.5"), "provide exactly one of --x or --y"),
+        (("certify", "--x", "-0.5,0.5", "--tolerance", "-1e-3"),
+         "tolerance must be finite and non-negative, got -0.001"),
+        (("identity", "--y", "-1,2,-4", "--tolerance", "-1e-3"),
+         "tolerance must be finite and non-negative, got -0.001"),
+        (("maximize", "--delta", "-1e-3", "-+"), "magnitude floor must lie in (0, 1), got -0.001"),
+    ])
+    def test_every_negative_numeric_value_reaches_its_handler(self, capsys, argv, error):
+        # values starting with '-' that argparse does not read as negative
+        # numbers: every one is merged, so the handler reports in JSON
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out) == {"error": error}
+
+    def test_merged_values_parse_as_given(self, capsys):
+        code, doc = run(capsys, "certify", "--tolerance", "-0.0", "--x", "-0.5,-0.25")
+        assert code == 0 and doc["tolerance"] == 0.0
+        assert doc["input"]["values"] == [-0.5, -0.25]
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
