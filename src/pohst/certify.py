@@ -29,7 +29,6 @@ run in plain double precision.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -295,12 +294,13 @@ def _certificate_plan(
     # pair (i, j) sits at row i's offset plus j
     offset = [(i - 1) * (2 * n - i + 2) // 2 - i for i in range(n + 1)]
     positions = tuple(tuple(offset[i] + j for i, j in group.members) for _, group in groups)
-    # null marks the two slots: "ok" sorts right before "product", and no
-    # other member of a group is ever null
-    blank = [GroupCheck(target, group, None, bound, None).to_json_dict()
-             for (target, group), bound in zip(groups, bounds)]
-    template = json.dumps(blank, sort_keys=True).replace(
-        '"ok": null, "product": null', '"ok": %s, "product": %r')
+    # GroupCheck.to_json_dict's members in sorted key order, as json.dumps
+    # prints them (a list of int lists prints as JSON)
+    template = "[" + ", ".join(
+        f'{{"bound": {bound}, "members": {[list(p) for p in group.members]}, "ok": %s, '
+        f'"product": %r, "shape": "{group.shape.value}", "target": "{target}"}}'
+        for (target, group), bound in zip(groups, bounds)
+    ) + "]"
     exponent = min_heavy_target(sigma)
     fields = {
         "sign_pattern": sigma.to_string(),
