@@ -217,8 +217,8 @@ class TestCertifyX:
             assert abs(cert.total - regrouped) <= 1e-10 * max(cert.total, regrouped, 1e-300)
 
     def test_groups_match_per_group_reference(self):
-        # the checks certify_x built before products came from the cached
-        # plan: each group's factors multiplied in member order
+        # reference: each group's factors looked up by pair and multiplied
+        # in member order
         rng = random.Random(2503)
         for n in list(range(0, 13)) + [16, 23, 40]:
             for tolerance in (0.0, 1e-12):
@@ -331,7 +331,6 @@ class TestPartitionCache:
         info = partitions_for.cache_info()
         assert (info.misses, info.maxsize, info.currsize) == (4102, 4096, 4096)
         partitions_for.cache_clear()
-
 
     def test_plan_lives_in_its_entry(self):
         partitions_for.cache_clear()
