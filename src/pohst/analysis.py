@@ -12,9 +12,8 @@ pattern below it, and the checks of its rows and leaves live beside
 the prefixes that lead to a requested pattern, so a sampled sweep takes
 the same path as an exhaustive one.  The walk is the one construction
 this module runs on every pattern; the tests hold it to a per-pattern
-reference.  Soundness sampling builds each pattern's ladder partitions
-once, into a cached slot table of its groups' factor columns, and never
-reads ``partitions_for``.
+reference.  Soundness sampling reads each pattern's slot table of its
+groups' factor columns from its ``partitions_for`` entry.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -44,9 +43,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from pohst.signs import PatternContext, SignVector, min_heavy_target
-from pohst.partition import (
-    LadderStuck, _checked_leaf, _checked_row, _LadderState, build_pi, eta_partition)
-from pohst.certify import DEFAULT_TOLERANCE, RealVectorY, factor_matrix, pair_factor_table
+from pohst.partition import LadderStuck, _checked_leaf, _checked_row, _LadderState
+from pohst.certify import (
+    DEFAULT_TOLERANCE, RealVectorY, factor_matrix, pair_factor_table, partitions_for)
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
@@ -123,11 +122,6 @@ class SweepRecord:
         heavy, target = self.heavy, self.target
         return _RECORD_LINE % (self.J, self.K, heavy, "true" if heavy >= 0 else "false",
                                self.sigma, target, "true" if heavy == target else "false")
-
-
-def pattern_from_index(n: int, index: int) -> SignVector:
-    """Deterministic pattern numbering: bit k of ``index`` flips entry k+1."""
-    return SignVector(tuple(-1 if (index >> k) & 1 else 1 for k in range(n)))
 
 
 def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> np.ndarray:
@@ -538,34 +532,6 @@ class SoundnessReport:
     max_group_ratio: float
 
 
-@functools.lru_cache(maxsize=4096)
-def _slot_table(n: int, code: int) -> tuple[np.ndarray, float]:
-    """The ``(4, groups)`` slot table of pattern ``code`` and its total bound.
-
-    Column g lists the ``factor_matrix`` columns of group g of K's and then
-    J's validated ladder partition in member order; pair (i, j) sits in
-    column ``(i - 1)(2n - i + 2) / 2 + j - i``.  Free slots read the row of
-    1.0 that ``_check_chunk`` appends below a chunk's ``n(n+1)/2``
-    factors, and a heavy group (at most 3 members) reads the row of 0.5
-    below it in its last slot, so the group's product comes out divided
-    by its bound of 2.  Raises ``LadderStuck``, which is not cached.
-    2**12 entries keep every pattern of n <= 12 warm; an entry takes about
-    1.5 KiB at n = 10 and 22 KiB at n = 63 (86 MiB when full), against
-    7 and 214 KiB for the partitions it is built from.
-    """
-    ctx = PatternContext(pattern_from_index(n, code))
-    pairs = n * (n + 1) // 2
-    slots = []
-    for group in eta_partition(ctx).groups + build_pi(ctx).groups:
-        slots += [(i - 1) * (2 * n - i + 2) // 2 + j - i for i, j in group.members]
-        slots += [pairs] * (4 - len(group.members))
-        if group.shape.heavy:
-            slots[-1] = pairs + 1
-    table = np.array(slots, dtype=np.intp).reshape(-1, 4).T
-    table.flags.writeable = False
-    return table, 2.0 ** ctx.target
-
-
 def bound_soundness_sample(
     n: int, samples: int, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> SoundnessReport:
@@ -585,11 +551,10 @@ def bound_soundness_sample(
     ``_SOUNDNESS_CHUNK`` samples, and each chunk makes one
     ``factor_matrix`` call and one total product per sample; a block
     longer than a chunk is a chunk of its own.  Each pattern's group
-    products come from its ``(4, groups)`` slot table in three multiplies
-    (see ``_check_chunk``), with each group's bound folded into the table.
-    ``_slot_table`` caches one table and total bound per ``(n, code)``, so
-    a warm call builds no partition and a cold one builds each pattern's
-    partitions once; a stuck ladder raises ``LadderStuck``.
+    products over their bounds come from the slot table of its
+    ``partitions_for`` entry in three multiplies (see ``_check_chunk``);
+    a miss builds the table and bound, no plan.  A stuck ladder raises
+    ``LadderStuck``.
     ``n`` must lie in 0..63, where a pattern code fits a non-negative
     int64.  The tolerance must be finite, since a NaN or infinite one
     admits every product; a negative one is allowed and tightens the
@@ -616,9 +581,9 @@ def bound_soundness_sample(
 
     chunks = []  # per chunk: violations of totals and groups, their max ratios
     lo = 0
-    blocks = []  # per pattern of the open chunk: size, slot table, bound
+    blocks = []  # per pattern of the open chunk: size and entry
     for start, end, code in zip(starts, heads + [samples], codes[starts].tolist()):
-        blocks.append((end - start, *_slot_table(n, code)))
+        blocks.append((end - start, partitions_for(n, code)))
         if end - lo >= _SOUNDNESS_CHUNK or end == samples:
             chunks.append(_check_chunk(X[order[lo:end]], blocks, tolerance))
             lo, blocks = end, []
@@ -639,25 +604,26 @@ def _check_chunk(X: np.ndarray, blocks: list, tolerance: float) -> tuple[int, in
     """Violations of totals and of groups in one chunk, and their max ratios.
 
     ``blocks`` lists the chunk's patterns in row order, each with its
-    number of rows, slot table and total bound.  The slots index the
-    chunk's factor columns, a row of 1.0 below them and a row of 0.5 below
-    that.  The three multiplies run each group's members left to right, as
-    the group product does.  Free slots multiply by 1.0, which is exact,
-    except a heavy group's last one, which multiplies by 0.5, so each
-    group yields its product over its bound of 1 or 2.  The ratios and
-    violations equal those of the products against their bounds bit for
-    bit: ``x * 0.5`` rounds ``x / 2`` as the division does, and
+    number of rows and :class:`~pohst.certify.PatternEntry`, whose slot
+    table and total bound the chunk reads.  The slots index the chunk's
+    factor columns, a row of 1.0 below them and a row of 0.5 below that.
+    The three multiplies run each group's members left to right, as the
+    group product does.  Free slots multiply by 1.0, which is exact, except
+    a heavy group's last one, which multiplies by 0.5, so each group yields
+    its product over its bound of 1 or 2.  The ratios and violations equal
+    those of the products against their bounds bit for bit: ``x * 0.5``
+    rounds ``x / 2`` as the division does, and
     ``x * 0.5 > 1 + tolerance`` is ``x > 2 (1 + tolerance)`` whenever
     ``x * 0.5`` is exact, that is unless ``x`` is subnormal.  No heavy
     product is: a heavy group has at most one factor ``1 - t`` below 1,
     with ``t`` a double in [0, 1], so that factor is 0 or at least 2**-53
     and the others are at least 1.
     """
-    sizes, tables, bounds = zip(*blocks)
+    sizes, entries = zip(*blocks)
     F = factor_matrix(X)
     rows, pairs = F.shape
     total = F.prod(axis=1)
-    bound = np.repeat(bounds, sizes)
+    bound = np.repeat([entry.bound for entry in entries], sizes)
     total_violations = int((total > bound * (1.0 + tolerance)).sum())
     total_ratio = float((total / bound).max())
     if not pairs:  # n = 0: the triangle is empty
@@ -666,10 +632,10 @@ def _check_chunk(X: np.ndarray, blocks: list, tolerance: float) -> tuple[int, in
     padded[:pairs] = F.T
     padded[pairs] = 1.0
     padded[pairs + 1] = 0.5
-    ratios = np.empty(sum(table.shape[1] * size for table, size in zip(tables, sizes)))
+    ratios = np.empty(sum(entry.table.shape[1] * size for entry, size in zip(entries, sizes)))
     start = at = 0
-    for table, size in zip(tables, sizes):
-        members = padded[table, start:start + size]  # (4, groups, rows of the block)
+    for entry, size in zip(entries, sizes):
+        members = padded[entry.table, start:start + size]  # (4, groups, rows of the block)
         out = ratios[at:at + members[0].size].reshape(members[0].shape)
         np.multiply(members[0], members[1], out=out)
         out *= members[2]

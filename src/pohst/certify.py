@@ -14,13 +14,12 @@ certificate groups the factors by the good partitions of the sign pattern,
 bounds each group by 1 or 2 through the four elementary product
 inequalities, and checks the total against ``2**min(p, m)``.
 
-Everything a certificate takes from its pattern alone is a
-:class:`CertificatePlan`, built by the pattern's first certificate and
-kept on its ``partitions_for`` entry: each group's factor positions and
-bound, the pattern-only fields, and one compact JSON template of the
-group list.  A certificate then costs one factor table, one product per
-group and, for printing, one template fill; its :class:`GroupCheck`
-tuple is built only when ``groups`` is read.
+``partitions_for`` keeps one :class:`PatternEntry` per sign pattern in one
+cache bounded by the pairs it holds: a slot table that encodes both
+partitions, and the certificate plan built from it on first read.  A
+certificate then costs one factor table, one product per group and, for
+printing, one template fill; its :class:`GroupCheck` tuple is decoded only
+when ``groups`` is read.
 
 All comparisons are relative with a default tolerance of 1e-12; products
 run in plain double precision.
@@ -30,19 +29,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from functools import cached_property, lru_cache, partial, update_wrapper
+from operator import mul
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from pohst.signs import Pair, PatternContext, SignVector, min_heavy_target
-from pohst.partition import (
-    GoodPartition,
-    PartitionGroup,
-    build_pi,
-    eta_partition,
-)
+from pohst.signs import Pair, PatternContext, min_heavy_target, pattern_from_index
+from pohst.partition import PartitionGroup, Shape, build_pi, eta_partition
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -77,9 +73,6 @@ class RealVectorX:
         for v in self.entries:
             if abs(v) > 1:
                 raise DomainError(f"entries must satisfy |x| <= 1, got {v!r}")
-
-    def sign_vector(self) -> SignVector:
-        return SignVector.from_reals(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,16 +114,12 @@ def x_from_y(y: RealVectorY) -> RealVectorX:
     return RealVectorX(ratios)
 
 
-def factor_table(x: RealVectorX) -> dict[Pair, float]:
-    """All factors of the index triangle, O(n^2) by running products."""
-    n = len(x)
-    table: dict[Pair, float] = {}
-    for i in range(1, n + 1):
-        running = 1.0
-        for j in range(i, n + 1):
-            running *= x.entries[j - 1]
-            table[(i, j)] = 1.0 - running
-    return table
+def factor_table(x: RealVectorX) -> list[float]:
+    """All factors of the index triangle in lexicographic ``(i, j)`` order,
+    O(n^2) by running products, each multiplied left to right."""
+    xs = x.entries
+    return [1.0 - running
+            for i in range(len(xs)) for running in itertools.accumulate(xs[i:], mul)]
 
 
 @lru_cache(maxsize=64)
@@ -183,7 +172,7 @@ def factor_matrix(X: np.ndarray) -> np.ndarray:
 
 def eval_f(x: RealVectorX) -> float:
     """Product of all factors, multiplied in the table's lexicographic order."""
-    return math.prod(factor_table(x).values(), start=1.0)
+    return math.prod(factor_table(x), start=1.0)
 
 
 def pair_factor_table(y: RealVectorY) -> dict[Pair, float]:
@@ -265,65 +254,18 @@ class GroupCheck:
         return d
 
 
-@dataclass(frozen=True, eq=False)
-class CertificatePlan:
-    """What every certificate of one sign pattern shares, built once from its partitions.
-
-    ``fields`` holds the certificate fields that depend on the pattern
-    alone.  The groups are those of K, then of J: ``bounds`` gives their
-    bounds, one byte each, and ``positions`` their members, in member
-    order, as indices into ``factor_table``'s values, where pair (i, j)
-    sits at ``(i - 1)(2n - i + 2)/2 + j - i``.  ``template`` is the compact
-    JSON of the group list, keys sorted, with a ``%s`` slot for each
-    group's ``ok`` and a ``%r`` slot for its ``product``.
-    """
-
-    fields: dict
-    partitions: tuple[GoodPartition, GoodPartition]
-    bounds: bytes
-    positions: tuple[tuple[int, ...], ...]
-    template: str
-
-
-def _certificate_plan(
-    sigma: SignVector, k_part: GoodPartition, j_part: GoodPartition
-) -> CertificatePlan:
-    n = len(sigma)
-    groups = [(part.target, group) for part in (k_part, j_part) for group in part.groups]
-    bounds = bytes(group_bound(group) for _, group in groups)
-    # pair (i, j) sits at row i's offset plus j
-    offset = [(i - 1) * (2 * n - i + 2) // 2 - i for i in range(n + 1)]
-    positions = tuple(tuple(offset[i] + j for i, j in group.members) for _, group in groups)
-    # GroupCheck.to_json_dict's members in sorted key order, as json.dumps
-    # prints them (a list of int lists prints as JSON)
-    template = "[" + ", ".join(
-        f'{{"bound": {bound}, "members": {[list(p) for p in group.members]}, "ok": %s, '
-        f'"product": %r, "shape": "{group.shape.value}", "target": "{target}"}}'
-        for (target, group), bound in zip(groups, bounds)
-    ) + "]"
-    exponent = min_heavy_target(sigma)
-    fields = {
-        "sign_pattern": sigma.to_string(),
-        "n_x": n,
-        "n_y": n + 1,
-        "exponent": exponent,
-        "bound": 2.0 ** exponent,
-        "eta_method": k_part.method,
-        "pi_method": j_part.method,
-        "heavy_count": k_part.heavy_count,
-        "bounds_product_is_pow2_heavy": math.prod(bounds) == 2 ** k_part.heavy_count,
-    }
-    return CertificatePlan(fields, (k_part, j_part), bounds, positions, template)
+_SHAPES = {(len(shape.signs), shape.heavy): shape for shape in Shape}
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Machine-checkable record of one bound verification.
 
-    ``products`` holds the group products in plan order, the groups of K
-    and then of J.  ``groups`` builds the per-group checks from them on
-    first read; ``groups_json`` encodes the same checks from the plan's
-    template and builds none.
+    ``plan`` is the pattern's :class:`PatternEntry`, and ``products``
+    holds the group products in its order, the groups of K and then of J.
+    ``groups`` decodes the groups from the entry's slot table and builds
+    the per-group checks on first read; ``groups_json`` encodes the same
+    checks from the entry's template and builds none.
     """
 
     input_kind: str
@@ -341,16 +283,15 @@ class Certificate:
     pi_method: str
     heavy_count: int
     bounds_product_is_pow2_heavy: bool
-    plan: CertificatePlan = field(compare=False, repr=False)
+    plan: PatternEntry = field(compare=False, repr=False)
 
     @cached_property
     def groups(self) -> tuple[GroupCheck, ...]:
         scale = 1.0 + self.tolerance
-        plan = self.plan
-        groups = ((part.target, group) for part in plan.partitions for group in part.groups)
         return tuple(
             GroupCheck(target, group, product, bound, product <= bound * scale)
-            for (target, group), bound, product in zip(groups, plan.bounds, self.products)
+            for (target, group), bound, product
+            in zip(self.plan.groups(), self.plan.bounds, self.products)
         )
 
     def groups_json(self) -> str:
@@ -383,34 +324,131 @@ class Certificate:
         return {**self.head_json_dict(), "groups": [g.to_json_dict() for g in self.groups]}
 
 
-class _Partitions(tuple):
-    """``(k_part, j_part)`` of one pattern; its first certificate sets ``plan``."""
+@dataclass(eq=False)
+class PatternEntry:
+    """One sign pattern's groups, read by soundness sampling and certificates.
 
-    plan: Optional[CertificatePlan] = None
-
-
-@lru_cache(maxsize=4096)
-def partitions_for(sigma: SignVector) -> tuple[GoodPartition, GoodPartition]:
-    """Cached validated ladder partitions of K and J per pattern; raises ``LadderStuck``.
-
-    Holds the two partitions, not the context or the K trace, which is
-    never built; a pattern's first certificate adds its
-    :class:`CertificatePlan` to the entry, so one LRU bounds both and an
-    evicted or cleared entry drops its plan.  Sweeps and soundness
-    sampling, which keeps its own slot tables, make no traffic here.  Hits
-    come only from repeated calls over one pattern set: the ``certify``
-    benchmark's 64-pattern pool makes 64 misses and 64 plans in set-up,
-    then one hit per call (hit ratio 1.0).  Tier-1, less the two capacity
-    tests, makes 3,368 hits and 4,102 misses, builds 518 plans and peaks at
-    3,203 entries; the tests' per-pattern soundness references make 2,573
-    of the hits and 3,714 of the misses and no plan.  2**12 entries keep
-    every pattern of n <= 12 warm.  One entry, shared objects counted once,
-    takes 24 KiB of partitions and a 15 KiB plan (8.3 KiB of it the
-    template) at n = 16, 229 and 160 KiB at n = 63 (1.6 GiB when full),
-    and 65 and 43 MiB at n = 1024.
+    Column g of the read-only ``(4, groups)`` ``table`` lists the
+    ``factor_matrix`` columns of group g of K's and then J's validated
+    ladder partition in member order, pair (i, j) in column
+    ``(i - 1)(2n - i + 2)/2 + j - i``.  Free slots read ``n(n+1)/2``, a row
+    of 1.0, but a heavy group (at most 3 members) reads ``n(n+1)/2 + 1``, a
+    row of 0.5, in its last slot.  The member count and the 0.5 slot name
+    each shape, and the first ``k_groups`` columns are K's.  ``bound`` is
+    ``2**min(p, m)``.  The certificate plan, ``bounds``, ``fields`` and
+    ``template``, is built from the table on first read.
     """
-    ctx = PatternContext(sigma)
-    return _Partitions((eta_partition(ctx), build_pi(ctx)))
+
+    n: int
+    code: int
+    table: np.ndarray
+    bound: float
+    k_groups: int
+
+    def groups(self) -> Iterator[tuple[str, PartitionGroup]]:
+        """The target and group of each column, decoded from the table."""
+        lexicographic = [(i, j) for i in range(1, self.n + 1) for j in range(i, self.n + 1)]
+        free = len(lexicographic)
+        for g, slots in enumerate(self.table.T.tolist()):
+            members = tuple(lexicographic[s] for s in slots if s < free)
+            shape = _SHAPES[len(members), slots[-1] > free]
+            yield "K" if g < self.k_groups else "J", PartitionGroup(shape, members)
+
+    @cached_property
+    def bounds(self) -> bytes:
+        """Each group's bound, one byte: 2 where its last slot reads the 0.5 row."""
+        return (1 + (self.table[3] > self.n * (self.n + 1) // 2)).astype(np.uint8).tobytes()
+
+    @cached_property
+    def fields(self) -> dict:
+        """The certificate fields that depend on the pattern alone."""
+        sigma = pattern_from_index(self.n, self.code)
+        exponent = min_heavy_target(sigma)
+        heavy_count = self.bounds[:self.k_groups].count(2)
+        return dict(
+            sign_pattern=sigma.to_string(), n_x=self.n, n_y=self.n + 1, exponent=exponent,
+            bound=2.0 ** exponent, heavy_count=heavy_count,
+            bounds_product_is_pow2_heavy=math.prod(self.bounds) == 2 ** heavy_count,
+            # the methods of eta_partition's and build_pi's partitions
+            eta_method="ladder", pi_method="greedy")
+
+    @cached_property
+    def template(self) -> str:
+        """The compact JSON of the group list, keys sorted, with slots ``%s``
+        for each ``ok`` and ``%r`` for each ``product``."""
+        # GroupCheck.to_json_dict's members in sorted key order, as json.dumps
+        # prints them (a list of int lists prints as JSON)
+        return "[" + ", ".join(
+            f'{{"bound": {bound}, "members": {[list(p) for p in group.members]}, "ok": %s, '
+            f'"product": %r, "shape": "{group.shape.value}", "target": "{target}"}}'
+            for (target, group), bound in zip(self.groups(), self.bounds)
+        ) + "]"
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _PairLRU:
+    """Least-recently-used cache of entries keyed by ``(n, code)``, bounded by
+    the pairs they cover, ``n(n+1)/2`` each, in ``maxsize`` and
+    ``currsize``.  The newest entry is never evicted; a builder that
+    raises counts a miss and caches nothing."""
+
+    def __init__(self, build, maxsize: int) -> None:
+        update_wrapper(self, build)
+        self.maxsize = maxsize
+        self._entries: OrderedDict[tuple[int, int], PatternEntry] = OrderedDict()
+        self.cache_clear()
+
+    def __call__(self, n: int, code: int) -> PatternEntry:
+        entries, key = self._entries, (n, code)
+        if key in entries:
+            self._hits += 1
+            entries.move_to_end(key)
+            return entries[key]
+        self._misses += 1
+        entries[key] = entry = self.__wrapped__(n, code)
+        self._pairs += n * (n + 1) // 2
+        while self._pairs > self.maxsize and len(entries) > 1:
+            (old, _), _ = entries.popitem(last=False)
+            self._pairs -= old * (old + 1) // 2
+        return entry
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize, self._pairs)
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._hits = self._misses = self._pairs = 0
+
+
+@partial(_PairLRU, maxsize=4096 * 78)  # every pattern of n = 12
+def partitions_for(n: int, code: int) -> PatternEntry:
+    """The cached :class:`PatternEntry` of the length-``n`` pattern whose
+    bit k of ``code`` marks entry k + 1 as negative, as in
+    ``pattern_from_index``; raises ``LadderStuck``, which is not cached.
+
+    The entry is built from the validated ladder partitions of K and J
+    and keeps neither.  It takes 1.4 / 2.1 / 21 / 276 KiB / 4.2 MiB at
+    n = 10 / 16 / 63 / 256 / 1024, and a plan 3.2 / 6.2 / 78 KiB / 1.1 /
+    18 MiB more; the partitions take 13 / 23 / 251 KiB / 3.6 / 65 MiB.
+    The ``certify`` benchmark makes 64 misses and plans in set-up, then a
+    hit per call; ``soundness`` 1,024 misses (56,320 pairs) and no plan in
+    set-up, then 1,024 hits per call.  Tier-1 less the capacity tests
+    makes 3,429 hits, 7,968 misses and 518 plans, and fills the budget.
+    """
+    ctx = PatternContext(pattern_from_index(n, code))
+    k_groups = eta_partition(ctx).groups
+    pairs = n * (n + 1) // 2
+    slots = []
+    for group in k_groups + build_pi(ctx).groups:
+        slots += [(i - 1) * (2 * n - i + 2) // 2 + j - i for i, j in group.members]
+        slots += [pairs] * (4 - len(group.members))
+        if group.shape.heavy:
+            slots[-1] = pairs + 1
+    table = np.array(slots, dtype=np.intp).reshape(-1, 4).T
+    table.flags.writeable = False
+    return PatternEntry(n, code, table, 2.0 ** ctx.target, len(k_groups))
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -422,16 +460,14 @@ def check_tolerance(tolerance: float) -> None:
 def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certificate:
     """Certificate for the full product of a box vector.
 
-    Looks up the partitions for the sign pattern of x (one
-    ``partitions_for`` call) and their plan, built here on the pattern's
-    first certificate.  It reads ``factor_table(x)``'s values as a flat
-    list, multiplies each group's factors in member order, bounds every
-    group by its shape bound and the total by ``2**min(p, m)``, all
-    relatively to ``tolerance``; it builds no :class:`GroupCheck`.  At
-    n = 16 on 2 vCPUs a warm call takes about 45 µs, 22 µs of it in
-    ``factor_table`` (110 µs before the plan).  Vectors longer than
-    ``MAX_CERTIFY_N``, and a tolerance that is negative or not finite,
-    raise :class:`DomainError` before any partition is built.
+    Reads the plan of x's sign pattern off its ``partitions_for`` entry
+    (one lookup), multiplies ``factor_table(x)``'s values at each group's
+    four slots (1.0 at a free slot, which is exact), and bounds each group
+    by its shape bound and the total by ``2**min(p, m)``, relatively to
+    ``tolerance``.  At n = 16 on 2 vCPUs a warm call takes about 30 µs,
+    10 µs of it in ``factor_table``.  Vectors longer than ``MAX_CERTIFY_N``,
+    and a tolerance that is negative or not finite, raise
+    :class:`DomainError` before any partition is built.
     """
     check_tolerance(tolerance)
     if len(x) > MAX_CERTIFY_N:
@@ -439,21 +475,14 @@ def certify_x(x: RealVectorX, tolerance: float = DEFAULT_TOLERANCE) -> Certifica
             f"certificates take at most {MAX_CERTIFY_N} x entries "
             f"({MAX_CERTIFY_N + 1} y entries), got {len(x)} x entries"
         )
-    sigma = x.sign_vector()
-    partitions = partitions_for(sigma)
-    plan = partitions.plan
-    if plan is None:
-        plan = partitions.plan = _certificate_plan(sigma, *partitions)
-    values = list(factor_table(x).values())
-    products = []
-    for positions in plan.positions:
-        product = 1.0
-        for k in positions:
-            product *= values[k]
-        products.append(product)
+    plan = partitions_for(len(x), sum(1 << k for k, v in enumerate(x.entries) if v < 0))
+    values = factor_table(x)
     total = math.prod(values, start=1.0)
+    values += (1.0, 1.0)  # what the free slots read, the 0.5 slots included
+    products = [values[a] * values[b] * values[c] * values[d]
+                for a, b, c, d in plan.table.T.tolist()]
     scale = 1.0 + tolerance
-    ok = total <= plan.fields["bound"] * scale and all(
+    ok = total <= plan.bound * scale and all(
         product <= bound * scale for product, bound in zip(products, plan.bounds))
     return Certificate(
         input_kind="x",

@@ -186,3 +186,8 @@ def min_heavy_target(sigma: SignVector) -> int:
         t *= s
         p += t > 0
     return min(p, len(sigma) + 1 - p)
+
+
+def pattern_from_index(n: int, index: int) -> SignVector:
+    """Deterministic pattern numbering: bit k of ``index`` flips entry k+1."""
+    return SignVector(tuple(-1 if (index >> k) & 1 else 1 for k in range(n)))

@@ -15,18 +15,16 @@ from pohst.analysis import (
     MaximizeConfig,
     SoundnessReport,
     SweepRecord,
-    _slot_table,
     bound_soundness_sample,
     identity_residual,
     iterated_identity_residual,
     maximize_f,
-    pattern_from_index,
     sweep,
     sweep_summary,
 )
 from pohst.certify import RealVectorY, eval_P, factor_matrix, group_bound, partitions_for
 from pohst.partition import LadderStuck, Shape, build_pi, eta_partition
-from pohst.signs import PatternContext, SignVector, min_heavy_target
+from pohst.signs import PatternContext, SignVector, min_heavy_target, pattern_from_index
 
 
 def random_y(rng, n, growth=(0.1, 2.0)):
@@ -89,7 +87,8 @@ def soundness_reference(n, samples, seed=0, tolerance=1e-12):
     max_total_ratio = max_group_ratio = 0.0
     for code, head, size in zip(codes.tolist(), heads.tolist(), sizes.tolist()):
         sigma = pattern_from_index(n, code)
-        k_part, j_part = partitions_for(sigma)
+        ctx = PatternContext(sigma)
+        k_part, j_part = eta_partition(ctx), build_pi(ctx)
         F = factor_matrix(X[order[head: head + size]])
         total = F.prod(axis=1)
         bound = 2.0 ** min_heavy_target(sigma)
@@ -719,22 +718,30 @@ class TestSoundnessSample:
         assert (report.max_total_ratio.hex(), report.max_group_ratio.hex()) == (
             reference.max_total_ratio.hex(), reference.max_group_ratio.hex())
 
-    def test_leaves_partition_cache_untouched(self):
-        # soundness sampling keeps its own slot tables and never looks a
-        # pattern up in the certificates' partition cache
+    def test_cold_call_misses_once_per_drawn_pattern(self):
+        # 300 draws over the 1,024 patterns of n = 10 leave most undrawn; a
+        # cold call looks each drawn pattern up once and builds no plan
+        partitions_for.cache_clear()
+        report = bound_soundness_sample(10, 300, seed=3)
+        info = partitions_for.cache_info()
+        assert 200 < report.patterns < 300
+        assert (info.hits, info.misses, info.currsize) == (0, report.patterns, 55 * report.patterns)
+        assert all(set(vars(entry)) == {"n", "code", "table", "bound", "k_groups"}
+                   for entry in partitions_for._entries.values())
+        assert bound_soundness_sample(10, 300, seed=3) == report
+        info = partitions_for.cache_info()
+        assert (info.hits, info.misses) == (report.patterns, report.patterns)
+        partitions_for.cache_clear()
+
+    def test_second_call_hits_one_table_per_pattern(self):
         partitions_for.cache_clear()
         bound_soundness_sample(6, 5000, seed=1)
         info = partitions_for.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-
-    def test_second_call_hits_one_table_per_pattern(self):
-        _slot_table.cache_clear()
-        bound_soundness_sample(6, 5000, seed=1)
-        info = _slot_table.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 64, 64)
+        assert (info.hits, info.misses, info.currsize) == (0, 64, 64 * 21)
         bound_soundness_sample(6, 5000, seed=2)
-        info = _slot_table.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (64, 64, 64)
+        info = partitions_for.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (64, 64, 64 * 21)
+        partitions_for.cache_clear()
 
     def test_stuck_ladder_is_not_cached(self, monkeypatch):
         import pohst.partition as partition
@@ -742,11 +749,11 @@ class TestSoundnessSample:
         def refuse(state, *args):
             raise LadderStuck(state.sigma, "K", None, "refused")
 
-        _slot_table.cache_clear()
+        partitions_for.cache_clear()
         monkeypatch.setattr(partition, "_ladder_row", refuse)
         with pytest.raises(LadderStuck):
             bound_soundness_sample(6, 5000, seed=1)
-        assert _slot_table.cache_info().currsize == 0
+        assert partitions_for.cache_info().currsize == 0
         monkeypatch.undo()
         self.test_golden_reports(6, 5000, 1)
 
@@ -758,11 +765,13 @@ class TestSoundnessSample:
         lexicographic = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         for code in range(1 << n):
             sigma = pattern_from_index(n, code)
-            table, bound = _slot_table(n, code)
-            k_part, j_part = partitions_for(sigma)
+            entry = partitions_for(n, code)
+            table = entry.table
+            k_part, j_part = eta_partition(sigma), build_pi(sigma)
             groups = k_part.groups + j_part.groups
-            assert table.shape == (4, len(groups))
-            assert bound == 2.0 ** min_heavy_target(sigma)
+            assert table.shape == (4, len(groups)) and not table.flags.writeable
+            assert entry.k_groups == len(k_part.groups)
+            assert entry.bound == 2.0 ** min_heavy_target(sigma)
             assert sorted(slot for slot in table.ravel().tolist() if slot < pairs) == list(
                 range(pairs))
             halved = 0

@@ -1,10 +1,13 @@
 """Numeric evaluation, elementary inequalities and certificates."""
 
-import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +30,23 @@ from pohst.certify import (
     partitions_for,
     x_from_y,
 )
-from pohst.partition import GoodPartition, PartitionGroup, Shape, build_pi, construct_eta
-from pohst.signs import SignVector, min_heavy_target, pair_sign_maps
+from pohst.partition import (
+    GoodPartition, PartitionGroup, Shape, build_pi, construct_eta, eta_partition)
+from pohst.signs import (
+    PatternContext, SignVector, min_heavy_target, pair_sign_maps, pattern_from_index)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def lexicographic(n):
+    """The pairs of the index triangle in lexicographic order."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def factors_by_pair(x):
+    """``factor_table(x)`` keyed by pair."""
+    return dict(zip(lexicographic(len(x)), factor_table(x)))
 
 
 def random_x(rng, n):
@@ -82,9 +100,10 @@ class TestVectors:
 
 class TestEvaluation:
     def test_factor_examples(self):
-        assert factor_table(RealVectorX((-1.0,)))[(1, 1)] == 2.0
-        assert factor_table(RealVectorX((0.5,)))[(1, 1)] == 0.5
-        assert factor_table(RealVectorX((-0.5, 0.5)))[(1, 2)] == 1.25
+        assert factors_by_pair(RealVectorX((-1.0,)))[(1, 1)] == 2.0
+        assert factors_by_pair(RealVectorX((0.5,)))[(1, 1)] == 0.5
+        assert factors_by_pair(RealVectorX((-0.5, 0.5)))[(1, 2)] == 1.25
+        assert factor_table(RealVectorX((-0.5, 0.5))) == [1.5, 1.25, 0.5]
 
     def test_eval_f_examples(self):
         assert eval_f(RealVectorX((-1.0,))) == 2.0
@@ -127,15 +146,15 @@ class TestEvaluation:
             assert F.shape == (rows, n * (n + 1) // 2)
             for row, values in zip(X, F):
                 table = factor_table(RealVectorX(row))
-                assert [v.hex() for v in table.values()] == [float(v).hex() for v in values]
+                assert [v.hex() for v in table] == [float(v).hex() for v in values]
 
     def test_factor_sign_ranges(self):
         rng = random.Random(5)
         for _ in range(200):
             x = random_x(rng, rng.randint(1, 8))
-            jmap, kmap = pair_sign_maps(x.sign_vector())
+            jmap, kmap = pair_sign_maps(SignVector.from_reals(x.entries))
             signs = {**jmap, **kmap}
-            for pair, value in factor_table(x).items():
+            for pair, value in factors_by_pair(x).items():
                 assert 0.0 <= value <= 2.0
                 if signs[pair] > 0:
                     assert 0.0 <= value < 1.0
@@ -224,9 +243,10 @@ class TestCertifyX:
             for tolerance in (0.0, 1e-12):
                 x = random_x(rng, n)
                 cert = certify_x(x, tolerance)
-                table = factor_table(x)
+                table = factors_by_pair(x)
+                ctx = PatternContext(SignVector.from_reals(x.entries))
                 reference = []
-                for part in partitions_for(x.sign_vector()):
+                for part in (eta_partition(ctx), build_pi(ctx)):
                     for group in part.groups:
                         product = 1.0
                         for pair in group.members:
@@ -290,7 +310,7 @@ class TestTolerance:
     def refuse_partitions(self, monkeypatch):
         import pohst.certify as certify
 
-        def refuse(sigma):
+        def refuse(n, code):
             raise AssertionError("partitions built before the tolerance check")
 
         monkeypatch.setattr(certify, "partitions_for", refuse)
@@ -307,39 +327,73 @@ class TestTolerance:
         assert cert.ok and cert.tolerance == 0.0 and cert.total == cert.bound
 
 
+# what an entry holds before its first certificate
+BARE = {"n", "code", "table", "bound", "k_groups"}
+
+
 class TestPartitionCache:
+    # every pattern of n = 12, then 6 of n = 11: 4,102 distinct keys
+    KEYS = [(12, code) for code in range(1 << 12)] + [(11, code) for code in range(6)]
+
     def test_holds_the_two_partitions(self):
+        # the slot table alone encodes both partitions; no entry holds one
+        partitions_for.cache_clear()
         for n in range(0, 7):
-            for bits in itertools.product((1, -1), repeat=n):
-                sigma = SignVector(bits)
-                k_part, j_part = partitions_for(sigma)
-                assert type(k_part) is GoodPartition and type(j_part) is GoodPartition
-                assert (k_part.target, j_part.target) == ("K", "J")
-                assert k_part == construct_eta(sigma)[0]
-                assert j_part == build_pi(sigma)
+            for code in range(1 << n):
+                sigma = pattern_from_index(n, code)
+                entry = partitions_for(n, code)
+                k_part, j_part = construct_eta(sigma)[0], build_pi(sigma)
+                assert list(entry.groups()) == (
+                    [("K", group) for group in k_part.groups]
+                    + [("J", group) for group in j_part.groups])
+                assert entry.bound == 2.0 ** min_heavy_target(sigma)
+                assert set(vars(entry)) == BARE
 
     def test_capacity(self):
-        # all patterns of n = 1..11 (4,094) and 8 of n = 12: 4,102 distinct keys
+        # the budget holds every pattern of n = 12 exactly; each n = 11 entry
+        # then evicts the least recently used n = 12 entry
         partitions_for.cache_clear()
-        sigmas = [SignVector(bits) for n in range(1, 12)
-                  for bits in itertools.product((1, -1), repeat=n)]
-        sigmas += [SignVector((1,) * 11 + (s,)) for s in (1, -1)]
-        sigmas += [SignVector((-1,) * k + (1,) * (12 - k)) for k in range(1, 7)]
-        assert len(set(sigmas)) == 4102
-        for sigma in sigmas:
-            partitions_for(sigma)
+        assert len(set(self.KEYS)) == 4102
+        for n, code in self.KEYS:
+            partitions_for(n, code)
+            assert partitions_for.cache_info().currsize <= 4096 * 78
         info = partitions_for.cache_info()
-        assert (info.misses, info.maxsize, info.currsize) == (4102, 4096, 4096)
+        assert (info.hits, info.misses, info.maxsize) == (0, 4102, 4096 * 78)
+        assert info.currsize == 4090 * 78 + 6 * 66
+        assert list(partitions_for._entries) == self.KEYS[6:]
+        assert info.maxsize >= max(64 * 136, 1024 * 55)  # certify pool, soundness set
+        partitions_for.cache_clear()
+
+    def test_eviction_follows_use(self, monkeypatch):
+        partitions_for.cache_clear()
+        monkeypatch.setattr(partitions_for, "maxsize", 3 + 6 + 10)
+        for n in (2, 3, 4):
+            partitions_for(n, 0)
+        partitions_for(2, 0)  # a hit makes (2, 0) the most recent
+        partitions_for(1, 0)  # one pair over the budget: (3, 0) goes
+        assert list(partitions_for._entries) == [(4, 0), (2, 0), (1, 0)]
+        assert partitions_for.cache_info() == (1, 4, 19, 14)
+        # an entry over the whole budget is held alone, and hits
+        big = partitions_for(6, 5)
+        assert list(partitions_for._entries) == [(6, 5)]
+        assert partitions_for(6, 5) is big
+        assert partitions_for.cache_info() == (2, 5, 19, 21)
+        partitions_for(1, 1)
+        assert list(partitions_for._entries) == [(1, 1)]
         partitions_for.cache_clear()
 
     def test_plan_lives_in_its_entry(self):
         partitions_for.cache_clear()
-        sigma = SignVector((1, -1, -1))
-        assert partitions_for(sigma).plan is None  # built by the first certificate
+        entry = partitions_for(3, 0b110)  # +--
+        assert set(vars(entry)) == BARE  # the plan is built by the first certificate
         cert = certify_x(RealVectorX((0.5, -0.5, -0.25)))
-        assert partitions_for(sigma).plan is cert.plan
-        assert certify_x(RealVectorX((0.25, -0.75, -1.0))).plan is cert.plan
-        assert partitions_for.cache_info().currsize == 1
+        assert cert.plan is entry and set(vars(entry)) == BARE | {"bounds", "fields"}
+        cert.groups_json()
+        assert set(vars(entry)) == BARE | {"bounds", "fields", "template"}
+        assert certify_x(RealVectorX((0.25, -0.75, -1.0))).plan is entry
+        assert partitions_for.cache_info() == (2, 1, 4096 * 78, 6)
+        assert not any(isinstance(value, (GoodPartition, PartitionGroup))
+                       for value in vars(entry).values())
         partitions_for.cache_clear()
         assert certify_x(RealVectorX((0.5, -0.5, -0.25))).plan is not cert.plan
         partitions_for.cache_clear()
@@ -348,25 +402,48 @@ class TestPartitionCache:
         # the capacity test's 4,102 patterns, each certified: the plans are
         # evicted with their entries
         partitions_for.cache_clear()
-        sigmas = [SignVector(bits) for n in range(1, 12)
-                  for bits in itertools.product((1, -1), repeat=n)]
-        sigmas += [SignVector((1,) * 11 + (s,)) for s in (1, -1)]
-        sigmas += [SignVector((-1,) * k + (1,) * (12 - k)) for k in range(1, 7)]
-        plans = [certify_x(RealVectorX(tuple(0.5 * s for s in sigma))).plan for sigma in sigmas]
+        plans = [certify_x(RealVectorX(tuple(0.5 * s for s in pattern_from_index(*key)))).plan
+                 for key in self.KEYS]
         assert len(set(map(id, plans))) == 4102
         info = partitions_for.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 4102, 4096)
-        assert all(partitions_for(sigma).plan is plan
-                   for sigma, plan in zip(sigmas[-4096:], plans[-4096:]))
-        assert partitions_for(sigmas[0]).plan is None  # evicted, then rebuilt bare
+        assert (info.hits, info.misses, info.currsize) == (0, 4102, 4090 * 78 + 6 * 66)
+        assert all(partitions_for(*key) is plan and "fields" in vars(plan)
+                   for key, plan in zip(self.KEYS[6:], plans[6:]))
+        assert set(vars(partitions_for(*self.KEYS[0]))) == BARE  # evicted, then rebuilt
         partitions_for.cache_clear()
+
+    def test_long_patterns_stay_bounded_in_memory(self):
+        # 32 distinct seeded patterns at n = 256 in a fresh process: the cache
+        # holds 9 of them at a time (32,896 pairs each).  On Linux a process
+        # started from a larger one inherits that one's ru_maxrss (exec keeps
+        # the old memory's high-water mark), so the certificates run in a
+        # forked child of the fresh interpreter
+        script = (
+            "import os, random, resource\n"
+            "if os.fork():\n"
+            "    raise SystemExit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
+            "from pohst.certify import RealVectorX, certify_x, partitions_for\n"
+            "rng = random.Random(256)\n"
+            "for _ in range(32):\n"
+            "    x = [rng.choice((-1, 1)) * rng.uniform(0.02, 0.98) for _ in range(256)]\n"
+            "    assert certify_x(RealVectorX(x)).ok\n"
+            "info = partitions_for.cache_info()\n"
+            "print(info.misses, len(partitions_for._entries),\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        misses, held, peak_mib = int(out[0]), int(out[1]), float(out[2])
+        assert (misses, held) == (32, 9)
+        assert peak_mib < 100
 
 
 class TestCertifyY:
     def test_empty_y_rejected_before_partitions(self, monkeypatch):
         import pohst.certify as certify
 
-        def refuse(sigma):
+        def refuse(n, code):
             raise AssertionError("a partition was built")
 
         monkeypatch.setattr(certify, "partitions_for", refuse)

@@ -179,7 +179,7 @@ class TestCertify:
         class Reached(Exception):
             pass
 
-        def refuse(sigma):
+        def refuse(n, code):
             raise Reached
 
         monkeypatch.setattr(certify, "partitions_for", refuse)

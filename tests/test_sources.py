@@ -172,9 +172,16 @@ def test_every_slot_is_read():
     assert unread_slots(modules) == []
 
 
+# the largest lru_cache allowed: tables keyed by length, such as
+# certify._end_column_slots, use lru_cache; per-pattern state goes through
+# the one cache sized by what it holds, certify.partitions_for
+MAX_LRU_SIZE = 64
+
+
 def unbounded_caches(source: str) -> list[str]:
-    """Functions whose ``lru_cache`` lacks an explicit integer ``maxsize``,
-    and functions with parameters under ``functools.cache``.
+    """Functions whose ``lru_cache`` lacks an explicit integer ``maxsize`` of
+    at most ``MAX_LRU_SIZE``, and functions with parameters under
+    ``functools.cache``.
 
     ``lru_cache`` and ``cache`` count bare or as ``functools`` attributes;
     ``maxsize`` counts as the first positional argument or by keyword.
@@ -195,7 +202,7 @@ def unbounded_caches(source: str) -> list[str]:
                 sizes = [*call.args[:1], *(k.value for k in call.keywords
                                            if k.arg == "maxsize")] if call else []
                 if not any(isinstance(size, ast.Constant) and type(size.value) is int
-                           for size in sizes):
+                           and size.value <= MAX_LRU_SIZE for size in sizes):
                     unbounded.append(node.name)
             elif kind == "cache":
                 args = node.args
@@ -210,8 +217,8 @@ def test_cache_checker_flags_only_unbounded_caches():
         "from functools import cache, lru_cache\n"
         "@lru_cache(maxsize=64)\n"
         "def a(n): pass\n"
-        "@functools.lru_cache(4096)\n"
-        "def b(n, code): pass\n"
+        "@functools.lru_cache(2)\n"
+        "def b(n): pass\n"
         "@functools.cache\n"
         "def c(): pass\n"
         "@cache\n"
@@ -235,8 +242,12 @@ def test_cache_checker_flags_only_unbounded_caches():
         "def f(n): pass\n"
         "@cache\n"
         "def g(*, key): pass\n"
+        "@functools.lru_cache(4096)\n"
+        "def h(n, code): pass\n"
+        "@lru_cache(maxsize=65)\n"
+        "def i(n): pass\n"
     )
-    assert unbounded_caches(unbounded) == ["a", "b", "c", "d", "e", "f", "g"]
+    assert unbounded_caches(unbounded) == ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
