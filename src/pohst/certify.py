@@ -367,7 +367,7 @@ class PatternEntry:
         heavy_count = self.bounds[:self.k_groups].count(2)
         return dict(
             sign_pattern=sigma.to_string(), n_x=self.n, n_y=self.n + 1, exponent=exponent,
-            bound=2.0 ** exponent, heavy_count=heavy_count,
+            bound=self.bound, heavy_count=heavy_count,
             bounds_product_is_pow2_heavy=math.prod(self.bounds) == 2 ** heavy_count,
             # the methods of eta_partition's and build_pi's partitions
             eta_method="ladder", pi_method="greedy")
