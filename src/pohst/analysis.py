@@ -13,7 +13,8 @@ the prefixes that lead to a requested pattern, so a sampled sweep takes
 the same path as an exhaustive one.  The walk is the one construction
 this module runs on every pattern; the tests hold it to a per-pattern
 reference.  Soundness sampling reads each pattern's slot table of its
-groups' factor columns from its ``partitions_for`` entry.
+groups' factor columns from its ``partitions_for`` entry, and the same
+walk's leaves build the entries that the cache lacks.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -38,14 +39,17 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from pohst.signs import PatternContext, SignVector, min_heavy_target
-from pohst.partition import LadderStuck, _checked_leaf, _checked_row, _LadderState
-from pohst.certify import (
-    DEFAULT_TOLERANCE, RealVectorY, factor_matrix, pair_factor_table, partitions_for)
+from pohst.partition import LadderStuck, _checked_leaf, _checked_row, _LadderState, _ordered_groups
+from pohst.certify import (DEFAULT_TOLERANCE, RealVectorY, _pattern_entry, factor_matrix,
+                           pair_factor_table, partitions_for)
+
+# bound once: a wrapper that takes the name partitions_for passes calls alone
+_cached_entry, _store_entry = partitions_for.get, partitions_for.store
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
@@ -134,43 +138,66 @@ def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> np.ndarray:
     return np.unique(np.concatenate((np.arange(0, total, stride, dtype=np.int64), drawn)))
 
 
-def _walk(n: int, keys: np.ndarray) -> np.ndarray:
-    """The ``(len(keys), 3)`` int16 array of heavy count, |K| and target.
+def _bit_reversed(n: int, values: np.ndarray, dtype: type) -> np.ndarray:
+    """``values`` with their low ``n`` bits reversed, as ``dtype``: pattern codes,
+    whose bit k flips sign k + 1, to walk keys, whose top bit is sign 1, and back."""
+    reversed_ = np.zeros(len(values), dtype)
+    for k in range(n):
+        reversed_ |= (values >> k & 1) << (n - 1 - k)
+    return reversed_
 
-    A pattern's key is its index bit-reversed over ``n`` bits, so sign 1 is
-    the top key bit and the patterns below any sign prefix hold one
-    contiguous run of the ascending ``keys``; row ``s`` of the array
-    belongs to ``keys[s]``.  The walk goes depth first over the sign
-    prefixes whose run is not empty: row j of the context and of both
-    ladders depends on ``sigma_1..sigma_j`` only, so each node builds its
-    row once for every requested pattern below it.  A node splits its run
-    with one bisection, or at the midpoint when the run holds all
-    ``2**(n - j)`` patterns below it.  The rows live in per-depth arrays
-    along the path; a node copies only the ladder states, and its last
-    child takes over the parent's copies.  Pending nodes wait on an
-    explicit stack, not in nested calls: CPython 3.11 keeps frames in
-    16 KiB chunks and maps a fresh chunk each time a call crosses a
-    chunk's end, and a walk recursing ``n`` frames deep kept crossing one
-    (27 million page faults and 164 s of system time in the workers of
-    one ``sweep 21 --jobs 2`` on a 2-vCPU x86 host).
+
+def _walk(n: int, keys: np.ndarray) -> np.ndarray:
+    """The int16 heavy count, |K| and target of each ascending key, one row each."""
+    walked = np.empty((3, len(keys)), np.int16)
+    for _ in _prefix_walk(n, keys, walked):  # a writing walk yields nothing
+        pass
+    return walked.T
+
+
+def _prefix_walk(n: int, keys, walked: Optional[np.ndarray] = None) -> Iterator:
+    """The walk over the sign prefixes of the ascending ``keys``.  Given
+    ``walked``, a ``(3, len(keys))`` int16 array, leaf ``s`` writes its
+    heavy count, |K| and target into column ``s`` and yields nothing; else
+    the leaves yield, in key order, the heavy target and the groups of K
+    and of J that ``_pattern_entry`` takes, or ``None`` when flagged.
+
+    A pattern's key is its index bit-reversed over ``n`` bits
+    (:func:`_bit_reversed`), so sign 1 is the top key bit and the patterns
+    below any sign prefix hold one contiguous run of ``keys``.  The walk
+    goes depth first over the sign prefixes whose run is not empty: row j
+    of the context and of both ladders depends on ``sigma_1..sigma_j``
+    only, so each node builds its row once for every requested pattern
+    below it.  A node splits its run with one bisection, or at the midpoint
+    when the run holds all ``2**(n - j)`` patterns below it.  The rows and
+    the row step's reports live in per-depth arrays along the path; a node
+    copies only the ladder states, and its last child takes over the
+    parent's copies.  Pending nodes wait on an explicit stack, not in
+    nested calls: CPython 3.11 keeps frames in 16 KiB chunks and maps a
+    fresh chunk each time a call crosses a chunk's end, and a walk
+    recursing ``n`` frames deep kept crossing one (27 million page faults
+    and 164 s of system time in the workers of one ``sweep 21 --jobs 2`` on
+    a 2-vCPU x86 host).
 
     The checks live beside ``validate_partition`` in :mod:`pohst.partition`:
     ``_checked_row`` at each node, ``_checked_leaf`` at each leaf.  Either
     raises ``LadderStuck``, which flags every pattern below the node with
     heavy = -1, as a stuck per-pattern construction would be.  |J| is not
-    counted: J and K split the ``n(n+1)/2`` pairs of the triangle.
+    counted: J and K split the ``n(n+1)/2`` pairs of the triangle.  A
+    leaf's groups are its path's reports, keyed by first member as
+    ``_ladder`` keys them, and its positive free pairs; each has passed the
+    checks, so they need no ``validate_partition``.
     """
-    size = len(keys)
-    # one column per field, so each leaf makes three scalar writes
-    walked = np.empty((3, size), np.int16)
-    heavy_out, k_out, target_out = walked
+    if walked is not None:
+        heavy_out, k_out, target_out = walked
     next_row = PatternContext.next_row
     k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
+    k_reports, j_reports = [[]] * (n + 1), [[]] * (n + 1)
 
     # one entry per node still to visit: row j, its sign s, the run
     # keys[lo:hi] below its prefix ``key`` and its parent's state, which the
     # last child takes over; k_state is None once the path is flagged
-    stack = [(0, 0, 0, size, 0, PatternContext.ROOT, _LadderState(n), _LadderState(n),
+    stack = [(0, 0, 0, len(keys), 0, PatternContext.ROOT, _LadderState(n), _LadderState(n),
               0, True)]
     while stack:
         j, s, lo, hi, key, state, k_state, j_state, k_size, last = stack.pop()
@@ -182,8 +209,8 @@ def _walk(n: int, keys: np.ndarray) -> np.ndarray:
                 if not last:
                     k_state, j_state = k_state.copy(), j_state.copy()
                 try:
-                    _checked_row(k_state, j, stable, "K", k_rows, k_pos)
-                    _checked_row(j_state, j, stable, "J", j_rows, j_pos)
+                    k_reports[j] = _checked_row(k_state, j, stable, "K", k_rows, k_pos)
+                    j_reports[j] = _checked_row(j_state, j, stable, "J", j_rows, j_pos)
                 except LadderStuck:
                     k_state = None
         if j == n:
@@ -195,6 +222,11 @@ def _walk(n: int, keys: np.ndarray) -> np.ndarray:
                     _checked_leaf(j_state, "J", 0, j_rows, j_pos)
                 except LadderStuck:
                     k_state = None
+            if walked is None:
+                yield None if k_state is None else (
+                    target, _ordered_groups(k_reports, k_state.free_row),
+                    _ordered_groups(j_reports, j_state.free_row))
+                continue
             heavy_out[lo] = -1 if k_state is None else target
             k_out[lo] = k_size
             target_out[lo] = target
@@ -203,12 +235,11 @@ def _walk(n: int, keys: np.ndarray) -> np.ndarray:
         mid = lo + half if hi - lo == half << 1 else bisect.bisect_left(keys, key | half, lo, hi)
         node = state, k_state, j_state, k_size
         # the + child goes on top, so it copies the state before the - child
-        # takes it over
+        # takes it over, and leaves come in key order
         if mid < hi:
             stack.append((j + 1, -1, mid, hi, key | half, *node, True))
         if lo < mid:
             stack.append((j + 1, 1, lo, mid, key, *node, mid == hi))
-    return walked.T
 
 
 def _walk_all(n: int, keys: np.ndarray, jobs: int) -> np.ndarray:
@@ -246,10 +277,7 @@ def _walk_records(n: int, indices: np.ndarray, jobs: int) -> Iterator[SweepRecor
 
     The first record comes once the whole walk is done.
     """
-    keys = np.zeros(len(indices), np.int32)
-    for k in range(n):
-        # bit k of an index flips sign k + 1, as in pattern_from_index
-        keys |= (indices >> k & 1) << (n - 1 - k)
+    keys = _bit_reversed(n, indices, np.int32)
     # slot s of the walk belongs to indices[order[s]]; int32 and no unsorted
     # keys, since parallel workers inherit what the parent holds at the fork
     order = np.argsort(keys).astype(np.int32)
@@ -539,22 +567,24 @@ def bound_soundness_sample(
 
     Draws ``samples`` box vectors with uniform magnitudes in (0, 1] and
     uniform signs, checks every group product of each sign pattern's
-    validated ladder partitions of K and J against its shape bound and the
-    total against ``2**min(p, m)``, relatively to ``tolerance``.  The
-    signs are drawn in blocks of ``_SOUNDNESS_CHUNK`` rows, the stream of
-    one draw without its full-size float array.
+    ladder partitions of K and J against its shape bound and the total
+    against ``2**min(p, m)``, relatively to ``tolerance``.  The signs are
+    drawn in blocks of ``_SOUNDNESS_CHUNK`` rows, the stream of one draw
+    without its full-size float array.
 
-    One stable sort of the pattern codes makes each pattern a contiguous
-    block of samples; the codes are ``uint16`` for n <= 16, where NumPy's
-    stable sort is a radix sort, and the blocks start where the sorted
-    codes change.  Whole blocks are cut into chunks of about
-    ``_SOUNDNESS_CHUNK`` samples, and each chunk makes one
-    ``factor_matrix`` call and one total product per sample; a block
-    longer than a chunk is a chunk of its own.  Each pattern's group
+    One stable sort of the patterns' walk keys makes each pattern a
+    contiguous block of samples, in the walk's order; the keys are
+    ``uint16`` for n <= 16, where NumPy's stable sort is a radix sort.
+    Whole blocks are cut into chunks of about ``_SOUNDNESS_CHUNK``
+    samples, and each chunk makes one ``factor_matrix`` call and one total
+    product per sample; a block longer than a chunk is a chunk of its own.
+    No value depends on the chunk a sample lands in.  Each pattern's group
     products over their bounds come from the slot table of its
-    ``partitions_for`` entry in three multiplies (see ``_check_chunk``);
-    a miss builds the table and bound, no plan.  A stuck ladder raises
-    ``LadderStuck``.
+    ``partitions_for`` entry in three multiplies (see ``_check_chunk``).
+    Missing entries come, with no plan, from one lazy :func:`_prefix_walk`
+    over their keys, consumed block by block, so at most one chunk's new
+    entries live outside the cache.  A flagged leaf goes to the
+    per-pattern builder, which raises ``LadderStuck``.
     ``n`` must lie in 0..63, where a pattern code fits a non-negative
     int64.  The tolerance must be finite, since a NaN or infinite one
     admits every product; a negative one is allowed and tightens the
@@ -572,18 +602,25 @@ def bound_soundness_sample(
         block = negative[at:at + _SOUNDNESS_CHUNK]
         np.less(rng.random(block.shape), 0.5, out=block)
     np.copysign(X, -negative.view(np.int8), out=X)  # faster than a where= negation
-    code_type = np.uint16 if n <= 16 else np.int64
-    codes = negative.astype(code_type) @ (1 << np.arange(n, dtype=code_type))
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    heads = (np.flatnonzero(np.diff(codes)) + 1).tolist()
+    key_type = np.uint16 if n <= 16 else np.int64
+    keys = negative.astype(key_type) @ (1 << np.arange(n - 1, -1, -1, dtype=key_type))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads = (np.flatnonzero(np.diff(keys)) + 1).tolist()
     starts = [0] + heads if samples else []
+    codes = _bit_reversed(n, keys[starts], np.int64).tolist()
+    cached = [_cached_entry(n, code) for code in codes]
+    walk = _prefix_walk(n, [key for key, entry in zip(keys[starts].tolist(), cached) if not entry])
 
     chunks = []  # per chunk: violations of totals and groups, their max ratios
     lo = 0
     blocks = []  # per pattern of the open chunk: size and entry
-    for start, end, code in zip(starts, heads + [samples], codes[starts].tolist()):
-        blocks.append((end - start, partitions_for(n, code)))
+    for start, end, code, entry in zip(starts, heads + [samples], codes, cached):
+        if entry is None:  # the builder raises LadderStuck on a leaf the walk flags
+            leaf = next(walk)
+            entry = (_store_entry(_pattern_entry(n, code, *leaf)) if leaf
+                     else partitions_for(n, code))
+        blocks.append((end - start, entry))
         if end - lo >= _SOUNDNESS_CHUNK or end == samples:
             chunks.append(_check_chunk(X[order[lo:end]], blocks, tolerance))
             lo, blocks = end, []

@@ -392,7 +392,7 @@ class _PairLRU:
     """Least-recently-used cache of entries keyed by ``(n, code)``, bounded by
     the pairs they cover, ``n(n+1)/2`` each, in ``maxsize`` and
     ``currsize``.  The newest entry is never evicted; a builder that
-    raises counts a miss and caches nothing."""
+    raises caches nothing."""
 
     def __init__(self, build, maxsize: int) -> None:
         update_wrapper(self, build)
@@ -401,13 +401,21 @@ class _PairLRU:
         self.cache_clear()
 
     def __call__(self, n: int, code: int) -> PatternEntry:
-        entries, key = self._entries, (n, code)
-        if key in entries:
+        return self.get(n, code) or self.store(self.__wrapped__(n, code))
+
+    def get(self, n: int, code: int) -> Optional[PatternEntry]:
+        """The cached entry, counted as a hit, or ``None``, counted as nothing."""
+        entry = self._entries.get((n, code))
+        if entry is not None:
             self._hits += 1
-            entries.move_to_end(key)
-            return entries[key]
+            self._entries.move_to_end((n, code))
+        return entry
+
+    def store(self, entry: PatternEntry) -> PatternEntry:
+        """Cache ``entry``, built here or elsewhere, as one miss."""
         self._misses += 1
-        entries[key] = entry = self.__wrapped__(n, code)
+        entries, n = self._entries, entry.n
+        entries[n, entry.code] = entry
         self._pairs += n * (n + 1) // 2
         while self._pairs > self.maxsize and len(entries) > 1:
             (old, _), _ = entries.popitem(last=False)
@@ -429,26 +437,36 @@ def partitions_for(n: int, code: int) -> PatternEntry:
     ``pattern_from_index``; raises ``LadderStuck``, which is not cached.
 
     The entry is built from the validated ladder partitions of K and J
-    and keeps neither.  It takes 1.4 / 2.1 / 21 / 276 KiB / 4.2 MiB at
+    and keeps neither; soundness sampling's prefix walk builds equal ones,
+    which ``store`` takes.  It takes 1.4 / 2.1 / 21 / 276 KiB / 4.2 MiB at
     n = 10 / 16 / 63 / 256 / 1024, and a plan 3.2 / 6.2 / 78 KiB / 1.1 /
     18 MiB more; the partitions take 13 / 23 / 251 KiB / 3.6 / 65 MiB.
     The ``certify`` benchmark makes 64 misses and plans in set-up, then a
     hit per call; ``soundness`` 1,024 misses (56,320 pairs) and no plan in
     set-up, then 1,024 hits per call.  Tier-1 less the capacity tests
-    makes 3,429 hits, 7,968 misses and 518 plans, and fills the budget.
+    makes 3,876 hits, 21,671 misses and 518 plans, and fills the budget.
     """
     ctx = PatternContext(pattern_from_index(n, code))
-    k_groups = eta_partition(ctx).groups
+    k_groups, j_groups = ([(group.shape, group.members) for group in build(ctx).groups]
+                          for build in (eta_partition, build_pi))
+    return _pattern_entry(n, code, ctx.target, k_groups, j_groups)
+
+
+def _pattern_entry(n: int, code: int, target: int, k_groups: list, j_groups: list) -> PatternEntry:
+    """The :class:`PatternEntry` of K's groups ``k_groups`` and J's
+    ``j_groups``, each a list of ``(shape, members)`` in construction order,
+    for a pattern whose heavy target is ``target``."""
     pairs = n * (n + 1) // 2
-    slots = []
-    for group in k_groups + build_pi(ctx).groups:
-        slots += [(i - 1) * (2 * n - i + 2) // 2 + j - i for i, j in group.members]
-        slots += [pairs] * (4 - len(group.members))
-        if group.shape.heavy:
-            slots[-1] = pairs + 1
-    table = np.array(slots, dtype=np.intp).reshape(-1, 4).T
+    # pair (i, j) takes slot start[i] + j, and a pad (0, s) slot s: per
+    # heaviness and member count, the pads that fill a group's four slots
+    start = [0] + [(i - 1) * (2 * n - i + 2) // 2 - i for i in range(1, n + 1)]
+    pads = [[((0, pairs),) * (4 - size) for size in range(5)],
+            [((0, pairs),) * (3 - size) + ((0, pairs + 1),) for size in range(4)]]
+    table = np.array([start[i] + j for shape, members in k_groups + j_groups
+                      for i, j in members + pads[shape.heavy][len(members)]],
+                     dtype=np.intp).reshape(-1, 4).T
     table.flags.writeable = False
-    return PatternEntry(n, code, table, 2.0 ** ctx.target, len(k_groups))
+    return PatternEntry(n, code, table, 2.0 ** target, len(k_groups))
 
 
 def check_tolerance(tolerance: float) -> None:

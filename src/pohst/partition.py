@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from pohst.signs import (
     Pair,
@@ -209,6 +209,7 @@ class ConstructionTrace:
 
 # a row step's report: shape, members in construction order, new members
 _Report = tuple[Shape, tuple[Pair, ...], tuple[Pair, ...]]
+_Group = tuple[Shape, tuple[Pair, ...]]
 
 
 @dataclass(frozen=True)
@@ -473,12 +474,14 @@ def _ladder_row(
 
 def _checked_row(
     state: _LadderState, j: int, stable: bool, target: str, rows: list[int], pos: list[int]
-) -> None:
+) -> list[_Report]:
     """Row ``j`` of a walk's ladder, each reported group held to the shape and
     sign rules on the path's bit rows ``rows`` and ``pos`` and to disjointness
-    by ``state.seen``.  Raises :class:`LadderStuck` on a gap or a finding."""
+    by ``state.seen``, and returns the row's reports, which a soundness walk
+    keeps.  Raises :class:`LadderStuck` on a gap or a finding."""
     seen = state.seen
-    for shape, members, new in _ladder_row(state, j, rows[j], pos[j], stable, target == "K"):
+    reports = _ladder_row(state, j, rows[j], pos[j], stable, target == "K")
+    for shape, members, new in reports:
         for i, row in new:
             bit = 1 << i
             if seen[row] & bit:
@@ -489,6 +492,7 @@ def _checked_row(
             raise LadderStuck(state.sigma, target, None, findings[0])
         if shape.heavy and len(new) == len(members):
             state.heavy_formed += 1
+    return reports
 
 
 def _checked_leaf(
@@ -515,36 +519,32 @@ def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[
     :func:`eta_partition` and :func:`build_pi` validate it once.
     """
     heavy = target == "K"
-    n = ctx.n
     rows, pos = ctx.rows(target)
-    stable = ctx.stable
-    state = _LadderState(n, ctx.sigma)
-    reports = []
-    # live groups keyed by their first member (i, j) as j * stride - i,
-    # which ascends in construction order
-    stride = n + 1
-    groups: dict[int, tuple[Shape, tuple[Pair, ...]]] = {}
-    for j in range(1, n + 1):
-        reports.append(_ladder_row(state, j, rows[j], pos[j], stable[j], heavy))
-        for shape, members, _ in reports[-1]:
-            i, first_row = members[0]
-            groups[first_row * stride - i] = (shape, members)
-    return _assembled(target, groups, state.free_row, "ladder" if heavy else "greedy"), reports
+    state = _LadderState(ctx.n, ctx.sigma)
+    reports = [_ladder_row(state, j, rows[j], pos[j], ctx.stable[j], heavy)
+               for j in range(1, ctx.n + 1)]
+    groups = tuple(PartitionGroup(*group) for group in _ordered_groups(reports, state.free_row))
+    return GoodPartition(target, groups, "ladder" if heavy else "greedy"), reports
 
 
-def _assembled(target: str, groups: dict, free_row: list[int], method: str) -> GoodPartition:
-    """The partition of ``groups``, keyed by first member (i, j) as
-    ``j * len(free_row) - i``, and of the positive singletons in the bit
-    rows ``free_row``, in construction order."""
+def _ordered_groups(reports: Iterable[Iterable[tuple]], free_row: list[int]) -> list[_Group]:
+    """The groups that the row step's ``reports``, or records that start
+    with ``(shape, members)``, and the positive singletons in the bit rows
+    ``free_row`` leave, in construction order.  Keyed by first member (i, j)
+    as ``j * len(free_row) - i``, a grown group replaces its earlier report."""
     stride = len(free_row)
+    groups = {}
+    for row in reports:
+        for report in row:
+            i, j = report[1][0]
+            groups[j * stride - i] = report[:2]
     for j, row in enumerate(free_row):
         while row:
             low = row & -row
             i = low.bit_length() - 1
             groups[j * stride - i] = (_POSITIVE_SINGLETON, ((i, j),))
             row ^= low
-    ordered = tuple(PartitionGroup(*groups[key]) for key in sorted(groups))
-    return GoodPartition(target, ordered, method)
+    return [groups[key] for key in sorted(groups)]
 
 
 def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTrace:
@@ -643,7 +643,7 @@ def search_partition(
                  if (rows[j] & ~pos[j]) >> i & 1]
     free = list(pos)
     total = len(negatives)
-    groups: dict[int, tuple[Shape, tuple[Pair, ...]]] = {}
+    groups: dict[int, _Group] = {}
 
     def moves(neg: Pair, heavies: int) -> Iterator[tuple[int, tuple, int, int]]:
         """Per move for ``neg``, in branch order: its key, group, row and bit taken."""
@@ -688,7 +688,10 @@ def search_partition(
                 del groups[key]
         return False
 
-    return _assembled(target, groups, free, "search") if dfs(0, 0) else None
+    if not dfs(0, 0):
+        return None
+    ordered = _ordered_groups([groups.values()], free)
+    return GoodPartition(target, tuple(PartitionGroup(*group) for group in ordered), "search")
 
 
 def check_construction_invariants(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,37 @@ class TestWalk:
         assert len(flagged) > 10 and flagged == with_rectangle.intersection(indices)
         assert all(rec.heavy == -1 and not rec.ladder for rec in records if not rec.valid)
 
+    @staticmethod
+    def assert_leaf_entries_equal_the_builder(n, codes):
+        # the entries of the soundness walk's leaves, in key order, equal the
+        # per-pattern builder's: table values, shape and flags, bound and
+        # K's group count
+        from pohst.analysis import _prefix_walk
+        from pohst.certify import _pattern_entry
+
+        codes = sorted(codes, key=lambda code: key_of(n, code))
+        walked = list(_prefix_walk(n, [key_of(n, code) for code in codes]))
+        assert len(walked) == len(codes)
+        for code, leaf in zip(codes, walked):
+            entry, built = _pattern_entry(n, code, *leaf), partitions_for.__wrapped__(n, code)
+            assert (entry.n, entry.code, entry.bound, entry.k_groups) == (
+                n, code, built.bound, built.k_groups)
+            assert entry.table.shape == built.table.shape
+            assert (entry.table == built.table).all()
+            assert not entry.table.flags.writeable and not built.table.flags.writeable
+            assert set(vars(entry)) == {"n", "code", "table", "bound", "k_groups"}
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_leaf_entries_equal_the_builder_through_n10(self, n):
+        self.assert_leaf_entries_equal_the_builder(n, range(1 << n))
+
+    @pytest.mark.parametrize("n", [16, 20, 32, 40, 63])
+    def test_leaf_entries_equal_the_builder_on_seeded_codes(self, n):
+        rng, codes = random.Random(n), set()
+        while len(codes) < 200:
+            codes.add(rng.getrandbits(n))
+        self.assert_leaf_entries_equal_the_builder(n, codes)
+
     def test_out_of_order_mixed_pair_is_flagged(self, monkeypatch):
         # the shape rule takes a reported group's members in construction
         # order as they come, so a row step that reports a column mate's
@@ -756,6 +788,77 @@ class TestSoundnessSample:
         assert partitions_for.cache_info().currsize == 0
         monkeypatch.undo()
         self.test_golden_reports(6, 5000, 1)
+
+    def test_cold_call_builds_no_partition(self, monkeypatch):
+        # every entry of a cold call comes from the walk, so no per-pattern
+        # ladder and no validator runs
+        import pohst.partition as partition
+
+        def refuse(*args):
+            raise AssertionError("a per-pattern construction ran")
+
+        partitions_for.cache_clear()
+        monkeypatch.setattr(partition, "_ladder", refuse)
+        monkeypatch.setattr(partition, "validate_partition", refuse)
+        self.test_golden_reports(10, 20000, 5)
+        assert partitions_for.cache_info().misses == 1024
+        partitions_for.cache_clear()
+
+    def test_flagged_leaves_fall_back_to_the_builder(self, monkeypatch):
+        import pohst.analysis as analysis
+
+        def refuse(state, *args):
+            raise LadderStuck(state.sigma, "K", None, "refused")
+
+        built = []
+
+        def builder(n, code):
+            built.append(code)
+            return real(n, code)
+
+        partitions_for.cache_clear()
+        real = partitions_for.__wrapped__
+        monkeypatch.setattr(analysis, "_checked_leaf", refuse)
+        monkeypatch.setattr(partitions_for, "__wrapped__", builder)
+        self.test_golden_reports(10, 20000, 5)
+        info = partitions_for.cache_info()
+        assert (info.hits, info.misses, len(set(built))) == (0, 1024, 1024)
+        partitions_for.cache_clear()
+
+    def test_warm_call_walks_nothing(self, monkeypatch):
+        # the walk is lazy: a warm call may make it but never steps it
+        import pohst.analysis as analysis
+
+        def refuse(*args):
+            raise AssertionError("a warm call walked")
+            yield
+
+        partitions_for.cache_clear()
+        bound_soundness_sample(6, 5000, seed=2)
+        monkeypatch.setattr(analysis, "_prefix_walk", refuse)
+        self.test_golden_reports(6, 5000, 1)
+        partitions_for.cache_clear()
+
+    @pytest.mark.parametrize("n, samples, seed", [(40, 300, 20), (63, 200, 21)])
+    def test_long_patterns_match_per_pattern_reference(self, n, samples, seed):
+        # int64 walk keys past the int32 ones of the sweep
+        assert bound_soundness_sample(n, samples, seed=seed) == soundness_reference(
+            n, samples, seed=seed)
+
+    def test_cold_call_holds_one_chunk_of_new_entries(self):
+        # 11,465 drawn patterns of n = 14 against 3,042 that the cache holds:
+        # built all before sampling, the entries peaked at 30.7 MiB, and
+        # streamed in key order at 16.9 MiB
+        partitions_for.cache_clear()
+        tracemalloc.start()
+        try:
+            report = bound_soundness_sample(14, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            partitions_for.cache_clear()
+        assert report.patterns == 11465
+        assert peak < 20 * 2 ** 20
 
     @pytest.mark.parametrize("n", range(9))
     def test_slot_tables_follow_the_partitions(self, n):

@@ -382,6 +382,22 @@ class TestPartitionCache:
         assert list(partitions_for._entries) == [(1, 1)]
         partitions_for.cache_clear()
 
+    def test_get_and_store_count_as_a_call_does(self, monkeypatch):
+        # get counts only a hit; store counts a miss and evicts as a call does
+        partitions_for.cache_clear()
+        monkeypatch.setattr(partitions_for, "maxsize", 3 + 6)
+        assert partitions_for.get(2, 1) is None
+        assert partitions_for.cache_info() == (0, 0, 9, 0)
+        entry = partitions_for.__wrapped__(2, 1)
+        assert partitions_for.store(entry) is entry
+        partitions_for(3, 0)
+        assert partitions_for.get(2, 1) is entry  # now the most recent
+        assert partitions_for.cache_info() == (1, 2, 9, 9)
+        partitions_for.store(partitions_for.__wrapped__(1, 0))  # (3, 0) goes
+        assert list(partitions_for._entries) == [(2, 1), (1, 0)]
+        assert partitions_for.cache_info() == (1, 3, 9, 4)
+        partitions_for.cache_clear()
+
     def test_plan_lives_in_its_entry(self):
         partitions_for.cache_clear()
         entry = partitions_for(3, 0b110)  # +--
