@@ -4,17 +4,16 @@
 cap, by deterministic subsample beyond it) and emits one record per
 pattern: set sizes, the constructed heavy count, the required count,
 whether the ladder succeeded and whether everything validated.  Every
-sweep is one depth-first walk over the sign prefixes of its patterns:
+sweep is one depth-first walk over the sign prefixes of its patterns,
+``_prefix_walk`` in :mod:`pohst.partition`, beside the checks it runs:
 row j of the context and of both ladders reads only the first j signs, so
 each node runs the shared ladder row step once for every requested
-pattern below it, and the checks of its rows and leaves live beside
-``validate_partition`` in :mod:`pohst.partition`.  The walk enters only
-the prefixes that lead to a requested pattern, so a sampled sweep takes
-the same path as an exhaustive one.  The walk is the one construction
-this module runs on every pattern; the tests hold it to a per-pattern
-reference.  Soundness sampling reads each pattern's slot table of its
-groups' factor columns from its ``partitions_for`` entry, and the same
-walk's leaves build the entries that the cache lacks.
+pattern below it.  The walk enters only the prefixes that lead to a
+requested pattern, so a sampled sweep takes the same path as an
+exhaustive one.  The walk is the one construction this module runs on
+every pattern; the tests hold it to a per-pattern reference.  Soundness
+sampling reads each pattern's slot table of its groups' factor columns
+from its ``partitions_for`` entry, which the same walk builds.
 
 ``maximize_f`` is a multi-start projected coordinate ascent over the
 sign-respecting box ``x_i in [delta, 1]`` or ``[-1, -delta]``.  Some optima
@@ -32,24 +31,20 @@ log-space accumulation when a side leaves the comfortable double range.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from pohst.signs import PatternContext, SignVector, min_heavy_target
-from pohst.partition import LadderStuck, _checked_leaf, _checked_row, _LadderState, _ordered_groups
-from pohst.certify import (DEFAULT_TOLERANCE, RealVectorY, _pattern_entry, factor_matrix,
-                           pair_factor_table, partitions_for)
-
-# bound once: a wrapper that takes the name partitions_for passes calls alone
-_cached_entry, _store_entry = partitions_for.get, partitions_for.store
+from pohst.signs import SignVector, min_heavy_target
+from pohst.partition import _prefix_walk
+from pohst.certify import (DEFAULT_TOLERANCE, RealVectorY, factor_matrix, pair_factor_table,
+                           pattern_entries)
 
 MAX_SWEEP_N = 24
 MAX_SOUNDNESS_N = 63  # pattern codes are int64 bit masks
@@ -153,93 +148,6 @@ def _walk(n: int, keys: np.ndarray) -> np.ndarray:
     for _ in _prefix_walk(n, keys, walked):  # a writing walk yields nothing
         pass
     return walked.T
-
-
-def _prefix_walk(n: int, keys, walked: Optional[np.ndarray] = None) -> Iterator:
-    """The walk over the sign prefixes of the ascending ``keys``.  Given
-    ``walked``, a ``(3, len(keys))`` int16 array, leaf ``s`` writes its
-    heavy count, |K| and target into column ``s`` and yields nothing; else
-    the leaves yield, in key order, the heavy target and the groups of K
-    and of J that ``_pattern_entry`` takes, or ``None`` when flagged.
-
-    A pattern's key is its index bit-reversed over ``n`` bits
-    (:func:`_bit_reversed`), so sign 1 is the top key bit and the patterns
-    below any sign prefix hold one contiguous run of ``keys``.  The walk
-    goes depth first over the sign prefixes whose run is not empty: row j
-    of the context and of both ladders depends on ``sigma_1..sigma_j``
-    only, so each node builds its row once for every requested pattern
-    below it.  A node splits its run with one bisection, or at the midpoint
-    when the run holds all ``2**(n - j)`` patterns below it.  The rows and
-    the row step's reports live in per-depth arrays along the path; a node
-    copies only the ladder states, and its last child takes over the
-    parent's copies.  Pending nodes wait on an explicit stack, not in
-    nested calls: CPython 3.11 keeps frames in 16 KiB chunks and maps a
-    fresh chunk each time a call crosses a chunk's end, and a walk
-    recursing ``n`` frames deep kept crossing one (27 million page faults
-    and 164 s of system time in the workers of one ``sweep 21 --jobs 2`` on
-    a 2-vCPU x86 host).
-
-    The checks live beside ``validate_partition`` in :mod:`pohst.partition`:
-    ``_checked_row`` at each node, ``_checked_leaf`` at each leaf.  Either
-    raises ``LadderStuck``, which flags every pattern below the node with
-    heavy = -1, as a stuck per-pattern construction would be.  |J| is not
-    counted: J and K split the ``n(n+1)/2`` pairs of the triangle.  A
-    leaf's groups are its path's reports, keyed by first member as
-    ``_ladder`` keys them, and its positive free pairs; each has passed the
-    checks, so they need no ``validate_partition``.
-    """
-    if walked is not None:
-        heavy_out, k_out, target_out = walked
-    next_row = PatternContext.next_row
-    k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
-    k_reports, j_reports = [[]] * (n + 1), [[]] * (n + 1)
-
-    # one entry per node still to visit: row j, its sign s, the run
-    # keys[lo:hi] below its prefix ``key`` and its parent's state, which the
-    # last child takes over; k_state is None once the path is flagged
-    stack = [(0, 0, 0, len(keys), 0, PatternContext.ROOT, _LadderState(n), _LadderState(n),
-              0, True)]
-    while stack:
-        j, s, lo, hi, key, state, k_state, j_state, k_size, last = stack.pop()
-        if j:  # the root has no row
-            state, stable, k, kp, jr, jp = next_row(j, s, state)
-            k_rows[j], k_pos[j], j_rows[j], j_pos[j] = k, kp, jr, jp
-            k_size += k.bit_count()
-            if k_state is not None:
-                if not last:
-                    k_state, j_state = k_state.copy(), j_state.copy()
-                try:
-                    k_reports[j] = _checked_row(k_state, j, stable, "K", k_rows, k_pos)
-                    j_reports[j] = _checked_row(j_state, j, stable, "J", j_rows, j_pos)
-                except LadderStuck:
-                    k_state = None
-        if j == n:
-            p = state[3]
-            target = min(p, n + 1 - p)
-            if k_state is not None:
-                try:
-                    _checked_leaf(k_state, "K", target, k_rows, k_pos)
-                    _checked_leaf(j_state, "J", 0, j_rows, j_pos)
-                except LadderStuck:
-                    k_state = None
-            if walked is None:
-                yield None if k_state is None else (
-                    target, _ordered_groups(k_reports, k_state.free_row),
-                    _ordered_groups(j_reports, j_state.free_row))
-                continue
-            heavy_out[lo] = -1 if k_state is None else target
-            k_out[lo] = k_size
-            target_out[lo] = target
-            continue
-        half = 1 << (n - 1 - j)  # the key bit of sign j + 1
-        mid = lo + half if hi - lo == half << 1 else bisect.bisect_left(keys, key | half, lo, hi)
-        node = state, k_state, j_state, k_size
-        # the + child goes on top, so it copies the state before the - child
-        # takes it over, and leaves come in key order
-        if mid < hi:
-            stack.append((j + 1, -1, mid, hi, key | half, *node, True))
-        if lo < mid:
-            stack.append((j + 1, 1, lo, mid, key, *node, mid == hi))
 
 
 def _walk_all(n: int, keys: np.ndarray, jobs: int) -> np.ndarray:
@@ -581,10 +489,10 @@ def bound_soundness_sample(
     No value depends on the chunk a sample lands in.  Each pattern's group
     products over their bounds come from the slot table of its
     ``partitions_for`` entry in three multiplies (see ``_check_chunk``).
-    Missing entries come, with no plan, from one lazy :func:`_prefix_walk`
-    over their keys, consumed block by block, so at most one chunk's new
-    entries live outside the cache.  A flagged leaf goes to the
-    per-pattern builder, which raises ``LadderStuck``.
+    ``pattern_entries`` gives the entries in key order: the held ones,
+    then, with no plan, the missing ones from one lazy walk over their
+    keys, consumed block by block, so at most one chunk's new entries live
+    outside the cache.  A flagged leaf raises ``LadderStuck``.
     ``n`` must lie in 0..63, where a pattern code fits a non-negative
     int64.  The tolerance must be finite, since a NaN or infinite one
     admits every product; a negative one is allowed and tightens the
@@ -609,17 +517,12 @@ def bound_soundness_sample(
     heads = (np.flatnonzero(np.diff(keys)) + 1).tolist()
     starts = [0] + heads if samples else []
     codes = _bit_reversed(n, keys[starts], np.int64).tolist()
-    cached = [_cached_entry(n, code) for code in codes]
-    walk = _prefix_walk(n, [key for key, entry in zip(keys[starts].tolist(), cached) if not entry])
+    entries = pattern_entries(n, codes, keys[starts].tolist())
 
     chunks = []  # per chunk: violations of totals and groups, their max ratios
     lo = 0
     blocks = []  # per pattern of the open chunk: size and entry
-    for start, end, code, entry in zip(starts, heads + [samples], codes, cached):
-        if entry is None:  # the builder raises LadderStuck on a leaf the walk flags
-            leaf = next(walk)
-            entry = (_store_entry(_pattern_entry(n, code, *leaf)) if leaf
-                     else partitions_for(n, code))
+    for start, end, entry in zip(starts, heads + [samples], entries):
         blocks.append((end - start, entry))
         if end - lo >= _SOUNDNESS_CHUNK or end == samples:
             chunks.append(_check_chunk(X[order[lo:end]], blocks, tolerance))

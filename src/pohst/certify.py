@@ -15,8 +15,9 @@ bounds each group by 1 or 2 through the four elementary product
 inequalities, and checks the total against ``2**min(p, m)``.
 
 ``partitions_for`` keeps one :class:`PatternEntry` per sign pattern in one
-cache bounded by the pairs it holds: a slot table that encodes both
-partitions, and the certificate plan built from it on first read.  A
+cache bounded by the pairs it holds: a slot table, filled from a leaf of
+the prefix walk, that encodes both partitions, and the certificate plan
+built from it on first read.  A
 certificate then costs one factor table, one product per group and, for
 printing, one template fill; its :class:`GroupCheck` tuple is decoded only
 when ``groups`` is read.
@@ -31,14 +32,14 @@ import itertools
 import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial, update_wrapper
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from pohst.signs import Pair, PatternContext, min_heavy_target, pattern_from_index
-from pohst.partition import PartitionGroup, Shape, build_pi, eta_partition
+from pohst.signs import Pair, min_heavy_target, pattern_from_index
+from pohst.partition import LadderStuck, PartitionGroup, Shape, _prefix_walk
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -329,7 +330,7 @@ class PatternEntry:
     """One sign pattern's groups, read by soundness sampling and certificates.
 
     Column g of the read-only ``(4, groups)`` ``table`` lists the
-    ``factor_matrix`` columns of group g of K's and then J's validated
+    ``factor_matrix`` columns of group g of K's and then J's checked
     ladder partition in member order, pair (i, j) in column
     ``(i - 1)(2n - i + 2)/2 + j - i``.  Free slots read ``n(n+1)/2``, a row
     of 1.0, but a heavy group (at most 3 members) reads ``n(n+1)/2 + 1``, a
@@ -389,34 +390,53 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _PairLRU:
-    """Least-recently-used cache of entries keyed by ``(n, code)``, bounded by
-    the pairs they cover, ``n(n+1)/2`` each, in ``maxsize`` and
-    ``currsize``.  The newest entry is never evicted; a builder that
-    raises caches nothing."""
+    """Least-recently-used cache of :class:`PatternEntry` objects keyed by
+    ``(n, code)``, bounded by the pairs they cover, ``n(n+1)/2`` each, in
+    ``maxsize`` and ``currsize``; the newest entry is never evicted.  An
+    entry takes 1.4 / 2.1 / 21 / 276 KiB / 4.2 MiB at n = 10 / 16 / 63 /
+    256 / 1024, and a plan 3.2 / 6.2 / 78 KiB / 1.1 / 18 MiB more.  The
+    ``certify`` benchmark makes 64 misses and plans in set-up, then a hit
+    per call; ``soundness`` 1,024 misses (56,320 pairs) and no plan in
+    set-up, then 1,024 hits per call.  Tier-1 less the capacity tests
+    makes 3,879 hits, 24,212 misses and 518 plans, and fills the budget.
+    """
 
-    def __init__(self, build, maxsize: int) -> None:
-        update_wrapper(self, build)
+    def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple[int, int], PatternEntry] = OrderedDict()
         self.cache_clear()
 
     def __call__(self, n: int, code: int) -> PatternEntry:
-        return self.get(n, code) or self.store(self.__wrapped__(n, code))
+        """The entry of the length-``n`` pattern whose bit k of ``code`` marks
+        entry k + 1 as negative; raises ``LadderStuck``.  A miss walks its one
+        key, the code's bits reversed, and ends the walk before the entry."""
+        return self._get(n, code) or self._store(
+            _walked_entry(n, code, *_prefix_walk(n, [int(f"{code:0{n}b}"[::-1], 2)])))
 
-    def get(self, n: int, code: int) -> Optional[PatternEntry]:
-        """The cached entry, counted as a hit, or ``None``, counted as nothing."""
+    def entries(self, n: int, codes: list[int], keys: list[int]) -> Iterator[PatternEntry]:
+        """The entries of the patterns ``codes``, whose walk keys ``keys``
+        ascend, in order: the held ones looked up first, the others stored as
+        they come from one lazy walk over their keys."""
+        held = [self._get(n, code) for code in codes]
+        walk = _prefix_walk(n, [key for key, entry in zip(keys, held) if entry is None])
+        for code, entry in zip(codes, held):
+            yield entry or self._store(_walked_entry(n, code, next(walk)))
+
+    def _get(self, n: int, code: int) -> Optional[PatternEntry]:
+        """The held entry, counted as a hit, or ``None``, counted as nothing."""
         entry = self._entries.get((n, code))
         if entry is not None:
             self._hits += 1
             self._entries.move_to_end((n, code))
         return entry
 
-    def store(self, entry: PatternEntry) -> PatternEntry:
-        """Cache ``entry``, built here or elsewhere, as one miss."""
+    def _store(self, entry: PatternEntry) -> PatternEntry:
+        """Hold ``entry``, in place of any held entry of its pattern, as one miss."""
         self._misses += 1
         entries, n = self._entries, entry.n
+        if entries.pop((n, entry.code), None) is None:
+            self._pairs += n * (n + 1) // 2
         entries[n, entry.code] = entry
-        self._pairs += n * (n + 1) // 2
         while self._pairs > self.maxsize and len(entries) > 1:
             (old, _), _ = entries.popitem(last=False)
             self._pairs -= old * (old + 1) // 2
@@ -430,39 +450,24 @@ class _PairLRU:
         self._hits = self._misses = self._pairs = 0
 
 
-@partial(_PairLRU, maxsize=4096 * 78)  # every pattern of n = 12
-def partitions_for(n: int, code: int) -> PatternEntry:
-    """The cached :class:`PatternEntry` of the length-``n`` pattern whose
-    bit k of ``code`` marks entry k + 1 as negative, as in
-    ``pattern_from_index``; raises ``LadderStuck``, which is not cached.
-
-    The entry is built from the validated ladder partitions of K and J
-    and keeps neither; soundness sampling's prefix walk builds equal ones,
-    which ``store`` takes.  It takes 1.4 / 2.1 / 21 / 276 KiB / 4.2 MiB at
-    n = 10 / 16 / 63 / 256 / 1024, and a plan 3.2 / 6.2 / 78 KiB / 1.1 /
-    18 MiB more; the partitions take 13 / 23 / 251 KiB / 3.6 / 65 MiB.
-    The ``certify`` benchmark makes 64 misses and plans in set-up, then a
-    hit per call; ``soundness`` 1,024 misses (56,320 pairs) and no plan in
-    set-up, then 1,024 hits per call.  Tier-1 less the capacity tests
-    makes 3,876 hits, 21,671 misses and 518 plans, and fills the budget.
-    """
-    ctx = PatternContext(pattern_from_index(n, code))
-    k_groups, j_groups = ([(group.shape, group.members) for group in build(ctx).groups]
-                          for build in (eta_partition, build_pi))
-    return _pattern_entry(n, code, ctx.target, k_groups, j_groups)
+partitions_for = _PairLRU(4096 * 78)  # every pattern of n = 12
+pattern_entries = partitions_for.entries  # bound, so a rebound partitions_for keeps it
 
 
-def _pattern_entry(n: int, code: int, target: int, k_groups: list, j_groups: list) -> PatternEntry:
-    """The :class:`PatternEntry` of K's groups ``k_groups`` and J's
-    ``j_groups``, each a list of ``(shape, members)`` in construction order,
-    for a pattern whose heavy target is ``target``."""
+def _walked_entry(n: int, code: int, leaf) -> PatternEntry:
+    """The :class:`PatternEntry` of pattern ``(n, code)`` from its walk leaf:
+    its heavy target and its K and J groups' reports in construction order.
+    A flagged leaf, the walk's :class:`LadderStuck`, is raised naming it."""
+    if isinstance(leaf, LadderStuck):
+        raise LadderStuck(pattern_from_index(n, code), leaf.target, leaf.negative, leaf.reason)
+    target, k_groups, j_groups = leaf
     pairs = n * (n + 1) // 2
     # pair (i, j) takes slot start[i] + j, and a pad (0, s) slot s: per
     # heaviness and member count, the pads that fill a group's four slots
     start = [0] + [(i - 1) * (2 * n - i + 2) // 2 - i for i in range(1, n + 1)]
     pads = [[((0, pairs),) * (4 - size) for size in range(5)],
             [((0, pairs),) * (3 - size) + ((0, pairs + 1),) for size in range(4)]]
-    table = np.array([start[i] + j for shape, members in k_groups + j_groups
+    table = np.array([start[i] + j for shape, members, _ in k_groups + j_groups
                       for i, j in members + pads[shape.heavy][len(members)]],
                      dtype=np.intp).reshape(-1, 4).T
     table.flags.writeable = False

@@ -39,13 +39,14 @@ level (operation 4).  One row step, ``_ladder_row``, holds every move and
 only moves: it absorbs the negatives of one row into an explicit state
 (free bit rows, live row-mate pairs, heavy starts) and reports
 each group it forms or grows.  The per-pattern ladder runs it over rows
-1..n, the sweep walk in :mod:`pohst.analysis` once per node through
-``_checked_row``, which with ``_checked_leaf`` checks what
-``validate_partition`` checks.  ``construct_eta``, ``eta_partition`` and
-``build_pi`` validate the ladder's partition of K or J once and raise
-:class:`LadderStuck` when it is stuck or invalid: the ladder is the only
-construction path.  ``construct_eta`` alone then has ``_trace`` read K's
-trace off the row step's reports.  ``search_partition``, the independent
+1..n, and ``_prefix_walk`` once per node of a walk over the sign prefixes
+of many patterns through ``_checked_row``, which with ``_checked_leaf``
+checks what ``validate_partition`` checks; the sweep and the pattern
+entries of :mod:`pohst.certify` read its leaves.  ``construct_eta``,
+``eta_partition`` and ``build_pi`` validate the ladder's partition of K or
+J once and raise :class:`LadderStuck` when it is stuck or invalid: the
+ladder is the only construction path.  ``construct_eta`` alone then has
+``_trace`` read K's trace off the row step's reports.  ``search_partition``, the independent
 oracle over the same move set, serves the tests and the CLI's search
 modes; like the ladder, it keeps its live groups in one dict keyed by
 first member.  ``validate_partition`` checks any claimed partition against
@@ -65,6 +66,7 @@ pattern and hands it to all of them.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -122,7 +124,7 @@ class LadderStuck(RuntimeError):
     """The case ladder left a negative pair of ``target`` unabsorbed, or built
     a partition that fails validation (``negative`` is then ``None``).
 
-    ``sigma`` is ``None`` when the ladder ran on a sign prefix in a sweep
+    ``sigma`` is ``None`` when the ladder ran on a sign prefix in a prefix
     walk, which flags every pattern below the prefix instead of raising.
     """
 
@@ -209,7 +211,6 @@ class ConstructionTrace:
 
 # a row step's report: shape, members in construction order, new members
 _Report = tuple[Shape, tuple[Pair, ...], tuple[Pair, ...]]
-_Group = tuple[Shape, tuple[Pair, ...]]
 
 
 @dataclass(frozen=True)
@@ -332,21 +333,21 @@ class _LadderState:
     The free positive pairs live in the bit rows alone: bit i of
     ``free_row[j]``.  Bit ell of ``row_pairs[i]`` marks (i, ell) as the
     positive member of a live row-mate pair, which a rectangle may still
-    complete; ``pair_low[ell * (n + 1) + i]`` is the start column of that
-    pair's negative member.  ``heavy_start[j]`` is the
+    complete; ``row_mates[ell * (n + 1) + i]`` holds that pair's members,
+    the tuple the rectangle grows.  ``heavy_start[j]`` is the
     start of row j's live heavy singleton (at most one), 0 if none.
     ``seen`` (pairs in groups) and ``heavy_formed`` serve a walk's checks.
     ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
     when the state belongs to a walk over sign prefixes.
     """
 
-    __slots__ = ("free_row", "row_pairs", "pair_low", "heavy_start", "seen", "heavy_formed",
+    __slots__ = ("free_row", "row_pairs", "row_mates", "heavy_start", "seen", "heavy_formed",
                  "sigma")
 
     def __init__(self, n: int, sigma: Optional[SignVector] = None) -> None:
         self.free_row = [0] * (n + 1)
         self.row_pairs = [0] * (n + 1)
-        self.pair_low = [0] * (n + 1) ** 2
+        self.row_mates = [None] * (n + 1) ** 2
         self.heavy_start = [0] * (n + 1)
         self.seen = [0] * (n + 1)
         self.heavy_formed = 0
@@ -355,14 +356,14 @@ class _LadderState:
     def copy(self) -> "_LadderState":
         """A state that rows past the current one may change independently.
 
-        ``pair_low`` is shared: row j writes only its own entries, which
-        later rows read through ``row_pairs`` bits set on the same path, so
-        a depth-first walk may let sibling branches overwrite them.
+        ``row_mates`` is shared: row j writes only its own entries, read
+        later through ``row_pairs`` bits set on the same path, so sibling
+        branches of a walk and the states of K and J may share one table.
         """
         other = _LadderState.__new__(_LadderState)
         other.free_row = self.free_row[:]
         other.row_pairs = self.row_pairs[:]
-        other.pair_low = self.pair_low
+        other.row_mates = self.row_mates
         other.heavy_start = self.heavy_start[:]
         other.seen = self.seen[:]
         other.heavy_formed = self.heavy_formed
@@ -399,7 +400,7 @@ def _ladder_row(
     Raises :class:`LadderStuck` when a negative has no move.
     """
     free_row, row_pairs = state.free_row, state.row_pairs
-    pair_low, heavy_start = state.pair_low, state.heavy_start
+    row_mates, heavy_start = state.row_mates, state.heavy_start
     stride = len(free_row)
     bit = 1 << j
     below_j = bit - 1
@@ -417,8 +418,8 @@ def _ladder_row(
             i2 = (above & -above).bit_length() - 1
             free_row[j] ^= 1 << i2
             row_pairs[i2] |= bit
-            pair_low[j * stride + i2] = i
             members = ((i2, j), neg)
+            row_mates[j * stride + i2] = members
             reports.append((_MIXED_PAIR, members, members))
             continue
 
@@ -456,11 +457,12 @@ def _ladder_row(
         while candidates:
             ell = candidates.bit_length() - 1
             candidates ^= 1 << ell
-            c = pair_low[ell * stride + i]
+            pair = row_mates[ell * stride + i]
+            c = pair[1][0]
             if free_row[j] >> c & 1:
                 free_row[j] ^= 1 << c
                 row_pairs[i] ^= 1 << ell
-                pair, corner = ((i, ell), (c, ell)), (c, j)
+                corner = (c, j)
                 # grows the row-mate pair, which starts with its positive member
                 reports.append((_RECTANGLE_QUAD, pair + (neg, corner), (neg, corner)))
                 break
@@ -507,6 +509,92 @@ def _checked_leaf(
             raise LadderStuck(state.sigma, target, None, "groups and free pairs do not tile")
 
 
+def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None) -> Iterator:
+    """The walk over the sign prefixes of the ascending ``keys``.  Given
+    ``walked``, a ``(3, len(keys))`` int16 array, leaf ``s`` writes its
+    heavy count, |K| and target into column ``s`` and yields nothing; else
+    the leaves yield, in key order, the heavy target and the ordered groups
+    of K and of J (:func:`_ordered_groups`), or their :class:`LadderStuck`.
+
+    A pattern's key is its index bit-reversed over ``n`` bits, so sign 1 is
+    the top key bit and the patterns below any sign prefix hold one
+    contiguous run of ``keys``.  The walk goes depth first over the sign
+    prefixes whose run is not empty: row j of the context and of both
+    ladders depends on ``sigma_1..sigma_j`` only, so each node builds its
+    row once for every requested pattern below it.  A node splits its run
+    with one bisection, or at the midpoint when the run holds all
+    ``2**(n - j)`` patterns below it.  The rows and the row step's reports
+    live in per-depth arrays along the path; a node copies only the ladder
+    states, and its last child takes over the parent's copies.  Pending
+    nodes wait on an explicit stack, not in nested calls: CPython 3.11 keeps
+    frames in 16 KiB chunks and maps a fresh chunk each time a call crosses
+    a chunk's end, and a walk recursing ``n`` frames deep kept crossing one
+    (27 million page faults and 164 s of system time in the workers of one
+    ``sweep 21 --jobs 2`` on a 2-vCPU x86 host).
+
+    :func:`_checked_row` checks each node's rows and :func:`_checked_leaf`
+    each leaf, as ``validate_partition`` checks a partition.  Either raises
+    ``LadderStuck``, which flags every pattern below the node with
+    heavy = -1, as a stuck per-pattern construction would be.  |J| is not
+    counted: J and K split the ``n(n+1)/2`` pairs of the triangle.  A
+    leaf's groups are its path's reports, keyed by first member as
+    :func:`_ladder` keys them, and its positive free pairs; each has passed
+    the checks, so they need no ``validate_partition``.
+    """
+    if walked is not None:
+        heavy_out, k_out, target_out = walked
+    next_row = PatternContext.next_row
+    k_rows, k_pos, j_rows, j_pos = ([0] * (n + 1) for _ in range(4))
+    k_reports, j_reports = [[]] * (n + 1), [[]] * (n + 1)
+    k_root = _LadderState(n)
+
+    # one entry per node still to visit: row j, its sign s, the run
+    # keys[lo:hi] below its prefix ``key`` and its parent's state, which the
+    # last child takes over; a flagged path has k_state None, j_state its LadderStuck
+    stack = [(0, 0, 0, len(keys), 0, PatternContext.ROOT, k_root, k_root.copy(), 0, True)]
+    while stack:
+        j, s, lo, hi, key, state, k_state, j_state, k_size, last = stack.pop()
+        if j:  # the root has no row
+            state, stable, k, kp, jr, jp = next_row(j, s, state)
+            k_rows[j], k_pos[j], j_rows[j], j_pos[j] = k, kp, jr, jp
+            k_size += k.bit_count()
+            if k_state is not None:
+                if not last:
+                    k_state, j_state = k_state.copy(), j_state.copy()
+                try:
+                    k_reports[j] = _checked_row(k_state, j, stable, "K", k_rows, k_pos)
+                    j_reports[j] = _checked_row(j_state, j, stable, "J", j_rows, j_pos)
+                except LadderStuck as stuck:
+                    k_state, j_state = None, stuck
+        if j == n:
+            p = state[3]
+            target = min(p, n + 1 - p)
+            if k_state is not None:
+                try:
+                    _checked_leaf(k_state, "K", target, k_rows, k_pos)
+                    _checked_leaf(j_state, "J", 0, j_rows, j_pos)
+                except LadderStuck as stuck:
+                    k_state, j_state = None, stuck
+            if walked is None:
+                yield j_state if k_state is None else (
+                    target, _ordered_groups(k_reports, k_state.free_row),
+                    _ordered_groups(j_reports, j_state.free_row))
+                continue
+            heavy_out[lo] = -1 if k_state is None else target
+            k_out[lo] = k_size
+            target_out[lo] = target
+            continue
+        half = 1 << (n - 1 - j)  # the key bit of sign j + 1
+        mid = lo + half if hi - lo == half << 1 else bisect.bisect_left(keys, key | half, lo, hi)
+        node = state, k_state, j_state, k_size
+        # the + child goes on top, so it copies the state before the - child
+        # takes it over, and leaves come in key order
+        if mid < hi:
+            stack.append((j + 1, -1, mid, hi, key | half, *node, True))
+        if lo < mid:
+            stack.append((j + 1, 1, lo, mid, key, *node, mid == hi))
+
+
 def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[_Report]]]:
     """Run the case ladder over K or J, row by row through :func:`_ladder_row`.
 
@@ -523,26 +611,29 @@ def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[
     state = _LadderState(ctx.n, ctx.sigma)
     reports = [_ladder_row(state, j, rows[j], pos[j], ctx.stable[j], heavy)
                for j in range(1, ctx.n + 1)]
-    groups = tuple(PartitionGroup(*group) for group in _ordered_groups(reports, state.free_row))
+    ordered = _ordered_groups(reports, state.free_row)
+    groups = tuple(PartitionGroup(shape, members) for shape, members, _ in ordered)
     return GoodPartition(target, groups, "ladder" if heavy else "greedy"), reports
 
 
-def _ordered_groups(reports: Iterable[Iterable[tuple]], free_row: list[int]) -> list[_Group]:
-    """The groups that the row step's ``reports``, or records that start
-    with ``(shape, members)``, and the positive singletons in the bit rows
-    ``free_row`` leave, in construction order.  Keyed by first member (i, j)
-    as ``j * len(free_row) - i``, a grown group replaces its earlier report."""
+def _ordered_groups(reports: Iterable[Iterable[tuple]], free_row: list[int]) -> list[tuple]:
+    """The records of the groups that the row step's ``reports``, or records
+    that start with ``(shape, members)``, and the positive singletons in the
+    bit rows ``free_row`` leave, in construction order, each singleton as a
+    new group's report.  Keyed by first member (i, j) as
+    ``j * len(free_row) - i``, a grown group replaces its earlier record."""
     stride = len(free_row)
     groups = {}
     for row in reports:
         for report in row:
             i, j = report[1][0]
-            groups[j * stride - i] = report[:2]
+            groups[j * stride - i] = report
     for j, row in enumerate(free_row):
         while row:
             low = row & -row
             i = low.bit_length() - 1
-            groups[j * stride - i] = (_POSITIVE_SINGLETON, ((i, j),))
+            members = ((i, j),)
+            groups[j * stride - i] = (_POSITIVE_SINGLETON, members, members)
             row ^= low
     return [groups[key] for key in sorted(groups)]
 
@@ -643,7 +734,7 @@ def search_partition(
                  if (rows[j] & ~pos[j]) >> i & 1]
     free = list(pos)
     total = len(negatives)
-    groups: dict[int, _Group] = {}
+    groups: dict[int, tuple[Shape, tuple[Pair, ...]]] = {}
 
     def moves(neg: Pair, heavies: int) -> Iterator[tuple[int, tuple, int, int]]:
         """Per move for ``neg``, in branch order: its key, group, row and bit taken."""
@@ -691,7 +782,7 @@ def search_partition(
     if not dfs(0, 0):
         return None
     ordered = _ordered_groups([groups.values()], free)
-    return GoodPartition(target, tuple(PartitionGroup(*group) for group in ordered), "search")
+    return GoodPartition(target, tuple(PartitionGroup(*group[:2]) for group in ordered), "search")
 
 
 def check_construction_invariants(

@@ -23,9 +23,11 @@ from pohst.analysis import (
     sweep,
     sweep_summary,
 )
-from pohst.certify import RealVectorY, eval_P, factor_matrix, group_bound, partitions_for
+from pohst.certify import (RealVectorY, eval_P, factor_matrix, group_bound, partitions_for,
+                           pattern_entries)
 from pohst.partition import LadderStuck, Shape, build_pi, eta_partition
 from pohst.signs import PatternContext, SignVector, min_heavy_target, pattern_from_index
+from test_certify import assert_same_entry, reference_entry
 
 
 def random_y(rng, n, growth=(0.1, 2.0)):
@@ -429,23 +431,16 @@ class TestWalk:
 
     @staticmethod
     def assert_leaf_entries_equal_the_builder(n, codes):
-        # the entries of the soundness walk's leaves, in key order, equal the
-        # per-pattern builder's: table values, shape and flags, bound and
-        # K's group count
-        from pohst.analysis import _prefix_walk
-        from pohst.certify import _pattern_entry
-
+        # the entries that one walk's leaves fill, in key order, equal those
+        # built from the per-pattern ladder partitions: table values, shape
+        # and flags, bound and K's group count
+        partitions_for.cache_clear()
         codes = sorted(codes, key=lambda code: key_of(n, code))
-        walked = list(_prefix_walk(n, [key_of(n, code) for code in codes]))
-        assert len(walked) == len(codes)
-        for code, leaf in zip(codes, walked):
-            entry, built = _pattern_entry(n, code, *leaf), partitions_for.__wrapped__(n, code)
-            assert (entry.n, entry.code, entry.bound, entry.k_groups) == (
-                n, code, built.bound, built.k_groups)
-            assert entry.table.shape == built.table.shape
-            assert (entry.table == built.table).all()
-            assert not entry.table.flags.writeable and not built.table.flags.writeable
-            assert set(vars(entry)) == {"n", "code", "table", "bound", "k_groups"}
+        walked = list(pattern_entries(n, codes, [key_of(n, code) for code in codes]))
+        assert len(walked) == len(codes) == partitions_for.cache_info().misses
+        for code, entry in zip(codes, walked):
+            assert_same_entry(entry, reference_entry(n, code))
+        partitions_for.cache_clear()
 
     @pytest.mark.parametrize("n", range(11))
     def test_leaf_entries_equal_the_builder_through_n10(self, n):
@@ -804,30 +799,38 @@ class TestSoundnessSample:
         assert partitions_for.cache_info().misses == 1024
         partitions_for.cache_clear()
 
-    def test_flagged_leaves_fall_back_to_the_builder(self, monkeypatch):
-        import pohst.analysis as analysis
+    def test_flagged_leaf_raises_naming_pattern_and_target(self, monkeypatch, capsys):
+        # a leaf whose J the walk flags raises LadderStuck for its pattern and
+        # J, stores and counts nothing, and makes certify exit 3
+        import pohst.partition as partition
+        from pohst.cli import main
 
-        def refuse(state, *args):
-            raise LadderStuck(state.sigma, "K", None, "refused")
+        def refuse_j(state, target, *args):
+            if target == "J":
+                raise LadderStuck(state.sigma, target, None, "refused")
+            real(state, target, *args)
 
-        built = []
-
-        def builder(n, code):
-            built.append(code)
-            return real(n, code)
-
+        real = partition._checked_leaf
+        monkeypatch.setattr(partition, "_checked_leaf", refuse_j)
         partitions_for.cache_clear()
-        real = partitions_for.__wrapped__
-        monkeypatch.setattr(analysis, "_checked_leaf", refuse)
-        monkeypatch.setattr(partitions_for, "__wrapped__", builder)
-        self.test_golden_reports(10, 20000, 5)
-        info = partitions_for.cache_info()
-        assert (info.hits, info.misses, len(set(built))) == (0, 1024, 1024)
-        partitions_for.cache_clear()
+        with pytest.raises(LadderStuck) as info:
+            bound_soundness_sample(10, 20000, seed=5)
+        # the first pattern in key order, all plus, is the first leaf walked
+        assert (info.value.sigma, info.value.target) == (pattern_from_index(10, 0), "J")
+        assert str(info.value) == "ladder stuck on J of '++++++++++' at None: refused"
+        with pytest.raises(LadderStuck) as info:
+            partitions_for(3, 0b101)
+        assert (info.value.sigma.to_string(), info.value.target) == ("-+-", "J")
+        assert partitions_for.cache_info() == (0, 0, 4096 * 78, 0)
+        assert main(["certify", "--x", "-0.5,0.5,-0.25"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["sigma"], doc["target"]) == ("-+-", "J")
+        assert doc["error"] == "ladder stuck on J of '-+-' at None: refused"
+        assert partitions_for.cache_info() == (0, 0, 4096 * 78, 0)
 
     def test_warm_call_walks_nothing(self, monkeypatch):
         # the walk is lazy: a warm call may make it but never steps it
-        import pohst.analysis as analysis
+        import pohst.certify as certify
 
         def refuse(*args):
             raise AssertionError("a warm call walked")
@@ -835,7 +838,7 @@ class TestSoundnessSample:
 
         partitions_for.cache_clear()
         bound_soundness_sample(6, 5000, seed=2)
-        monkeypatch.setattr(analysis, "_prefix_walk", refuse)
+        monkeypatch.setattr(certify, "_prefix_walk", refuse)
         self.test_golden_reports(6, 5000, 1)
         partitions_for.cache_clear()
 

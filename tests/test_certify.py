@@ -17,6 +17,7 @@ from pohst.certify import (
     Certificate,
     DomainError,
     GroupCheck,
+    PatternEntry,
     RealVectorX,
     RealVectorY,
     certify_x,
@@ -28,6 +29,7 @@ from pohst.certify import (
     factor_table,
     group_bound,
     partitions_for,
+    pattern_entries,
     x_from_y,
 )
 from pohst.partition import (
@@ -42,6 +44,35 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def lexicographic(n):
     """The pairs of the index triangle in lexicographic order."""
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def reference_entry(n, code):
+    """The entry of pattern ``(n, code)`` built from the validated ladder
+    partitions of K and J on one context, not from the walk under test:
+    each group's factor columns in member order, then free slots, the last
+    one the row of 0.5 for a heavy group."""
+    ctx = PatternContext(pattern_from_index(n, code))
+    k_groups, j_groups = eta_partition(ctx).groups, build_pi(ctx).groups
+    column = {pair: slot for slot, pair in enumerate(lexicographic(n))}
+    pairs = len(column)
+    table = []
+    for group in k_groups + j_groups:
+        slots = [column[pair] for pair in group.members] + [pairs] * (4 - len(group.members))
+        slots[-1] += group.shape.heavy
+        table.append(slots)
+    table = np.array(table, dtype=np.intp).reshape(-1, 4).T
+    return PatternEntry(n, code, table, 2.0 ** ctx.target, len(k_groups))
+
+
+def assert_same_entry(entry, reference):
+    """``entry`` holds ``reference``'s table, bound and K's group count, a
+    read-only table and no plan."""
+    assert (entry.n, entry.code, entry.bound, entry.k_groups) == (
+        reference.n, reference.code, reference.bound, reference.k_groups)
+    assert entry.table.shape == reference.table.shape
+    assert (entry.table == reference.table).all()
+    assert not entry.table.flags.writeable
+    assert set(vars(entry)) == {"n", "code", "table", "bound", "k_groups"}
 
 
 def factors_by_pair(x):
@@ -382,20 +413,41 @@ class TestPartitionCache:
         assert list(partitions_for._entries) == [(1, 1)]
         partitions_for.cache_clear()
 
-    def test_get_and_store_count_as_a_call_does(self, monkeypatch):
-        # get counts only a hit; store counts a miss and evicts as a call does
+    def test_entries_count_as_calls_do(self, monkeypatch):
+        # pattern_entries looks each held pattern up as a hit, walks only the
+        # others and stores each as a miss, evicting as a call does; the
+        # codes of n = 2 in walk key order are 0, 2, 1, 3
         partitions_for.cache_clear()
         monkeypatch.setattr(partitions_for, "maxsize", 3 + 6)
-        assert partitions_for.get(2, 1) is None
-        assert partitions_for.cache_info() == (0, 0, 9, 0)
-        entry = partitions_for.__wrapped__(2, 1)
-        assert partitions_for.store(entry) is entry
-        partitions_for(3, 0)
-        assert partitions_for.get(2, 1) is entry  # now the most recent
-        assert partitions_for.cache_info() == (1, 2, 9, 9)
-        partitions_for.store(partitions_for.__wrapped__(1, 0))  # (3, 0) goes
-        assert list(partitions_for._entries) == [(2, 1), (1, 0)]
-        assert partitions_for.cache_info() == (1, 3, 9, 4)
+        held = partitions_for(2, 1)
+        got = list(pattern_entries(2, [0, 2, 1, 3], [0, 1, 2, 3]))
+        assert got[2] is held
+        walked = {0: got[0], 2: got[1], 3: got[3]}
+        for code, entry in walked.items():
+            assert_same_entry(entry, reference_entry(2, code))
+        # the third one stored goes over the budget and evicts (2, 1)
+        assert list(partitions_for._entries) == [(2, 0), (2, 2), (2, 3)]
+        assert partitions_for.cache_info() == (1, 4, 9, 9)
+        assert all(partitions_for(2, code) is entry for code, entry in walked.items())
+        assert partitions_for.cache_info() == (4, 4, 9, 9)
+        partitions_for.cache_clear()
+
+    def test_storing_a_held_pattern_replaces_it(self):
+        # a call that stores (3, 4) between two steps of a walk that lacked it
+        # leaves one entry of it, whose pairs count once
+        partitions_for.cache_clear()
+        entries = pattern_entries(3, [0, 4], [0, 1])
+        next(entries)
+        partitions_for(3, 4)
+        again = next(entries)
+        assert list(partitions_for._entries) == [(3, 0), (3, 4)]
+        assert partitions_for._entries[3, 4] is again
+        assert partitions_for.cache_info() == (0, 3, 4096 * 78, 12)
+        entry = partitions_for(10, 5)
+        partitions_for._store(entry)
+        partitions_for._store(entry)
+        assert partitions_for.cache_info() == (0, 6, 4096 * 78, 12 + 55)
+        assert list(partitions_for._entries)[-1] == (10, 5)
         partitions_for.cache_clear()
 
     def test_plan_lives_in_its_entry(self):

@@ -526,13 +526,15 @@ class TestExitCodeSurfaces:
         (("partition", "-+", "j", "ladder"), "J"),
     ])
     def test_stuck_ladder_exits_three(self, capsys, monkeypatch, argv, target):
+        # the row step serves the per-pattern ladder and the walk that
+        # fills certify's entries
         import pohst.partition as partition
         from pohst.certify import partitions_for
 
-        def stuck(ctx, target):
-            raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
+        def stuck(state, j, row, pos, stable, heavy):
+            raise partition.LadderStuck(state.sigma, "K" if heavy else "J", (1, 1), "forced gap")
 
-        monkeypatch.setattr(partition, "_ladder", stuck)
+        monkeypatch.setattr(partition, "_ladder_row", stuck)
         partitions_for.cache_clear()
         code, doc = run(capsys, *argv)
         assert code == 3
@@ -686,11 +688,11 @@ class TestExitCodeSurfaces:
         for argv in self.GOLDEN_ARGV:
             record(argv)
 
-        def stuck(ctx, target):
-            raise partition.LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
+        def stuck(state, j, row, pos, stable, heavy):
+            raise partition.LadderStuck(state.sigma, "K" if heavy else "J", (1, 1), "forced gap")
 
         with monkeypatch.context() as patched:
-            patched.setattr(partition, "_ladder", stuck)
+            patched.setattr(partition, "_ladder_row", stuck)
             partitions_for.cache_clear()
             record(("certify", "--x", "-0.5,0.5"))
             record(("partition", "-+", "k", "ladder"))

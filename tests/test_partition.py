@@ -410,21 +410,24 @@ class TestBitRowLadder:
                     assert built == reference_ladder(sigma, target)
 
     def test_untraced_builds_make_no_trace_step(self, monkeypatch):
+        # nor does the walk that fills the cache's entries
         import pohst.partition as partition
         from pohst.certify import partitions_for
+        from test_certify import assert_same_entry, reference_entry
 
         def refuse(*args):
             raise AssertionError("a trace step was built")
 
         monkeypatch.setattr(partition, "TraceStep", refuse)
+        partitions_for.cache_clear()
         for n in range(9):
             for sigma in all_sigmas(n):
                 ctx = PatternContext(sigma)
                 assert eta_partition(ctx) == reference_ladder(sigma, "K")[0]
                 assert build_pi(ctx) == reference_ladder(sigma, "J")[0]
                 code = sum(1 << k for k, s in enumerate(sigma) if s < 0)
-                assert partitions_for.__wrapped__(n, code).k_groups == len(
-                    eta_partition(ctx).groups)
+                assert_same_entry(partitions_for(n, code), reference_entry(n, code))
+        partitions_for.cache_clear()
         with pytest.raises(AssertionError, match="trace step"):
             construct_eta(SignVector.from_string("-+-"))
 

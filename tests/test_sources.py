@@ -114,6 +114,53 @@ def test_every_private_name_is_read():
     assert unread_private_names(modules, readers) == []
 
 
+# the one private name a package module may import from another: the walk's
+# entry point, which the sweep in analysis and the pattern entries in certify
+# drive beside the row checks in partition
+SHARED_PRIVATE = {"_prefix_walk"}
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name`` for each ``_private`` name that ``source`` imports from
+    another module, or reads as an attribute of a module it imports, other
+    than those in ``SHARED_PRIVATE``.  Dunder names are not private."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__") and name not in SHARED_PRIVATE
+
+    tree = ast.parse(source)
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if private(alias.name)]
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and getattr(node.value, "id", None) in modules):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_private_import_checker_flags_only_private_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import pohst.signs as signs\n"
+        "from pohst.partition import _prefix_walk, _ladder, Shape, __version__\n"
+        "from pohst.certify import (_walked_entry,\n"
+        "                           partitions_for)\n"
+        "def f(state):\n"
+        "    return signs._CHAR_TO_SIGN, signs.Pair, state._hidden, partitions_for._entries\n"
+    )
+    assert private_imports(source) == [
+        "pohst.partition._ladder", "pohst.certify._walked_entry", "pohst.signs._CHAR_TO_SIGN"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
 def unread_slots(modules: dict[str, str]) -> list[str]:
     """``module.Class.name`` for each name in the ``__slots__`` of a class
     of ``modules`` (module name to source) that no source there reads as an
