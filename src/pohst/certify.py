@@ -467,9 +467,9 @@ def _walked_entry(n: int, code: int, leaf) -> PatternEntry:
     start = [0] + [(i - 1) * (2 * n - i + 2) // 2 - i for i in range(1, n + 1)]
     pads = [[((0, pairs),) * (4 - size) for size in range(5)],
             [((0, pairs),) * (3 - size) + ((0, pairs + 1),) for size in range(4)]]
-    table = np.array([start[i] + j for shape, members, _ in k_groups + j_groups
-                      for i, j in members + pads[shape.heavy][len(members)]],
-                     dtype=np.intp).reshape(-1, 4).T
+    table = np.fromiter((start[i] + j for shape, members, _ in k_groups + j_groups
+                         for i, j in members + pads[shape.heavy][len(members)]),
+                        np.intp).reshape(-1, 4).T
     table.flags.writeable = False
     return PatternEntry(n, code, table, 2.0 ** target, len(k_groups))
 
