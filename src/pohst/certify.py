@@ -451,7 +451,7 @@ class _PairLRU:
 
 
 partitions_for = _PairLRU(4096 * 78)  # every pattern of n = 12
-pattern_entries = partitions_for.entries  # bound, so a rebound partitions_for keeps it
+pattern_entries = partitions_for.entries  # bound: keeps the cache if the name is rebound
 
 
 def _walked_entry(n: int, code: int, leaf) -> PatternEntry:
