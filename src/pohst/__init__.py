@@ -37,7 +37,6 @@ from pohst.certify import (
     x_from_y,
 )
 from pohst.analysis import (
-    DegenerateInput,
     MaximizeConfig,
     MaximizeResult,
     SweepRecord,

@@ -73,10 +73,6 @@ REFINE_POINTS = 9
 STEP_SCHEDULE = (0.1, 0.01, 0.001)
 
 
-class DegenerateInput(ValueError):
-    """A zero factor makes the requested identity residual meaningless."""
-
-
 # a sweep record's JSON line, its keys in sorted order
 _RECORD_LINE = (
     '{"J": %d, "K": %d, "heavy": %d, "ladder": %s, "sigma": "%s", "target": %d, "valid": %s}\n')
@@ -406,15 +402,14 @@ def _relative_residual(
 
 def _leave_out_residual(y: RealVectorY, d: int) -> float:
     """Relative residual of ``P**comb(n-2, d)`` against the product, over
-    every choice of ``d`` left-out positions, of the remaining pair factors."""
+    every choice of ``d`` left-out positions, of the remaining pair factors,
+    each at least 2**-53: |y_i| < |y_j| rounds y_i / y_j to at most 1 - 2**-53."""
     n = len(y)
     factors = pair_factor_table(y)
     exponent = math.comb(n - 2, d)
     lhs = 1.0
     lhs_log = 0.0
-    for (i, j), f in factors.items():
-        if f == 0.0:
-            raise DegenerateInput(f"zero factor at positions ({i}, {j})")
+    for f in factors.values():
         lhs *= f
         lhs_log += math.log(f)
     try:
@@ -489,9 +484,9 @@ def bound_soundness_sample(
     No value depends on the chunk a sample lands in.  Each pattern's group
     products over their bounds come from the slot table of its
     ``partitions_for`` entry in three multiplies (see ``_check_chunk``).
-    ``pattern_entries`` gives the entries in key order: the held ones,
-    then, with no plan, the missing ones from one lazy walk over their
-    keys, consumed block by block, so at most one chunk's new entries live
+    ``pattern_entries`` takes the codes alone, in key order: it gives the
+    held entries, then, with no plan, the missing ones from one lazy walk,
+    consumed block by block, so at most one chunk's new entries live
     outside the cache.  A flagged leaf raises ``LadderStuck``.
     ``n`` must lie in 0..63, where a pattern code fits a non-negative
     int64.  The tolerance must be finite, since a NaN or infinite one
@@ -517,7 +512,7 @@ def bound_soundness_sample(
     heads = (np.flatnonzero(np.diff(keys)) + 1).tolist()
     starts = [0] + heads if samples else []
     codes = _bit_reversed(n, keys[starts], np.int64).tolist()
-    entries = pattern_entries(n, codes, keys[starts].tolist())
+    entries = pattern_entries(n, codes)
 
     chunks = []  # per chunk: violations of totals and groups, their max ratios
     lo = 0

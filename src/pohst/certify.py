@@ -392,7 +392,8 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _PairLRU:
     """Least-recently-used cache of :class:`PatternEntry` objects keyed by
     ``(n, code)``, bounded by the pairs they cover, ``n(n+1)/2`` each, in
-    ``maxsize`` and ``currsize``; the newest entry is never evicted.  An
+    ``maxsize`` and ``currsize``; the newest entry is never evicted.  Every
+    entry comes from :meth:`entries`, the one walk driver, codes alone.  An
     entry takes 1.4 / 2.1 / 21 / 276 KiB / 4.2 MiB at n = 10 / 16 / 63 /
     256 / 1024, and a plan 3.2 / 6.2 / 78 KiB / 1.1 / 18 MiB more.  The
     ``certify`` benchmark makes 64 misses and plans in set-up, then a hit
@@ -408,19 +409,23 @@ class _PairLRU:
 
     def __call__(self, n: int, code: int) -> PatternEntry:
         """The entry of the length-``n`` pattern whose bit k of ``code`` marks
-        entry k + 1 as negative; raises ``LadderStuck``.  A miss walks its one
-        key, the code's bits reversed, and ends the walk before the entry."""
-        return self._get(n, code) or self._store(
-            _walked_entry(n, code, *_prefix_walk(n, [int(f"{code:0{n}b}"[::-1], 2)])))
+        entry k + 1 as negative; raises ``LadderStuck``.  A miss walks that one
+        pattern through :meth:`entries`."""
+        return self._get(n, code) or next(self.entries(n, [code]))
 
-    def entries(self, n: int, codes: list[int], keys: list[int]) -> Iterator[PatternEntry]:
-        """The entries of the patterns ``codes``, whose walk keys ``keys``
-        ascend, in order: the held ones looked up first, the others stored as
-        they come from one lazy walk over their keys."""
+    def entries(self, n: int, codes: list[int]) -> Iterator[PatternEntry]:
+        """The entries of the patterns ``codes``, in order: the held ones
+        looked up at once, the others stored as one lazy walk over their walk
+        keys, the codes' bits reversed, yields them.  Unless those keys ascend
+        strictly, raises ``ValueError`` before anything is counted or stored."""
+        keys = [int(f"{code:0{n}b}"[::-1], 2) for code in codes if (n, code) not in self._entries]
+        for before, key in zip(keys, keys[1:]):
+            if key <= before:
+                raise ValueError(f"missing patterns need ascending walk keys: {key} after {before}")
         held = [self._get(n, code) for code in codes]
-        walk = _prefix_walk(n, [key for key, entry in zip(keys, held) if entry is None])
-        for code, entry in zip(codes, held):
-            yield entry or self._store(_walked_entry(n, code, next(walk)))
+        walk = _prefix_walk(n, keys)
+        return (entry or self._store(_walked_entry(n, code, next(walk)))
+                for code, entry in zip(codes, held))
 
     def _get(self, n: int, code: int) -> Optional[PatternEntry]:
         """The held entry, counted as a hit, or ``None``, counted as nothing."""

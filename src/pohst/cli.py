@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     except (LadderStuck, SearchExhausted) as exc:
         payload = {"error": str(exc), "sigma": exc.sigma.to_string(), "target": exc.target}
         code = EXIT_NO_PARTITION
-    except ValueError as exc:  # includes DomainError and DegenerateInput
+    except ValueError as exc:  # includes DomainError
         payload, code = {"error": str(exc)}, EXIT_USAGE
     except OSError as exc:
         payload, code = {"error": f"cannot write {ns.command} output: {exc}"}, EXIT_IO

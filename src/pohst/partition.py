@@ -42,10 +42,10 @@ each group it forms or grows.  The per-pattern ladder runs it over rows
 1..n, and ``_prefix_walk`` once per node of a walk over the sign prefixes
 of many patterns through ``_checked_row``, which with ``_checked_leaf``
 checks what ``validate_partition`` checks; the sweep and the pattern
-entries of :mod:`pohst.certify` read its leaves.  ``construct_eta``,
-``eta_partition`` and ``build_pi`` validate the ladder's partition of K or
-J once and raise :class:`LadderStuck` when it is stuck or invalid: the
-ladder is the only construction path.  ``construct_eta`` alone then has
+entries of :mod:`pohst.certify` read its leaves.  The per-pattern ladder
+validates its partition of K or J once and raises :class:`LadderStuck`
+when it is stuck or invalid; ``construct_eta``, ``eta_partition`` and
+``build_pi`` read that partition, and ``construct_eta`` alone has
 ``_trace`` read K's trace off the row step's reports.  ``search_partition``, the independent
 oracle over the same move set, serves the tests and the CLI's search
 modes; like the ladder, it keeps its live groups in one dict keyed by
@@ -333,9 +333,9 @@ class _LadderState:
     The free positive pairs live in the bit rows alone: bit i of
     ``free_row[j]``.  Bit ell of ``row_pairs[i]`` marks (i, ell) as the
     positive member of a live row-mate pair, which a rectangle may still
-    complete; ``row_mates[ell * (n + 1) + i]`` holds that pair's members,
-    the tuple the rectangle grows.  ``heavy_start[j]`` is the
-    start of row j's live heavy singleton (at most one), 0 if none.
+    complete; ``row_mates[ell * (ell - 1) // 2 + i - 1]``, one slot per
+    pair of the triangle, holds that pair's members, the tuple the rectangle
+    grows.  ``heavy_start[j]``: the start of row j's live heavy singleton.
     ``seen`` (pairs in groups) and ``heavy_formed`` serve a walk's checks.
     ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
     when the state belongs to a walk over sign prefixes.
@@ -347,7 +347,7 @@ class _LadderState:
     def __init__(self, n: int, sigma: Optional[SignVector] = None) -> None:
         self.free_row = [0] * (n + 1)
         self.row_pairs = [0] * (n + 1)
-        self.row_mates = [None] * (n + 1) ** 2
+        self.row_mates = [None] * (n * (n + 1) // 2)
         self.heavy_start = [0] * (n + 1)
         self.seen = [0] * (n + 1)
         self.heavy_formed = 0
@@ -401,7 +401,7 @@ def _ladder_row(
     """
     free_row, row_pairs = state.free_row, state.row_pairs
     row_mates, heavy_start = state.row_mates, state.heavy_start
-    stride = len(free_row)
+    base = j * (j - 1) // 2 - 1  # pair (i, j) takes row_mates[base + i]
     bit = 1 << j
     below_j = bit - 1
     free_row[j] = pos
@@ -419,7 +419,7 @@ def _ladder_row(
             free_row[j] ^= 1 << i2
             row_pairs[i2] |= bit
             members = ((i2, j), neg)
-            row_mates[j * stride + i2] = members
+            row_mates[base + i2] = members
             reports.append((_MIXED_PAIR, members, members))
             continue
 
@@ -457,7 +457,7 @@ def _ladder_row(
         while candidates:
             ell = candidates.bit_length() - 1
             candidates ^= 1 << ell
-            pair = row_mates[ell * stride + i]
+            pair = row_mates[ell * (ell - 1) // 2 + i - 1]
             c = pair[1][0]
             if free_row[j] >> c & 1:
                 free_row[j] ^= 1 << c
@@ -598,13 +598,12 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
 def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[_Report]]]:
     """Run the case ladder over K or J, row by row through :func:`_ladder_row`.
 
-    Raises :class:`LadderStuck` on any gap.  The live groups are keyed by
-    the position of their first member, so one sort on an int key orders
-    the partition.  Returned beside it are the row step's reports, one list
-    per row, from which :func:`_trace` reads K's trace.
-
-    The result is not validated here; :func:`construct_eta`,
-    :func:`eta_partition` and :func:`build_pi` validate it once.
+    The live groups are keyed by the position of their first member, so
+    one sort on an int key orders the partition, validated once here.
+    Returned beside it are the row step's reports, one list per row, from
+    which :func:`_trace` reads K's trace.  Raises :class:`LadderStuck` on
+    any gap, and, with ``negative`` ``None`` and the violations as reason,
+    on a partition that fails validation.
     """
     heavy = target == "K"
     rows, pos = ctx.rows(target)
@@ -613,7 +612,11 @@ def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[
                for j in range(1, ctx.n + 1)]
     ordered = _ordered_groups(reports, state.free_row)
     groups = tuple(PartitionGroup(shape, members) for shape, members, _ in ordered)
-    return GoodPartition(target, groups, "ladder" if heavy else "greedy"), reports
+    part = GoodPartition(target, groups, "ladder" if heavy else "greedy")
+    violations = validate_partition(ctx, part).violations
+    if violations:
+        raise LadderStuck(ctx.sigma, target, None, "; ".join(violations))
+    return part, reports
 
 
 def _ordered_groups(reports: Iterable[Iterable[tuple]], free_row: list[int]) -> list[tuple]:
@@ -665,37 +668,23 @@ def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTra
     return ConstructionTrace(tuple(steps), sum(s.operation == 3 for s in steps))
 
 
-def _checked(ctx: PatternContext, part: GoodPartition) -> GoodPartition:
-    """``part`` once it validates; :class:`LadderStuck` otherwise.
-
-    A ladder partition that fails validation contradicts the construction's
-    guarantee, so it counts as a stuck ladder.
-    """
-    report = validate_partition(ctx, part)
-    if not report.ok:
-        raise LadderStuck(ctx.sigma, part.target, None, "; ".join(report.violations))
-    return part
-
-
 def construct_eta(
     sigma: SignVector | PatternContext,
 ) -> tuple[GoodPartition, ConstructionTrace]:
     """Validated good partition of K, then its trace.  Raises :class:`LadderStuck`."""
     ctx = _context(sigma)
     part, reports = _ladder(ctx, "K")
-    return _checked(ctx, part), _trace(ctx, reports)
+    return part, _trace(ctx, reports)
 
 
 def eta_partition(sigma: SignVector | PatternContext) -> GoodPartition:
     """Validated good partition of K, without a trace.  Raises :class:`LadderStuck`."""
-    ctx = _context(sigma)
-    return _checked(ctx, _ladder(ctx, "K")[0])
+    return _ladder(_context(sigma), "K")[0]
 
 
 def build_pi(sigma: SignVector | PatternContext) -> GoodPartition:
     """Validated good partition of J from the ladder.  Raises :class:`LadderStuck`."""
-    ctx = _context(sigma)
-    return _checked(ctx, _ladder(ctx, "J")[0])
+    return _ladder(_context(sigma), "J")[0]
 
 
 def search_partition(

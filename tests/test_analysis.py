@@ -12,7 +12,6 @@ import pytest
 from pohst.analysis import (
     _SOUNDNESS_CHUNK,
     MAX_IDENTITY_N,
-    DegenerateInput,
     MaximizeConfig,
     SoundnessReport,
     SweepRecord,
@@ -436,7 +435,7 @@ class TestWalk:
         # and flags, bound and K's group count
         partitions_for.cache_clear()
         codes = sorted(codes, key=lambda code: key_of(n, code))
-        walked = list(pattern_entries(n, codes, [key_of(n, code) for code in codes]))
+        walked = list(pattern_entries(n, codes))
         assert len(walked) == len(codes) == partitions_for.cache_info().misses
         for code, entry in zip(codes, walked):
             assert_same_entry(entry, reference_entry(n, code))

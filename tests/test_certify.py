@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pohst.certify import (
-    Certificate,
     DomainError,
     GroupCheck,
     PatternEntry,
@@ -211,6 +210,14 @@ class TestPohstCases:
             check_pohst_case(4, 0.5, -0.5, 0.5)
         with pytest.raises(DomainError):
             check_pohst_case(5, 0.5)
+        with pytest.raises(DomainError, match="case 1 needs"):
+            check_pohst_case(1, 1.5)
+        with pytest.raises(DomainError, match="case 3 needs two"):
+            check_pohst_case(3, 0.5)
+        with pytest.raises(DomainError, match="case 3 needs a, b"):
+            check_pohst_case(3, 0.5, -1.5)
+        with pytest.raises(DomainError, match="case 4 needs three"):
+            check_pohst_case(4, 0.5, -0.5)
 
     @given(st.floats(-1, 1), st.floats(-1, 1))
     @settings(max_examples=300)
@@ -420,7 +427,7 @@ class TestPartitionCache:
         partitions_for.cache_clear()
         monkeypatch.setattr(partitions_for, "maxsize", 3 + 6)
         held = partitions_for(2, 1)
-        got = list(pattern_entries(2, [0, 2, 1, 3], [0, 1, 2, 3]))
+        got = list(pattern_entries(2, [0, 2, 1, 3]))
         assert got[2] is held
         walked = {0: got[0], 2: got[1], 3: got[3]}
         for code, entry in walked.items():
@@ -432,11 +439,26 @@ class TestPartitionCache:
         assert partitions_for.cache_info() == (4, 4, 9, 9)
         partitions_for.cache_clear()
 
+    def test_misordered_or_repeated_missing_codes_raise(self):
+        # the walk keys of -+++ (code 1) and +++- (code 8) are 8 and 1; walked
+        # in the given order, +++-'s leaf would be stored as -+++'s entry
+        partitions_for.cache_clear()
+        for n, codes in ((4, [1, 8]), (3, [1, 1])):
+            with pytest.raises(ValueError, match="ascending walk key"):
+                pattern_entries(n, codes)
+            assert partitions_for.cache_info() == (0, 0, 4096 * 78, 0)
+        cert = certify_x(RealVectorX((-0.9, 0.9, 0.9, 0.9)))
+        assert cert.ok and cert.bound == 2.0
+        # only the missing patterns' keys must ascend
+        assert [entry.code for entry in pattern_entries(4, [1, 8])] == [1, 8]
+        assert partitions_for.cache_info()[:2] == (1, 2)
+        partitions_for.cache_clear()
+
     def test_storing_a_held_pattern_replaces_it(self):
         # a call that stores (3, 4) between two steps of a walk that lacked it
         # leaves one entry of it, whose pairs count once
         partitions_for.cache_clear()
-        entries = pattern_entries(3, [0, 4], [0, 1])
+        entries = pattern_entries(3, [0, 4])
         next(entries)
         partitions_for(3, 4)
         again = next(entries)

@@ -498,10 +498,9 @@ class TestIdentity:
 
     def test_degenerate_input_maps_to_usage_error(self, capsys, monkeypatch):
         import pohst.cli as cli
-        from pohst.analysis import DegenerateInput
 
         def boom(y):
-            raise DegenerateInput("zero factor")
+            raise ValueError("zero factor")
 
         monkeypatch.setattr(cli, "identity_residual", boom)
         code, doc = run(capsys, "identity", "single", "--y", "1,-2,4")

@@ -522,18 +522,21 @@ class TestConstructEta:
         def refuse(*args):
             raise AssertionError("the search must not run")
 
-        def empty(ctx, target):
-            return GoodPartition(target, ()), None
+        # a row step that reports and takes nothing leaves every pair
+        # uncovered, which the ladder's one validation turns into LadderStuck
+        def empty(state, j, row, pos, stable, heavy):
+            return []
 
-        def stuck(ctx, target):
-            raise LadderStuck(ctx.sigma, target, (1, 1), "forced gap")
+        def stuck(state, j, row, pos, stable, heavy):
+            raise LadderStuck(state.sigma, "K" if heavy else "J", (1, 1), "forced gap")
 
         monkeypatch.setattr(partition, "search_partition", refuse)
         sigma = SignVector.from_string("-+-")
-        for ladder, negative, reason in ((empty, None, "uncovered"),
-                                         (stuck, (1, 1), "forced gap")):
-            monkeypatch.setattr(partition, "_ladder", ladder)
-            for build, target in ((construct_eta, "K"), (build_pi, "J")):
+        for row_step, negative, reason in ((empty, None, "uncovered"),
+                                           (stuck, (1, 1), "forced gap")):
+            monkeypatch.setattr(partition, "_ladder_row", row_step)
+            for build, target in ((construct_eta, "K"), (eta_partition, "K"),
+                                  (build_pi, "J")):
                 with pytest.raises(LadderStuck) as info:
                     build(sigma)
                 assert info.value.sigma == sigma and info.value.target == target

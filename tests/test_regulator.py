@@ -86,6 +86,11 @@ class TestDiscriminantBound:
             highs = discriminant_log_bound(RegulatorQuery(n, 0, 5.0)).log_bound
             assert highs > lows
 
+    def test_bound_overflows_to_infinity(self):
+        # exp raises OverflowError past a log bound of about 709.78
+        result = discriminant_log_bound(RegulatorQuery(60, 30, 1.0))
+        assert 18042 < result.log_bound < 18043 and result.bound == math.inf
+
     def test_exactness_follows_gamma(self):
         assert discriminant_log_bound(RegulatorQuery(9, 4, 1.0)).exact
         assert not discriminant_log_bound(RegulatorQuery(12, 4, 1.0)).exact

@@ -9,6 +9,7 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "pohst"
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,7 +57,7 @@ def test_checker_flags_only_unread_names():
     assert unused_imports(source) == ["Iterable", "dumps"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -110,7 +111,7 @@ def test_private_name_checker_flags_only_unread_names():
 
 def test_every_private_name_is_read():
     modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    readers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    readers = [path.read_text() for path in TEST_FILES]
     assert unread_private_names(modules, readers) == []
 
 
