@@ -399,7 +399,7 @@ class _PairLRU:
     ``certify`` benchmark makes 64 misses and plans in set-up, then a hit
     per call; ``soundness`` 1,024 misses (56,320 pairs) and no plan in
     set-up, then 1,024 hits per call.  Tier-1 less the capacity tests
-    makes 3,879 hits, 24,212 misses and 518 plans, and fills the budget.
+    makes 3,880 hits, 24,214 misses and 519 plans, and fills the budget.
     """
 
     def __init__(self, maxsize: int) -> None:

@@ -335,7 +335,8 @@ class _LadderState:
     positive member of a live row-mate pair, which a rectangle may still
     complete; ``row_mates[ell * (ell - 1) // 2 + i - 1]``, one slot per
     pair of the triangle, holds that pair's members, the tuple the rectangle
-    grows.  ``heavy_start[j]``: the start of row j's live heavy singleton.
+    grows.  ``heavy_start[j]`` is the start of row j's live heavy singleton
+    (at most one), 0 if none.
     ``seen`` (pairs in groups) and ``heavy_formed`` serve a walk's checks.
     ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
     when the state belongs to a walk over sign prefixes.
@@ -576,9 +577,12 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
                 except LadderStuck as stuck:
                     k_state, j_state = None, stuck
             if walked is None:
-                yield j_state if k_state is None else (
+                leaf = j_state if k_state is None else (
                     target, _ordered_groups(k_reports, k_state.free_row),
                     _ordered_groups(j_reports, j_state.free_row))
+                if not stack:  # the last leaf: free the ladder states and their row-mate table
+                    k_root = k_state = j_state = node = None
+                yield leaf
                 continue
             heavy_out[lo] = -1 if k_state is None else target
             k_out[lo] = k_size
