@@ -465,7 +465,7 @@ def _walked_entry(n: int, code: int, leaf) -> PatternEntry:
     A flagged leaf, the walk's :class:`LadderStuck`, is raised naming it."""
     if isinstance(leaf, LadderStuck):
         raise LadderStuck(pattern_from_index(n, code), leaf.target, leaf.negative, leaf.reason)
-    target, k_groups, j_groups = leaf
+    target, k_groups, j_groups, _ = leaf
     pairs = n * (n + 1) // 2
     # pair (i, j) takes slot start[i] + j, and a pad (0, s) slot s: per
     # heaviness and member count, the pads that fill a group's four slots

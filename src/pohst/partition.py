@@ -38,15 +38,15 @@ with the surviving heavy singleton one row below its start on a stable
 level (operation 4).  One row step, ``_ladder_row``, holds every move and
 only moves: it absorbs the negatives of one row into an explicit state
 (free bit rows, live row-mate pairs, heavy starts) and reports
-each group it forms or grows.  The per-pattern ladder runs it over rows
-1..n, and ``_prefix_walk`` once per node of a walk over the sign prefixes
-of many patterns through ``_checked_row``, which with ``_checked_leaf``
-checks what ``validate_partition`` checks; the sweep and the pattern
-entries of :mod:`pohst.certify` read its leaves.  The per-pattern ladder
-validates its partition of K or J once and raises :class:`LadderStuck`
-when it is stuck or invalid; ``construct_eta``, ``eta_partition`` and
-``build_pi`` read that partition, and ``construct_eta`` alone has
-``_trace`` read K's trace off the row step's reports.  ``search_partition``, the independent
+each group it forms or grows.  ``_prefix_walk`` runs it for K and J once
+per node of a walk over the sign prefixes of its patterns through
+``_checked_row``, which with ``_checked_leaf`` checks what
+``validate_partition`` checks.  The sweep and the pattern entries of
+:mod:`pohst.certify` read its leaves; ``construct_eta``, ``eta_partition``
+and ``build_pi`` read the one leaf of a walk over their pattern alone, so a
+fault in either target raises :class:`LadderStuck` naming the pattern and
+that target, and ``construct_eta`` alone has ``_trace`` read K's trace off
+the leaf's row reports.  ``search_partition``, the independent
 oracle over the same move set, serves the tests and the CLI's search
 modes; like the ladder, it keeps its live groups in one dict keyed by
 first member.  ``validate_partition`` checks any claimed partition against
@@ -121,11 +121,11 @@ MAX_SEARCH_N = 48
 
 
 class LadderStuck(RuntimeError):
-    """The case ladder left a negative pair of ``target`` unabsorbed, or built
-    a partition that fails validation (``negative`` is then ``None``).
+    """The case ladder left a negative pair of ``target`` unabsorbed, or a
+    walk's check of ``target`` failed (``negative`` is then ``None``).
 
-    ``sigma`` is ``None`` when the ladder ran on a sign prefix in a prefix
-    walk, which flags every pattern below the prefix instead of raising.
+    The row step and the checks raise it with ``sigma`` ``None``, on a sign
+    prefix; whoever reads a flagged leaf raises it again naming the pattern.
     """
 
     def __init__(
@@ -337,22 +337,18 @@ class _LadderState:
     pair of the triangle, holds that pair's members, the tuple the rectangle
     grows.  ``heavy_start[j]`` is the start of row j's live heavy singleton
     (at most one), 0 if none.
-    ``seen`` (pairs in groups) and ``heavy_formed`` serve a walk's checks.
-    ``sigma`` names the pattern in a :class:`LadderStuck`; it is ``None``
-    when the state belongs to a walk over sign prefixes.
+    ``seen`` (pairs in groups) and ``heavy_formed`` serve the walk's checks.
     """
 
-    __slots__ = ("free_row", "row_pairs", "row_mates", "heavy_start", "seen", "heavy_formed",
-                 "sigma")
+    __slots__ = ("free_row", "row_pairs", "row_mates", "heavy_start", "seen", "heavy_formed")
 
-    def __init__(self, n: int, sigma: Optional[SignVector] = None) -> None:
+    def __init__(self, n: int) -> None:
         self.free_row = [0] * (n + 1)
         self.row_pairs = [0] * (n + 1)
         self.row_mates = [None] * (n * (n + 1) // 2)
         self.heavy_start = [0] * (n + 1)
         self.seen = [0] * (n + 1)
         self.heavy_formed = 0
-        self.sigma = sigma
 
     def copy(self) -> "_LadderState":
         """A state that rows past the current one may change independently.
@@ -368,7 +364,6 @@ class _LadderState:
         other.heavy_start = self.heavy_start[:]
         other.seen = self.seen[:]
         other.heavy_formed = self.heavy_formed
-        other.sigma = self.sigma
         return other
 
 
@@ -441,7 +436,7 @@ def _ladder_row(
                     reports.append((_L_TRIPLE, (low, neg, top), (neg, top)))
                     continue
                 raise LadderStuck(
-                    state.sigma, "K", neg,
+                    None, "K", neg,
                     "no heavy singleton survives one row below the start",
                 )
 
@@ -469,7 +464,7 @@ def _ladder_row(
                 break
         else:
             raise LadderStuck(
-                state.sigma, "K" if heavy else "J", neg,
+                None, "K" if heavy else "J", neg,
                 "no row mate, column mate, or rectangle completion applies",
             )
     return reports
@@ -488,11 +483,11 @@ def _checked_row(
         for i, row in new:
             bit = 1 << i
             if seen[row] & bit:
-                raise LadderStuck(state.sigma, target, None, f"pair {(i, row)} taken twice")
+                raise LadderStuck(None, target, None, f"pair {(i, row)} taken twice")
             seen[row] |= bit
         findings = _shape_findings(shape, members, rows, pos)
         if findings:
-            raise LadderStuck(state.sigma, target, None, findings[0])
+            raise LadderStuck(None, target, None, findings[0])
         if shape.heavy and len(new) == len(members):
             state.heavy_formed += 1
     return reports
@@ -504,18 +499,20 @@ def _checked_leaf(
     """Raise :class:`LadderStuck` unless a walk's leaf formed ``heavy`` heavy
     groups and its groups and positive free pairs tile ``rows``."""
     if state.heavy_formed != heavy:
-        raise LadderStuck(state.sigma, target, None, f"{state.heavy_formed} heavy groups")
+        raise LadderStuck(None, target, None, f"{state.heavy_formed} heavy groups")
     for free, taken, row, positive in zip(state.free_row, state.seen, rows, pos):
         if free & taken or free | taken != row or free & ~positive:
-            raise LadderStuck(state.sigma, target, None, "groups and free pairs do not tile")
+            raise LadderStuck(None, target, None, "groups and free pairs do not tile")
 
 
 def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None) -> Iterator:
     """The walk over the sign prefixes of the ascending ``keys``.  Given
     ``walked``, a ``(3, len(keys))`` int16 array, leaf ``s`` writes its
     heavy count, |K| and target into column ``s`` and yields nothing; else
-    the leaves yield, in key order, the heavy target and the ordered groups
-    of K and of J (:func:`_ordered_groups`), or their :class:`LadderStuck`.
+    the leaves yield, in key order, the heavy target, the ordered groups of
+    K and of J (:func:`_ordered_groups`) and K's row reports (the walk's own
+    per-depth list, index 0 empty, good until the walk goes on), or their
+    :class:`LadderStuck`.
 
     A pattern's key is its index bit-reversed over ``n`` bits, so sign 1 is
     the top key bit and the patterns below any sign prefix hold one
@@ -535,12 +532,12 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
 
     :func:`_checked_row` checks each node's rows and :func:`_checked_leaf`
     each leaf, as ``validate_partition`` checks a partition.  Either raises
-    ``LadderStuck``, which flags every pattern below the node with
-    heavy = -1, as a stuck per-pattern construction would be.  |J| is not
-    counted: J and K split the ``n(n+1)/2`` pairs of the triangle.  A
-    leaf's groups are its path's reports, keyed by first member as
-    :func:`_ladder` keys them, and its positive free pairs; each has passed
-    the checks, so they need no ``validate_partition``.
+    ``LadderStuck``, which flags every pattern below the node: it is their
+    leaf, or their heavy = -1 in ``walked``.  |J| is not counted: J and K
+    split the ``n(n+1)/2`` pairs of the triangle.  A leaf's groups are its
+    path's reports, keyed by first member as in :func:`search_partition`,
+    and its positive free pairs; each has passed the checks, so they need
+    no ``validate_partition``.
     """
     if walked is not None:
         heavy_out, k_out, target_out = walked
@@ -579,7 +576,7 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
             if walked is None:
                 leaf = j_state if k_state is None else (
                     target, _ordered_groups(k_reports, k_state.free_row),
-                    _ordered_groups(j_reports, j_state.free_row))
+                    _ordered_groups(j_reports, j_state.free_row), k_reports)
                 if not stack:  # the last leaf: free the ladder states and their row-mate table
                     k_root = k_state = j_state = node = None
                 yield leaf
@@ -597,30 +594,6 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
             stack.append((j + 1, -1, mid, hi, key | half, *node, True))
         if lo < mid:
             stack.append((j + 1, 1, lo, mid, key, *node, mid == hi))
-
-
-def _ladder(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[_Report]]]:
-    """Run the case ladder over K or J, row by row through :func:`_ladder_row`.
-
-    The live groups are keyed by the position of their first member, so
-    one sort on an int key orders the partition, validated once here.
-    Returned beside it are the row step's reports, one list per row, from
-    which :func:`_trace` reads K's trace.  Raises :class:`LadderStuck` on
-    any gap, and, with ``negative`` ``None`` and the violations as reason,
-    on a partition that fails validation.
-    """
-    heavy = target == "K"
-    rows, pos = ctx.rows(target)
-    state = _LadderState(ctx.n, ctx.sigma)
-    reports = [_ladder_row(state, j, rows[j], pos[j], ctx.stable[j], heavy)
-               for j in range(1, ctx.n + 1)]
-    ordered = _ordered_groups(reports, state.free_row)
-    groups = tuple(PartitionGroup(shape, members) for shape, members, _ in ordered)
-    part = GoodPartition(target, groups, "ladder" if heavy else "greedy")
-    violations = validate_partition(ctx, part).violations
-    if violations:
-        raise LadderStuck(ctx.sigma, target, None, "; ".join(violations))
-    return part, reports
 
 
 def _ordered_groups(reports: Iterable[Iterable[tuple]], free_row: list[int]) -> list[tuple]:
@@ -646,7 +619,7 @@ def _ordered_groups(reports: Iterable[Iterable[tuple]], free_row: list[int]) -> 
 
 
 def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTrace:
-    """K's trace, read off the ladder's reports on ``ctx``, one list per row.
+    """K's trace, read off the walk's row reports on ``ctx``, one list per depth.
 
     The shape fixes the operation and the negative's place (``shape.move``);
     the members before and after it are what the move consumed.  A mixed
@@ -655,7 +628,7 @@ def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTra
     4, else case 6 on a stable level, case 3 at the second failure, 4 later.
     """
     steps = []
-    for j, row in enumerate(reports, 1):
+    for j, row in enumerate(reports):
         failures = 0
         for shape, members, _ in row:
             operation, at = shape.move
@@ -672,23 +645,43 @@ def _trace(ctx: PatternContext, reports: list[list[_Report]]) -> ConstructionTra
     return ConstructionTrace(tuple(steps), sum(s.operation == 3 for s in steps))
 
 
+def _walk_one(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[list[_Report]]]:
+    """The good partition of ``target``, K or J, and K's row reports, from
+    the one leaf of a walk over the pattern of ``ctx`` alone, keyed by its
+    code with the bits reversed.  The walk builds and checks both targets,
+    so a fault in either raises :class:`LadderStuck` naming the pattern."""
+    n = ctx.n
+    key = sum(1 << n - j for j, s in enumerate(ctx.sigma.entries, 1) if s < 0)
+    leaf = next(_prefix_walk(n, [key]))
+    if isinstance(leaf, LadderStuck):
+        raise LadderStuck(ctx.sigma, leaf.target, leaf.negative, leaf.reason)
+    _, k_groups, j_groups, k_reports = leaf
+    heavy = target == "K"
+    groups = tuple(PartitionGroup(shape, members)
+                   for shape, members, _ in (k_groups if heavy else j_groups))
+    return GoodPartition(target, groups, "ladder" if heavy else "greedy"), k_reports
+
+
 def construct_eta(
     sigma: SignVector | PatternContext,
 ) -> tuple[GoodPartition, ConstructionTrace]:
-    """Validated good partition of K, then its trace.  Raises :class:`LadderStuck`."""
+    """Checked good partition of K, then its trace.  One walk builds K and J:
+    a fault in either raises :class:`LadderStuck` naming pattern and target."""
     ctx = _context(sigma)
-    part, reports = _ladder(ctx, "K")
+    part, reports = _walk_one(ctx, "K")
     return part, _trace(ctx, reports)
 
 
 def eta_partition(sigma: SignVector | PatternContext) -> GoodPartition:
-    """Validated good partition of K, without a trace.  Raises :class:`LadderStuck`."""
-    return _ladder(_context(sigma), "K")[0]
+    """Checked good partition of K, without a trace.  One walk builds K and J:
+    a fault in either raises :class:`LadderStuck` naming pattern and target."""
+    return _walk_one(_context(sigma), "K")[0]
 
 
 def build_pi(sigma: SignVector | PatternContext) -> GoodPartition:
-    """Validated good partition of J from the ladder.  Raises :class:`LadderStuck`."""
-    return _ladder(_context(sigma), "J")[0]
+    """Checked good partition of J.  One walk builds K and J: a fault in
+    either raises :class:`LadderStuck` naming pattern and target."""
+    return _walk_one(_context(sigma), "J")[0]
 
 
 def search_partition(
@@ -722,7 +715,7 @@ def search_partition(
     if target == "J" and heavy_budget:
         raise ValueError("J partitions admit no heavy groups")
     rows, pos = PatternContext(sigma).rows(target)
-    stride = len(rows)  # (i, j) is keyed j * stride - i, as in _ladder
+    stride = len(rows)  # (i, j) is keyed j * stride - i, as in _ordered_groups
     negatives = [(i, j) for j in range(stride) for i in range(j, 0, -1)
                  if (rows[j] & ~pos[j]) >> i & 1]
     free = list(pos)

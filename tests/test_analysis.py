@@ -39,9 +39,9 @@ def random_y(rng, n, growth=(0.1, 2.0)):
 
 
 def sweep_one(n, index):
-    """The walk's per-pattern reference: one context feeds both validated
-    constructions, bypassing the ``partitions_for`` cache, and a stuck
-    ladder surfaces as heavy = -1."""
+    """The walk's per-pattern reference: one context feeds both checked
+    constructions, each a walk over this pattern alone, bypassing the
+    ``partitions_for`` cache, and a stuck ladder surfaces as heavy = -1."""
     ctx = PatternContext(pattern_from_index(n, index))
     try:
         heavy = eta_partition(ctx).heavy_count
@@ -303,7 +303,7 @@ class TestSweep:
         from pohst.partition import LadderStuck
 
         def refuse(state, *args):
-            raise LadderStuck(state.sigma, "K", None, "refused")
+            raise LadderStuck(None, "K", None, "refused")
 
         monkeypatch.setattr(partition, "_ladder_row", refuse)
         records = list(sweep(1))
@@ -431,8 +431,8 @@ class TestWalk:
     @staticmethod
     def assert_leaf_entries_equal_the_builder(n, codes):
         # the entries that one walk's leaves fill, in key order, equal those
-        # built from the per-pattern ladder partitions: table values, shape
-        # and flags, bound and K's group count
+        # built from the partitions of a walk over each pattern alone: table
+        # values, shape and flags, bound and K's group count
         partitions_for.cache_clear()
         codes = sorted(codes, key=lambda code: key_of(n, code))
         walked = list(pattern_entries(n, codes))
@@ -773,7 +773,7 @@ class TestSoundnessSample:
         import pohst.partition as partition
 
         def refuse(state, *args):
-            raise LadderStuck(state.sigma, "K", None, "refused")
+            raise LadderStuck(None, "K", None, "refused")
 
         partitions_for.cache_clear()
         monkeypatch.setattr(partition, "_ladder_row", refuse)
@@ -784,15 +784,13 @@ class TestSoundnessSample:
         self.test_golden_reports(6, 5000, 1)
 
     def test_cold_call_builds_no_partition(self, monkeypatch):
-        # every entry of a cold call comes from the walk, so no per-pattern
-        # ladder and no validator runs
+        # every entry of a cold call comes from the walk, so no validator runs
         import pohst.partition as partition
 
         def refuse(*args):
             raise AssertionError("a per-pattern construction ran")
 
         partitions_for.cache_clear()
-        monkeypatch.setattr(partition, "_ladder", refuse)
         monkeypatch.setattr(partition, "validate_partition", refuse)
         self.test_golden_reports(10, 20000, 5)
         assert partitions_for.cache_info().misses == 1024
@@ -806,7 +804,7 @@ class TestSoundnessSample:
 
         def refuse_j(state, target, *args):
             if target == "J":
-                raise LadderStuck(state.sigma, target, None, "refused")
+                raise LadderStuck(None, target, None, "refused")
             real(state, target, *args)
 
         real = partition._checked_leaf

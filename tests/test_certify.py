@@ -46,8 +46,9 @@ def lexicographic(n):
 
 
 def reference_entry(n, code):
-    """The entry of pattern ``(n, code)`` built from the validated ladder
-    partitions of K and J on one context, not from the walk under test:
+    """The entry of pattern ``(n, code)`` built from the checked partitions
+    of K and J on one context, read off a walk over this pattern alone, not
+    off a walk shared with other patterns as the entry under test is:
     each group's factor columns in member order, then free slots, the last
     one the row of 0.5 for a heavy group."""
     ctx = PatternContext(pattern_from_index(n, code))

@@ -525,14 +525,18 @@ class TestExitCodeSurfaces:
         (("partition", "-+", "j", "ladder"), "J"),
     ])
     def test_stuck_ladder_exits_three(self, capsys, monkeypatch, argv, target):
-        # the row step serves the per-pattern ladder and the walk that
-        # fills certify's entries
+        # the row step serves the walk behind both the partition command and
+        # certify's entries; the walk runs K before J, so the fault is
+        # injected into the failing target alone
         import pohst.partition as partition
         from pohst.certify import partitions_for
 
         def stuck(state, j, row, pos, stable, heavy):
-            raise partition.LadderStuck(state.sigma, "K" if heavy else "J", (1, 1), "forced gap")
+            if ("K" if heavy else "J") != target:
+                return real(state, j, row, pos, stable, heavy)
+            raise partition.LadderStuck(None, target, (1, 1), "forced gap")
 
+        real = partition._ladder_row
         monkeypatch.setattr(partition, "_ladder_row", stuck)
         partitions_for.cache_clear()
         code, doc = run(capsys, *argv)
@@ -688,13 +692,19 @@ class TestExitCodeSurfaces:
             record(argv)
 
         def stuck(state, j, row, pos, stable, heavy):
-            raise partition.LadderStuck(state.sigma, "K" if heavy else "J", (1, 1), "forced gap")
+            raise partition.LadderStuck(None, "K" if heavy else "J", (1, 1), "forced gap")
 
+        def stuck_j(state, j, row, pos, stable, heavy):
+            # the walk runs K before J, so J fails only where K does not
+            return (real if heavy else stuck)(state, j, row, pos, stable, heavy)
+
+        real = partition._ladder_row
         with monkeypatch.context() as patched:
             patched.setattr(partition, "_ladder_row", stuck)
             partitions_for.cache_clear()
             record(("certify", "--x", "-0.5,0.5"))
             record(("partition", "-+", "k", "ladder"))
+            patched.setattr(partition, "_ladder_row", stuck_j)
             record(("partition", "-+", "j", "both"))
         with monkeypatch.context() as patched:
             patched.setattr(cli, "search_partition", lambda sigma, target, budget: None)

@@ -522,26 +522,81 @@ class TestConstructEta:
         def refuse(*args):
             raise AssertionError("the search must not run")
 
-        # a row step that reports and takes nothing leaves every pair
-        # uncovered, which the ladder's one validation turns into LadderStuck
+        # a row step that reports and takes nothing forms no heavy group in
+        # K and leaves J's pairs untiled, which the walk's leaf check turns
+        # into LadderStuck
         def empty(state, j, row, pos, stable, heavy):
             return []
 
         def stuck(state, j, row, pos, stable, heavy):
-            raise LadderStuck(state.sigma, "K" if heavy else "J", (1, 1), "forced gap")
+            raise LadderStuck(None, "K" if heavy else "J", (1, 1), "forced gap")
 
+        def only_j(row_step):
+            # the walk runs K before J, so J fails only where K does not
+            return lambda state, j, row, pos, stable, heavy: (real if heavy else row_step)(
+                state, j, row, pos, stable, heavy)
+
+        real = partition._ladder_row
         monkeypatch.setattr(partition, "search_partition", refuse)
         sigma = SignVector.from_string("-+-")
-        for row_step, negative, reason in ((empty, None, "uncovered"),
-                                           (stuck, (1, 1), "forced gap")):
-            monkeypatch.setattr(partition, "_ladder_row", row_step)
+        for row_step, negative, k_reason, j_reason in (
+                (empty, None, "0 heavy groups", "do not tile"),
+                (stuck, (1, 1), "forced gap", "forced gap")):
             for build, target in ((construct_eta, "K"), (eta_partition, "K"),
                                   (build_pi, "J")):
+                monkeypatch.setattr(
+                    partition, "_ladder_row", row_step if target == "K" else only_j(row_step))
                 with pytest.raises(LadderStuck) as info:
                     build(sigma)
                 assert info.value.sigma == sigma and info.value.target == target
                 assert info.value.negative == negative
-                assert reason in info.value.reason
+                assert (k_reason if target == "K" else j_reason) in info.value.reason
+
+    @pytest.mark.parametrize("site", ["_ladder_row", "_checked_leaf"])
+    @pytest.mark.parametrize("failing", ["K", "J"])
+    def test_fault_in_either_target_fails_every_entry_point(
+            self, monkeypatch, capsys, site, failing):
+        # one walk builds K and J for every per-pattern entry point, so a
+        # fault in one target, in a row step or in the leaf check, fails all
+        # of them, each naming the pattern and the failing target; none runs
+        # the validator
+        import pohst.partition as partition
+        from pohst.certify import partitions_for
+        from pohst.cli import main
+
+        def refuse(*args):
+            raise AssertionError("a per-pattern construction validated")
+
+        def faulty_row(state, j, row, pos, stable, heavy):
+            if ("K" if heavy else "J") == failing:
+                raise LadderStuck(None, failing, None, "injected")
+            return real(state, j, row, pos, stable, heavy)
+
+        def faulty_leaf(state, target, *args):
+            if target == failing:
+                raise LadderStuck(None, failing, None, "injected")
+            return real(state, target, *args)
+
+        real = getattr(partition, site)
+        monkeypatch.setattr(partition, site, faulty_row if site == "_ladder_row" else faulty_leaf)
+        monkeypatch.setattr(partition, "validate_partition", refuse)
+        sigma = SignVector.from_string("-+-")
+        for build in (construct_eta, eta_partition, build_pi):
+            for arg in (sigma, PatternContext(sigma)):
+                with pytest.raises(LadderStuck) as info:
+                    build(arg)
+                assert (info.value.sigma, info.value.target) == (sigma, failing)
+        partitions_for.cache_clear()
+        with pytest.raises(LadderStuck) as info:
+            partitions_for(3, 0b101)
+        assert (info.value.sigma, info.value.target) == (sigma, failing)
+        capsys.readouterr()
+        for requested in ("k", "j"):
+            assert main(["partition", "-+-", requested, "ladder"]) == 3
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["sigma"], doc["target"]) == ("-+-", failing)
+            assert doc["error"] == f"ladder stuck on {failing} of '-+-' at None: injected"
+        assert partitions_for.cache_info().currsize == 0
 
     def test_heavy_count_helper(self):
         part = GoodPartition("K", (

@@ -147,14 +147,14 @@ def test_private_import_checker_flags_only_private_names():
     source = (
         "from __future__ import annotations\n"
         "import pohst.signs as signs\n"
-        "from pohst.partition import _prefix_walk, _ladder, Shape, __version__\n"
+        "from pohst.partition import _prefix_walk, _walk_one, Shape, __version__\n"
         "from pohst.certify import (_walked_entry,\n"
         "                           partitions_for)\n"
         "def f(state):\n"
         "    return signs._CHAR_TO_SIGN, signs.Pair, state._hidden, partitions_for._entries\n"
     )
     assert private_imports(source) == [
-        "pohst.partition._ladder", "pohst.certify._walked_entry", "pohst.signs._CHAR_TO_SIGN"]
+        "pohst.partition._walk_one", "pohst.certify._walked_entry", "pohst.signs._CHAR_TO_SIGN"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
