@@ -4,7 +4,7 @@ The canonical set K and the non-canonical set J of a sign pattern are
 decomposed into groups of five admissible shapes.  Each shape is stated
 once, on its :class:`Shape` member: by the product signs of its members in
 construction order (rows ascend, and within a row the starts descend), by
-whether it is heavy, and by K's move that reports it; ``_geometry`` adds
+whether it is heavy, and by K's move that reports it; the shape rule adds
 the members that its first member ``(c2, r1)`` and its last member
 ``(c1, r2)`` fix.  The first member is the argument a of an elementary
 case and the last the product of all its arguments, so the ranges
@@ -23,9 +23,10 @@ The two heavy shapes, cases 1 and 3, bound their factor product by 2
 rather than 1, and a good partition of K must contain exactly
 ``min(alpha + 1, beta)`` of them.  J admits the other three shapes only.
 One shape rule, ``_shape_findings``, holds a group's members, taken in
-construction order, to its sign tuple and its geometry in one pass that
-words findings only on a mismatch; the validator, which sorts each group
-once, and the sweep walk's row check share it.
+construction order, to its geometry and its sign tuple: each shape unpacks
+its members and tests their bits in ``rows & pos`` and ``rows & ~pos``,
+building nothing, and only a mismatch has findings worded; the validator,
+which sorts each group once, and the sweep walk's row check share it.
 
 One deterministic case ladder builds both partitions: negatives are
 absorbed in construction order, each one either mated to a free positive
@@ -41,7 +42,10 @@ only moves: it absorbs the negatives of one row into an explicit state
 each group it forms or grows.  ``_prefix_walk`` runs it for K and J once
 per node of a walk over the sign prefixes of its patterns through
 ``_checked_row``, which with ``_checked_leaf`` checks what
-``validate_partition`` checks.  The sweep and the pattern entries of
+``validate_partition`` checks.  The row check keeps the pairs that no group
+holds yet, which each new member must be among and leave, and grows each
+group once from its reported members, so a leaf tiles when its free pairs
+are the pairs left.  The sweep and the pattern entries of
 :mod:`pohst.certify` read its leaves; ``construct_eta``, ``eta_partition``
 and ``build_pi`` read the one leaf of a walk over their pattern alone, so a
 fault in either target raises :class:`LadderStuck` naming the pattern and
@@ -223,23 +227,6 @@ def _context(sigma: SignVector | PatternContext) -> PatternContext:
     return sigma if isinstance(sigma, PatternContext) else PatternContext(sigma)
 
 
-def _geometry(shape: Shape, first: Pair, last: Pair) -> Optional[tuple[Pair, ...]]:
-    """The members, in construction order, of the ``shape`` group with this
-    first and last member; ``None`` when there is no such group.
-
-    The first member is the argument a of the shape's elementary case and
-    the last the product of all its arguments.
-    """
-    (c2, r1), (c1, r2) = first, last
-    if shape is _MIXED_PAIR:
-        return (first, last) if (c1 == c2) != (r1 == r2) else None
-    if shape is _L_TRIPLE:
-        return (first, (r1 + 1, r2), last) if c1 == c2 else None
-    if shape is _RECTANGLE_QUAD:
-        return (first, (c1, r1), (c2, r2), last) if c1 < c2 and r1 < r2 else None
-    return (first,)
-
-
 def _shape_findings(
     shape: Shape, members: tuple[Pair, ...], rows: Sequence[int], pos: Sequence[int]
 ) -> list[str]:
@@ -250,16 +237,35 @@ def _shape_findings(
     wrong count, and their states on the bit rows ``rows`` and positive bit
     rows ``pos`` of the target set must be ``shape.states``.  A member's
     state is 2 for a positive pair of the target set, 1 for a negative one
-    and 0 for a pair outside it.  One pass compares the states and returns
-    no findings when they all match; only a mismatch has them worded.
+    and 0 for a pair outside it.  Each shape unpacks its members and tests
+    its geometry, then their states as bits of ``rows & pos`` (2) and
+    ``rows & ~pos`` (1); only a mismatch has findings worded.
     """
-    if not members or members != _geometry(shape, members[0], members[-1]):
+    fits = False
+    if shape is _MIXED_PAIR and len(members) == 2:
+        (c2, r1), (c1, r2) = members
+        fits = (c1 == c2) != (r1 == r2)
+        if fits and (rows[r1] & pos[r1]) >> c2 & (rows[r2] & ~pos[r2]) >> c1 & 1:
+            return []
+    elif shape is _RECTANGLE_QUAD and len(members) == 4:
+        (c2, r1), (c1, r), (c, r2), (i, j) = members
+        fits = r == r1 and c == c2 and i == c1 and j == r2 and c1 < c2 and r1 < r2
+        if fits and (rows[r1] & pos[r1]) >> c2 & (rows[r1] & ~pos[r1]) >> c1 \
+                & (rows[r2] & ~pos[r2]) >> c2 & (rows[r2] & pos[r2]) >> c1 & 1:
+            return []
+    elif shape is _L_TRIPLE and len(members) == 3:
+        (c2, r1), (c, r), (c1, r2) = members
+        fits = c1 == c2 and c == r1 + 1 and r == r2
+        if fits and (rows[r1] & ~pos[r1]) >> c2 & (rows[r2] & ~pos[r2]) >> c \
+                & (rows[r2] & pos[r2]) >> c1 & 1:
+            return []
+    elif len(members) == len(shape.states) == 1:
+        fits = True
+        (i, j), = members
+        if ((pos[j] if shape is _POSITIVE_SINGLETON else ~pos[j]) & rows[j]) >> i & 1:
+            return []
+    if not fits:
         return [f"members {members} do not match the shape's geometry"]
-    for (i, j), want in zip(members, shape.states):
-        if (rows[j] >> i & 1) + (pos[j] >> i & 1) != want:
-            break
-    else:
-        return []
     findings = []
     for (i, j), want in zip(members, shape.states):
         state = (rows[j] >> i & 1) + (pos[j] >> i & 1)
@@ -337,18 +343,23 @@ class _LadderState:
     pair of the triangle, holds that pair's members, the tuple the rectangle
     grows.  ``heavy_start[j]`` is the start of row j's live heavy singleton
     (at most one), 0 if none.
-    ``seen`` (pairs in groups) and ``heavy_formed`` serve the walk's checks.
+
+    The checks keep the rest: bit i of ``unseen[j]`` marks a pair (i, j) of
+    the target set that no group holds yet, bit i of ``grown[j]`` a group row
+    j formed with first member (i, j) that has grown, so is no longer live.
     """
 
-    __slots__ = ("free_row", "row_pairs", "row_mates", "heavy_start", "seen", "heavy_formed")
+    __slots__ = ("free_row", "row_pairs", "row_mates", "heavy_start",
+                 "unseen", "grown", "heavy_formed", "untiled")
 
     def __init__(self, n: int) -> None:
         self.free_row = [0] * (n + 1)
         self.row_pairs = [0] * (n + 1)
         self.row_mates = [None] * (n * (n + 1) // 2)
         self.heavy_start = [0] * (n + 1)
-        self.seen = [0] * (n + 1)
-        self.heavy_formed = 0
+        self.unseen = [0] * (n + 1)
+        self.grown = [0] * (n + 1)
+        self.heavy_formed, self.untiled = 0, False
 
     def copy(self) -> "_LadderState":
         """A state that rows past the current one may change independently.
@@ -362,8 +373,9 @@ class _LadderState:
         other.row_pairs = self.row_pairs[:]
         other.row_mates = self.row_mates
         other.heavy_start = self.heavy_start[:]
-        other.seen = self.seen[:]
-        other.heavy_formed = self.heavy_formed
+        other.unseen = self.unseen[:]
+        other.grown = self.grown[:]
+        other.heavy_formed, other.untiled = self.heavy_formed, self.untiled
         return other
 
 
@@ -470,39 +482,57 @@ def _ladder_row(
     return reports
 
 
-def _checked_row(
-    state: _LadderState, j: int, stable: bool, target: str, rows: list[int], pos: list[int]
-) -> list[_Report]:
-    """Row ``j`` of a walk's ladder, each reported group held to the shape and
-    sign rules on the path's bit rows ``rows`` and ``pos`` and to disjointness
-    by ``state.seen``, and returns the row's reports, which a soundness walk
-    keeps.  Raises :class:`LadderStuck` on a gap or a finding."""
-    seen = state.seen
-    reports = _ladder_row(state, j, rows[j], pos[j], stable, target == "K")
+def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
+                 rows: list[int], pos: list[int], path: list[list[_Report]]) -> None:
+    """Row ``j`` of a walk's ladder, its reports put in the per-depth list
+    ``path`` and held to the shape rule on the bit rows ``rows`` and ``pos``;
+    raises :class:`LadderStuck` on a gap or a finding.  A report's last
+    ``len(new)`` members must be ``unseen`` and leave it; any before them
+    must be the live group with the same first member, formed by an earlier
+    row, which then counts as grown.  A group and its growth share leading
+    signs, so only formed groups count as heavy.  A negative of row ``j``
+    left ``unseen`` marks the state ``untiled``, raised at the leaf."""
+    unseen, grown_rows, heavy_formed = state.unseen, state.grown, state.heavy_formed
+    unseen[j] = rows[j]
+    path[j] = reports = _ladder_row(state, j, rows[j], pos[j], stable, target == "K")
     for shape, members, new in reports:
-        for i, row in new:
-            bit = 1 << i
-            if seen[row] & bit:
-                raise LadderStuck(None, target, None, f"pair {(i, row)} taken twice")
-            seen[row] |= bit
         findings = _shape_findings(shape, members, rows, pos)
         if findings:
             raise LadderStuck(None, target, None, findings[0])
-        if shape.heavy and len(new) == len(members):
-            state.heavy_formed += 1
-    return reports
+        grown = 0 if new is members else len(members) - len(new)
+        if grown:
+            i, row = first = members[0]
+            bits = grown_rows[row]
+            made = None
+            if row < j and not bits >> i & 1:
+                for _, made, _ in path[row]:
+                    if made[0] == first:
+                        break
+            if members[:grown] != made:
+                raise LadderStuck(None, target, None, f"no live group starts at {first}")
+            grown_rows[row] = bits | 1 << i
+        elif shape.heavy:
+            heavy_formed += 1
+        for i, row in members[grown:]:
+            bit = 1 << i
+            if not unseen[row] & bit:
+                raise LadderStuck(None, target, None, f"pair {(i, row)} taken twice")
+            unseen[row] ^= bit
+    state.heavy_formed = heavy_formed
+    if unseen[j] & ~pos[j]:
+        state.untiled = True
 
 
-def _checked_leaf(
-    state: _LadderState, target: str, heavy: int, rows: list[int], pos: list[int]
-) -> None:
+def _checked_leaf(state: _LadderState, target: str, heavy: int) -> None:
     """Raise :class:`LadderStuck` unless a walk's leaf formed ``heavy`` heavy
-    groups and its groups and positive free pairs tile ``rows``."""
+    groups and its groups and positive free pairs tile the target set.  The
+    groups hold each pair of ``rows & ~unseen`` once and ``unseen`` only
+    shrinks, inside ``pos`` once its row is done unless ``untiled``, so free
+    pairs equal to ``unseen`` are positive and tile with the groups."""
     if state.heavy_formed != heavy:
         raise LadderStuck(None, target, None, f"{state.heavy_formed} heavy groups")
-    for free, taken, row, positive in zip(state.free_row, state.seen, rows, pos):
-        if free & taken or free | taken != row or free & ~positive:
-            raise LadderStuck(None, target, None, "groups and free pairs do not tile")
+    if state.untiled or state.free_row != state.unseen:
+        raise LadderStuck(None, target, None, "groups and free pairs do not tile")
 
 
 def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None) -> Iterator:
@@ -560,8 +590,8 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
                 if not last:
                     k_state, j_state = k_state.copy(), j_state.copy()
                 try:
-                    k_reports[j] = _checked_row(k_state, j, stable, "K", k_rows, k_pos)
-                    j_reports[j] = _checked_row(j_state, j, stable, "J", j_rows, j_pos)
+                    _checked_row(k_state, j, stable, "K", k_rows, k_pos, k_reports)
+                    _checked_row(j_state, j, stable, "J", j_rows, j_pos, j_reports)
                 except LadderStuck as stuck:
                     k_state, j_state = None, stuck
         if j == n:
@@ -569,8 +599,8 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
             target = min(p, n + 1 - p)
             if k_state is not None:
                 try:
-                    _checked_leaf(k_state, "K", target, k_rows, k_pos)
-                    _checked_leaf(j_state, "J", 0, j_rows, j_pos)
+                    _checked_leaf(k_state, "K", target)
+                    _checked_leaf(j_state, "J", 0)
                 except LadderStuck as stuck:
                     k_state, j_state = None, stuck
             if walked is None:

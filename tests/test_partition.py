@@ -607,6 +607,216 @@ class TestConstructEta:
         assert GoodPartition("K", ()).heavy_count == 0
 
 
+def reference_shape_findings(shape, members, rows, pos):
+    """The shape rule as it read before each shape got its own bit tests:
+    the members that the first and last fix, built as a tuple, then one zip
+    over the member states.  ``_shape_findings`` must word the same findings."""
+    def geometry(first, last):
+        (c2, r1), (c1, r2) = first, last
+        if shape is Shape.MIXED_PAIR:
+            return (first, last) if (c1 == c2) != (r1 == r2) else None
+        if shape is Shape.L_TRIPLE:
+            return (first, (r1 + 1, r2), last) if c1 == c2 else None
+        if shape is Shape.RECTANGLE_QUAD:
+            return (first, (c1, r1), (c2, r2), last) if c1 < c2 and r1 < r2 else None
+        return (first,)
+
+    if not members or members != geometry(members[0], members[-1]):
+        return [f"members {members} do not match the shape's geometry"]
+    for (i, j), want in zip(members, shape.states):
+        if (rows[j] >> i & 1) + (pos[j] >> i & 1) != want:
+            break
+    else:
+        return []
+    findings = []
+    for (i, j), want in zip(members, shape.states):
+        state = (rows[j] >> i & 1) + (pos[j] >> i & 1)
+        if not state:
+            findings.append(f"member {(i, j)} lies outside the target set")
+        elif state != want:
+            findings.append(
+                f"member {(i, j)} has {'negative' if want == 2 else 'positive'} product sign"
+            )
+    return findings
+
+
+def perturbed(members, n):
+    """``members`` as given, with one member moved by 1 along a row or a
+    column (staying on rows 0..n and columns >= 0), two members swapped, or
+    one member dropped or repeated."""
+    yield members
+    for m, (i, j) in enumerate(members):
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            if i + di >= 0 and 0 <= j + dj <= n:
+                yield members[:m] + ((i + di, j + dj),) + members[m + 1:]
+        yield members[:m] + members[m + 1:]
+        yield members[:m + 1] + members[m:]
+    for a, b in itertools.combinations(range(len(members)), 2):
+        swapped = list(members)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        yield tuple(swapped)
+
+
+FAULTS = ("drop", "repeat", "swap", "relabel", "steal", "regrow")
+
+
+def faulty_row_step(real, fault, target, pos, rng):
+    """A row step that runs ``real`` and corrupts the reports or the state of
+    ``target`` once, with ``fault``, at the first row from a seeded one on
+    where the fault applies (from the first row on for ``regrow``, which
+    needs an earlier rectangle); ``pos`` are the target's positive bit rows.
+    The rows it corrupted are appended to the step's ``fired`` list."""
+    start = rng.randrange(1, len(pos))
+    rectangles = []  # the rectangles reported by earlier rows
+
+    def corrupt(state, j, row, reports):
+        if fault == "regrow":
+            # grow the row-mate pair of an earlier rectangle a second time,
+            # through this row's negative and positive, in place of the
+            # report that absorbs the negative; that report's other
+            # positives are set free again and the positive is taken
+            for (c2, r1), (c1, _) in (r[1][:2] for r in rectangles):
+                if (row & ~pos[j]) >> c2 & pos[j] >> c1 & 1:
+                    k = next(k for k, r in enumerate(reports) if (c2, j) in r[2])
+                    for i, r in reports[k][2]:
+                        if pos[r] >> i & 1:
+                            state.free_row[r] |= 1 << i
+                    state.free_row[j] &= ~(1 << c1)
+                    members = ((c2, r1), (c1, r1), (c2, j), (c1, j))
+                    return reports[:k] + [(Shape.RECTANGLE_QUAD, members, members[2:])] \
+                        + reports[k + 1:]
+            return None
+        if not reports:
+            return None
+        k = rng.randrange(len(reports))
+        shape, members, new = reports[k]
+        if fault == "drop":
+            return reports[:k] + reports[k + 1:]
+        if fault == "repeat":
+            return reports[:k + 1] + reports[k:]
+        if fault == "relabel":
+            shape = rng.choice([other for other in Shape if other is not shape])
+        elif fault == "swap":
+            if len(members) < 2:
+                return None
+            a, b = rng.sample(range(len(members)), 2)
+            swapped = list(members)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            members = tuple(swapped)
+        else:
+            # "steal": a new group takes a positive pair that another group
+            # holds, and the positive it took is set free again
+            (i0, r0), rest = members[0], members[1:]
+            taken = [(i, r) for r in range(1, j + 1) for i in range(1, r + 1)
+                     if (pos[r] & ~state.free_row[r]) >> i & 1 and (i, r) not in members]
+            if new != members or not pos[r0] >> i0 & 1 or not taken:
+                return None
+            state.free_row[r0] |= 1 << i0
+            members = new = (rng.choice(taken),) + rest
+        return reports[:k] + [(shape, members, new)] + reports[k + 1:]
+
+    def step(state, j, row, row_pos, stable, heavy):
+        reports = real(state, j, row, row_pos, stable, heavy)
+        if ("K" if heavy else "J") != target:
+            return reports
+        if not step.fired and (j >= start or fault == "regrow"):
+            changed = corrupt(state, j, row, reports)
+            if changed is not None:
+                step.fired.append(j)
+                reports = changed
+        rectangles.extend(r for r in reports if r[0] is Shape.RECTANGLE_QUAD)
+        return reports
+
+    step.fired = []
+    return step
+
+
+class TestWalkChecks:
+    def test_fast_shape_rule_matches_the_reference(self, monkeypatch):
+        # on every context with n <= 6, the row step's reports and the final
+        # groups of both targets, as reported and perturbed, under every
+        # shape and on the bit rows of either target
+        import pohst.partition as partition
+
+        real, seen = partition._ladder_row, []
+
+        def spy(*args):
+            reports = real(*args)
+            seen.extend(members for _, members, _ in reports)
+            return reports
+
+        monkeypatch.setattr(partition, "_ladder_row", spy)
+        compared = 0
+        for n in range(1, 7):
+            for sigma in all_sigmas(n):
+                ctx = PatternContext(sigma)
+                seen.clear()
+                groups = eta_partition(ctx).groups + build_pi(ctx).groups
+                tuples = set(seen) | {g.members for g in groups}
+                for members in tuples:
+                    for variant in set(perturbed(members, n)):
+                        for shape in Shape:
+                            for target in ("K", "J"):
+                                rows, pos = ctx.rows(target)
+                                assert _shape_findings(shape, variant, rows, pos) == \
+                                    reference_shape_findings(shape, variant, rows, pos)
+                                compared += 1
+        assert compared > 150_000
+
+    def test_a_group_grown_twice_is_flagged(self, monkeypatch):
+        # J of -+-++ grows the row-mate pair (2, 2), (1, 2) into a rectangle
+        # in row 3; a row 5 that grows it again through (2, 5) and (1, 5),
+        # leaving (5, 5) free, would drop the first rectangle's (2, 3) and
+        # (1, 3) from the partition, since the leaf keys groups by first member
+        import pohst.partition as partition
+
+        real = partition._ladder_row
+
+        def regrow(state, j, row, pos, stable, heavy):
+            reports = real(state, j, row, pos, stable, heavy)
+            if heavy or j != 5:
+                return reports
+            state.free_row[5] ^= 1 << 5 | 1 << 1
+            members = ((2, 2), (1, 2), (2, 5), (1, 5))
+            return [(Shape.RECTANGLE_QUAD, members, members[2:])]
+
+        monkeypatch.setattr(partition, "_ladder_row", regrow)
+        sigma = SignVector.from_string("-+-++")
+        with pytest.raises(LadderStuck) as info:
+            build_pi(sigma)
+        assert (info.value.sigma, info.value.target) == (sigma, "J")
+        assert info.value.reason == "no live group starts at (2, 2)"
+
+    def test_faulty_row_steps_never_yield_an_invalid_partition(self, monkeypatch):
+        # every pattern with n <= 7, both targets and six seeded faults: the
+        # walk raises LadderStuck naming the pattern and target, or hands out
+        # a partition that the validator accepts
+        import pohst.partition as partition
+
+        real, rng = partition._ladder_row, random.Random(2023)
+        fired, raised = dict.fromkeys(FAULTS, 0), dict.fromkeys(FAULTS, 0)
+        for n in range(1, 8):
+            for sigma in all_sigmas(n):
+                ctx = PatternContext(sigma)
+                for target, build in (("K", eta_partition), ("J", build_pi)):
+                    for fault in FAULTS:
+                        step = faulty_row_step(real, fault, target, ctx.rows(target)[1], rng)
+                        monkeypatch.setattr(partition, "_ladder_row", step)
+                        try:
+                            part = build(sigma)
+                        except LadderStuck as stuck:
+                            assert (stuck.sigma, stuck.target) == (sigma, target)
+                            raised[fault] += 1
+                        else:
+                            report = validate_partition(ctx, part)
+                            assert report.ok, (sigma.to_string(), target, fault, report)
+                        fired[fault] += bool(step.fired)
+        # each fault struck dozens to hundreds of walks, and most of them
+        # were caught
+        assert min(fired.values()) > 50
+        assert all(raised[fault] > fired[fault] // 2 for fault in FAULTS), (fired, raised)
+
+
 class TestTraceChecks:
     def test_clean_trace(self):
         sigma = SignVector.from_string("-+-")
