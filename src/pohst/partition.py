@@ -492,28 +492,30 @@ def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
     row, which then counts as grown.  A group and its growth share leading
     signs, so only formed groups count as heavy.  A negative of row ``j``
     left ``unseen`` marks the state ``untiled``, raised at the leaf."""
-    unseen, grown_rows, heavy_formed = state.unseen, state.grown, state.heavy_formed
+    unseen, grown, heavy_formed = state.unseen, state.grown, state.heavy_formed
     unseen[j] = rows[j]
     path[j] = reports = _ladder_row(state, j, rows[j], pos[j], stable, target == "K")
     for shape, members, new in reports:
         findings = _shape_findings(shape, members, rows, pos)
         if findings:
             raise LadderStuck(None, target, None, findings[0])
-        grown = 0 if new is members else len(members) - len(new)
-        if grown:
+        old = len(members) - len(new)
+        if old:
             i, row = first = members[0]
-            bits = grown_rows[row]
+            bits = grown[row]
             made = None
             if row < j and not bits >> i & 1:
+                # the first report in ``path[row]`` with this first member
+                # formed its group; no other report matches it
                 for _, made, _ in path[row]:
                     if made[0] == first:
                         break
-            if members[:grown] != made:
+            if members[:old] != made:
                 raise LadderStuck(None, target, None, f"no live group starts at {first}")
-            grown_rows[row] = bits | 1 << i
+            grown[row] = bits | 1 << i
         elif shape.heavy:
             heavy_formed += 1
-        for i, row in members[grown:]:
+        for i, row in members[old:]:
             bit = 1 << i
             if not unseen[row] & bit:
                 raise LadderStuck(None, target, None, f"pair {(i, row)} taken twice")

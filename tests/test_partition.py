@@ -657,7 +657,7 @@ def perturbed(members, n):
         yield tuple(swapped)
 
 
-FAULTS = ("drop", "repeat", "swap", "relabel", "steal", "regrow")
+FAULTS = ("drop", "repeat", "swap", "relabel", "steal", "regrow", "defer")
 
 
 def faulty_row_step(real, fault, target, pos, rng):
@@ -668,6 +668,7 @@ def faulty_row_step(real, fault, target, pos, rng):
     The rows it corrupted are appended to the step's ``fired`` list."""
     start = rng.randrange(1, len(pos))
     rectangles = []  # the rectangles reported by earlier rows
+    deferred = []  # the negative that "defer" left unabsorbed
 
     def corrupt(state, j, row, reports):
         if fault == "regrow":
@@ -691,6 +692,16 @@ def faulty_row_step(real, fault, target, pos, rng):
         k = rng.randrange(len(reports))
         shape, members, new = reports[k]
         if fault == "drop":
+            return reports[:k] + reports[k + 1:]
+        if fault == "defer":
+            # leave a mixed pair's negative unabsorbed, its positive free
+            # again, until a later row pairs it, last, with a free positive
+            # of its column: a pair that is valid only unsorted
+            if shape is not Shape.MIXED_PAIR or new != members:
+                return None
+            (i0, r0), negative = members
+            state.free_row[r0] |= 1 << i0
+            deferred.append(negative)
             return reports[:k] + reports[k + 1:]
         if fault == "repeat":
             return reports[:k + 1] + reports[k:]
@@ -724,6 +735,11 @@ def faulty_row_step(real, fault, target, pos, rng):
             if changed is not None:
                 step.fired.append(j)
                 reports = changed
+        elif deferred and state.free_row[j] >> deferred[0][0] & 1:
+            c, r = deferred.pop()
+            state.free_row[j] ^= 1 << c
+            members = ((c, j), (c, r))
+            reports = reports + [(Shape.MIXED_PAIR, members, members)]
         rectangles.extend(r for r in reports if r[0] is Shape.RECTANGLE_QUAD)
         return reports
 
@@ -788,7 +804,7 @@ class TestWalkChecks:
         assert info.value.reason == "no live group starts at (2, 2)"
 
     def test_faulty_row_steps_never_yield_an_invalid_partition(self, monkeypatch):
-        # every pattern with n <= 7, both targets and six seeded faults: the
+        # every pattern with n <= 7, both targets and seven seeded faults: the
         # walk raises LadderStuck naming the pattern and target, or hands out
         # a partition that the validator accepts
         import pohst.partition as partition
