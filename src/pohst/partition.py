@@ -42,19 +42,19 @@ only moves: it absorbs the negatives of one row into an explicit state
 each group it forms or grows.  ``_prefix_walk`` runs it for K and J once
 per node of a walk over the sign prefixes of its patterns through
 ``_checked_row``, which with ``_checked_leaf`` checks what
-``validate_partition`` checks.  The row check keeps the pairs that no group
-holds yet, which each new member must be among and leave, and grows each
-group once from its reported members, so a leaf tiles when its free pairs
-are the pairs left.  The sweep and the pattern entries of
-:mod:`pohst.certify` read its leaves; ``construct_eta``, ``eta_partition``
-and ``build_pi`` read the one leaf of a walk over their pattern alone, so a
-fault in either target raises :class:`LadderStuck` naming the pattern and
-that target, and ``construct_eta`` alone has ``_trace`` read K's trace off
-the leaf's row reports.  ``search_partition``, the independent
-oracle over the same move set, serves the tests and the CLI's search
-modes; like the ladder, it keeps its live groups in one dict keyed by
-first member.  ``validate_partition`` checks any claimed partition against
-the shape and count rules.
+``validate_partition`` checks: each new member must be among the pairs
+that no group holds yet and leaves them, a growth must repeat the live
+group it grows, and a leaf tiles when its free pairs are the pairs left.
+The sweep and the pattern entries of :mod:`pohst.certify` read its
+leaves; ``construct_eta``, ``eta_partition`` and ``build_pi`` read the one
+leaf of a walk over their pattern alone, so a fault in either target
+raises :class:`LadderStuck` naming the pattern and that target, and
+``construct_eta`` alone has ``_trace`` read K's trace off the leaf's row
+reports.  ``search_partition``, the independent oracle over the same move
+set, serves the tests and the CLI's search modes; like the ladder, it
+keeps its live groups in one dict keyed by first member.
+``validate_partition`` checks any claimed partition against the shape and
+count rules.
 
 The ladder, the search and the validator work on the bit rows of a
 :class:`~pohst.signs.PatternContext` (bit i of row j is pair (i, j)): mates
@@ -87,11 +87,11 @@ class Shape(enum.Enum):
     """An admissible group shape; ``value`` is its JSON name.
 
     ``signs`` are the product signs of its members in construction order
-    and ``states`` the member states that ``_shape_findings`` compares (2
-    for a positive pair, 1 for a negative one).  ``heavy`` marks the two shapes whose factor product is
-    bounded by 2.  ``move`` is K's operation that reports the shape and the
-    negative's position among its members, ``None`` for the positive
-    singleton, which no move reports.
+    and ``states`` the member states that ``_shape_findings`` words its
+    findings by (2 for a positive pair, 1 for a negative one).  ``heavy``
+    marks the two shapes whose factor product is bounded by 2.  ``move`` is
+    K's operation that reports the shape and the negative's position among
+    its members, ``None`` for the positive singleton, which no move reports.
     """
 
     POSITIVE_SINGLETON = "PositiveSingleton", (1,), False, None
@@ -342,11 +342,10 @@ class _LadderState:
     complete; ``row_mates[ell * (ell - 1) // 2 + i - 1]``, one slot per
     pair of the triangle, holds that pair's members, the tuple the rectangle
     grows.  ``heavy_start[j]`` is the start of row j's live heavy singleton
-    (at most one), 0 if none.
-
-    The checks keep the rest: bit i of ``unseen[j]`` marks a pair (i, j) of
-    the target set that no group holds yet, bit i of ``grown[j]`` a group row
-    j formed with first member (i, j) that has grown, so is no longer live.
+    (at most one), 0 if none.  The checks keep the pairs of the target set
+    that no group holds yet in ``unseen``, the grown groups with first member
+    (i, j) in bit ``j * j + i`` of ``grown``, the heavy groups formed in
+    ``heavy_formed``, and in ``untiled`` whether a row left a negative unseen.
     """
 
     __slots__ = ("free_row", "row_pairs", "row_mates", "heavy_start",
@@ -358,7 +357,7 @@ class _LadderState:
         self.row_mates = [None] * (n * (n + 1) // 2)
         self.heavy_start = [0] * (n + 1)
         self.unseen = [0] * (n + 1)
-        self.grown = [0] * (n + 1)
+        self.grown = 0
         self.heavy_formed, self.untiled = 0, False
 
     def copy(self) -> "_LadderState":
@@ -374,7 +373,7 @@ class _LadderState:
         other.row_mates = self.row_mates
         other.heavy_start = self.heavy_start[:]
         other.unseen = self.unseen[:]
-        other.grown = self.grown[:]
+        other.grown = self.grown
         other.heavy_formed, other.untiled = self.heavy_formed, self.untiled
         return other
 
@@ -412,7 +411,7 @@ def _ladder_row(
     base = j * (j - 1) // 2 - 1  # pair (i, j) takes row_mates[base + i]
     bit = 1 << j
     below_j = bit - 1
-    free_row[j] = pos
+    free = pos  # free_row[j], stored when the row is done
     reports = []
     negatives = row & ~pos
     failures = 0
@@ -421,10 +420,10 @@ def _ladder_row(
         negatives ^= 1 << i
         neg = (i, j)
 
-        above = free_row[j] >> (i + 1) << (i + 1)
+        above = free >> (i + 1) << (i + 1)
         if above:
             i2 = (above & -above).bit_length() - 1
-            free_row[j] ^= 1 << i2
+            free ^= 1 << i2
             row_pairs[i2] |= bit
             members = ((i2, j), neg)
             row_mates[base + i2] = members
@@ -440,8 +439,8 @@ def _ladder_row(
                 continue
             if failures == 1:
                 ell = heavy_start[i - 1]
-                if ell and free_row[j] >> ell & 1:
-                    free_row[j] ^= 1 << ell
+                if ell and free >> ell & 1:
+                    free ^= 1 << ell
                     heavy_start[i - 1] = 0
                     low, top = (ell, i - 1), (ell, j)
                     # grows the heavy singleton (ell, i - 1)
@@ -467,8 +466,8 @@ def _ladder_row(
             candidates ^= 1 << ell
             pair = row_mates[ell * (ell - 1) // 2 + i - 1]
             c = pair[1][0]
-            if free_row[j] >> c & 1:
-                free_row[j] ^= 1 << c
+            if free >> c & 1:
+                free ^= 1 << c
                 row_pairs[i] ^= 1 << ell
                 corner = (c, j)
                 # grows the row-mate pair, which starts with its positive member
@@ -479,6 +478,7 @@ def _ladder_row(
                 None, "K" if heavy else "J", neg,
                 "no row mate, column mate, or rectangle completion applies",
             )
+    free_row[j] = free
     return reports
 
 
@@ -486,12 +486,11 @@ def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
                  rows: list[int], pos: list[int], path: list[list[_Report]]) -> None:
     """Row ``j`` of a walk's ladder, its reports put in the per-depth list
     ``path`` and held to the shape rule on the bit rows ``rows`` and ``pos``;
-    raises :class:`LadderStuck` on a gap or a finding.  A report's last
-    ``len(new)`` members must be ``unseen`` and leave it; any before them
-    must be the live group with the same first member, formed by an earlier
-    row, which then counts as grown.  A group and its growth share leading
-    signs, so only formed groups count as heavy.  A negative of row ``j``
-    left ``unseen`` marks the state ``untiled``, raised at the leaf."""
+    raises :class:`LadderStuck` on a gap or a finding.  A report whose new
+    members are not its members, the one tuple, grows the live group with its
+    first member, formed in ``path`` on that member's row, and must repeat
+    its members; the group is then grown, and grows no more.  New members
+    must be ``unseen`` and leave it; only formed groups count as heavy."""
     unseen, grown, heavy_formed = state.unseen, state.grown, state.heavy_formed
     unseen[j] = rows[j]
     path[j] = reports = _ladder_row(state, j, rows[j], pos[j], stable, target == "K")
@@ -499,38 +498,35 @@ def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
         findings = _shape_findings(shape, members, rows, pos)
         if findings:
             raise LadderStuck(None, target, None, findings[0])
-        old = len(members) - len(new)
-        if old:
+        if new is not members:
             i, row = first = members[0]
-            bits = grown[row]
+            bit = 1 << row * row + i
             made = None
-            if row < j and not bits >> i & 1:
-                # the first report in ``path[row]`` with this first member
-                # formed its group; no other report matches it
+            if row < j and not grown & bit:
+                # without a match, ``made`` is None or another group
                 for _, made, _ in path[row]:
                     if made[0] == first:
                         break
-            if members[:old] != made:
+            if made is None or made + new != members:
                 raise LadderStuck(None, target, None, f"no live group starts at {first}")
-            grown[row] = bits | 1 << i
+            grown |= bit
         elif shape.heavy:
             heavy_formed += 1
-        for i, row in members[old:]:
-            bit = 1 << i
-            if not unseen[row] & bit:
+        for i, row in new:
+            left = unseen[row]
+            if not left >> i & 1:
                 raise LadderStuck(None, target, None, f"pair {(i, row)} taken twice")
-            unseen[row] ^= bit
-    state.heavy_formed = heavy_formed
+            unseen[row] = left ^ 1 << i
+    state.grown, state.heavy_formed = grown, heavy_formed
     if unseen[j] & ~pos[j]:
         state.untiled = True
 
 
 def _checked_leaf(state: _LadderState, target: str, heavy: int) -> None:
     """Raise :class:`LadderStuck` unless a walk's leaf formed ``heavy`` heavy
-    groups and its groups and positive free pairs tile the target set.  The
-    groups hold each pair of ``rows & ~unseen`` once and ``unseen`` only
-    shrinks, inside ``pos`` once its row is done unless ``untiled``, so free
-    pairs equal to ``unseen`` are positive and tile with the groups."""
+    groups and its groups and positive free pairs tile the target set: the
+    groups hold each pair of ``rows & ~unseen`` once and ``unseen`` shrinks
+    only in ``pos`` once its row is done, unless ``untiled``."""
     if state.heavy_formed != heavy:
         raise LadderStuck(None, target, None, f"{state.heavy_formed} heavy groups")
     if state.untiled or state.free_row != state.unseen:
@@ -568,8 +564,9 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
     leaf, or their heavy = -1 in ``walked``.  |J| is not counted: J and K
     split the ``n(n+1)/2`` pairs of the triangle.  A leaf's groups are its
     path's reports, keyed by first member as in :func:`search_partition`,
-    and its positive free pairs; each has passed the checks, so they need
-    no ``validate_partition``.
+    and its positive free pairs; each has passed the checks, which let a
+    report replace only the live group it grows, so they need no
+    ``validate_partition``.
     """
     if walked is not None:
         heavy_out, k_out, target_out = walked
@@ -610,7 +607,7 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
                     target, _ordered_groups(k_reports, k_state.free_row),
                     _ordered_groups(j_reports, j_state.free_row), k_reports)
                 if not stack:  # the last leaf: free the ladder states and their row-mate table
-                    k_root = k_state = j_state = node = None
+                    k_root = k_state = j_state = None
                 yield leaf
                 continue
             heavy_out[lo] = -1 if k_state is None else target
@@ -619,13 +616,12 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
             continue
         half = 1 << (n - 1 - j)  # the key bit of sign j + 1
         mid = lo + half if hi - lo == half << 1 else bisect.bisect_left(keys, key | half, lo, hi)
-        node = state, k_state, j_state, k_size
         # the + child goes on top, so it copies the state before the - child
         # takes it over, and leaves come in key order
         if mid < hi:
-            stack.append((j + 1, -1, mid, hi, key | half, *node, True))
+            stack.append((j + 1, -1, mid, hi, key | half, state, k_state, j_state, k_size, True))
         if lo < mid:
-            stack.append((j + 1, 1, lo, mid, key, *node, mid == hi))
+            stack.append((j + 1, 1, lo, mid, key, state, k_state, j_state, k_size, mid == hi))
 
 
 def _ordered_groups(reports: Iterable[Iterable[tuple]], free_row: list[int]) -> list[tuple]:

@@ -147,9 +147,10 @@ class PatternContext:
         tri = (bit << 1) - 2
         k = (a_plus if (t > 0) == (j % 2 == 1) else ~a_plus) & tri
         pos = (t_plus if t > 0 else ~t_plus) & tri
-        grown = p + (t > 0)
-        stable = min(grown, j + 1 - grown) == min(p, j - p)
-        return (t, a_plus, t_plus, grown), stable, k, k & pos, tri ^ k, pos & ~k
+        # min(p, j - p) stays put unless t_j joins the strictly smaller count
+        stable = 2 * p >= j if t > 0 else 2 * p <= j
+        p += t > 0
+        return (t, a_plus, t_plus, p), stable, k, k & pos, tri ^ k, pos & ~k
 
     def rows(self, target: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(rows, positive rows)`` of ``"K"`` or ``"J"``."""
