@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from pohst.signs import Pair, min_heavy_target, pattern_from_index
-from pohst.partition import LadderStuck, PartitionGroup, Shape, _prefix_walk
+from pohst.partition import PartitionGroup, Shape, _prefix_walk
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -462,9 +462,8 @@ pattern_entries = partitions_for.entries  # bound: keeps the cache if the name i
 def _walked_entry(n: int, code: int, leaf) -> PatternEntry:
     """The :class:`PatternEntry` of pattern ``(n, code)`` from its walk leaf:
     its heavy target and its K and J groups' reports in construction order.
-    A flagged leaf, the walk's :class:`LadderStuck`, is raised naming it."""
-    if isinstance(leaf, LadderStuck):
-        raise LadderStuck(pattern_from_index(n, code), leaf.target, leaf.negative, leaf.reason)
+    No flagged leaf gets here: the walk raises its :class:`LadderStuck`,
+    naming the pattern."""
     target, k_groups, j_groups, _ = leaf
     pairs = n * (n + 1) // 2
     # pair (i, j) takes slot start[i] + j, and a pad (0, s) slot s: per

@@ -29,7 +29,8 @@ of CPU at 1024 signs on a 2-vCPU x86 host); longer ones exit 2.
 ``maximize`` takes at most ``MAX_MAXIMIZE_N`` = 64 signs (it costs O(n^3)
 per iteration); longer patterns exit 2.
 ``partition``'s search and both modes take at most ``MAX_SEARCH_N`` = 48
-signs (the search recurses once per negative pair); longer patterns exit 2.
+signs (the search recurses once per negative pair); longer patterns exit 2
+before any construction.
 ``certify`` takes at most ``MAX_CERTIFY_N`` = 1024 x entries (1025 y
 entries; a certificate costs O(n^2)); longer vectors exit 2, as does an
 empty y.  ``identity`` takes at most ``MAX_IDENTITY_N`` = 64 y entries
@@ -64,6 +65,7 @@ from pohst.partition import (
     LadderStuck,
     SearchExhausted,
     check_construction_invariants,
+    check_search_length,
     construct_eta,
     build_pi,
     search_partition,
@@ -169,6 +171,8 @@ def cmd_classify(ns) -> tuple[dict, int]:
 
 def cmd_partition(ns) -> tuple[dict, int]:
     sigma = _parse_pattern(ns.signs)
+    if ns.mode != "ladder":  # before the ladder builds anything
+        check_search_length(len(sigma))
     target = ns.set.upper()
     doc = {
         "sigma": sigma.to_string(),

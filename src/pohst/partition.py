@@ -48,11 +48,12 @@ group it grows, and a leaf tiles when its free pairs are the pairs left.
 The sweep and the pattern entries of :mod:`pohst.certify` read its
 leaves; ``construct_eta``, ``eta_partition`` and ``build_pi`` read the one
 leaf of a walk over their pattern alone, so a fault in either target
-raises :class:`LadderStuck` naming the pattern and that target, and
-``construct_eta`` alone has ``_trace`` read K's trace off the leaf's row
-reports.  ``search_partition``, the independent oracle over the same move
-set, serves the tests and the CLI's search modes; like the ladder, it
-keeps its live groups in one dict keyed by first member.
+raises :class:`LadderStuck` in the walk, naming the pattern and that
+target, and ``construct_eta`` alone has ``_trace`` read K's trace off the
+leaf's row reports.  ``search_partition``, the independent oracle over the
+same move set, serves the tests and the CLI's search modes; it keeps its
+live groups in one dict keyed by first member, the key by which a walk's
+leaf orders its groups.
 ``validate_partition`` checks any claimed partition against the shape and
 count rules.
 
@@ -64,8 +65,11 @@ an int key and no per-group sort, and the validator checks membership,
 signs, disjointness and coverage by bit tests.  ``construct_eta``,
 ``eta_partition``, ``build_pi``, ``validate_partition`` and
 ``check_construction_invariants`` take a context or a
-:class:`~pohst.signs.SignVector`, so a caller builds one context per
-pattern and hands it to all of them.
+:class:`~pohst.signs.SignVector`.  Handing one context to all of them
+saves work for the validator and the invariant check, which read its bit
+rows; the constructions read only its ``n`` and ``sigma`` (and, for
+``construct_eta``'s trace, ``stable``), since their walk builds the rows
+anew.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ class LadderStuck(RuntimeError):
     walk's check of ``target`` failed (``negative`` is then ``None``).
 
     The row step and the checks raise it with ``sigma`` ``None``, on a sign
-    prefix; whoever reads a flagged leaf raises it again naming the pattern.
+    prefix; a walk that yields leaves raises it again at the first flagged
+    leaf, naming that leaf's pattern, so no reader of leaves handles one.
     """
 
     def __init__(
@@ -490,19 +495,23 @@ def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
     members are not its members, the one tuple, grows the live group with its
     first member, formed in ``path`` on that member's row, and must repeat
     its members; the group is then grown, and grows no more.  New members
-    must be ``unseen`` and leave it; only formed groups count as heavy."""
+    must be ``unseen`` and leave it; only formed groups count as heavy.  A
+    member outside ``1 <= i <= row <= j`` raises too."""
     unseen, grown, heavy_formed = state.unseen, state.grown, state.heavy_formed
     unseen[j] = rows[j]
     path[j] = reports = _ladder_row(state, j, rows[j], pos[j], stable, target == "K")
     for shape, members, new in reports:
-        findings = _shape_findings(shape, members, rows, pos)
+        try:  # free on CPython 3.11 unless it catches
+            findings = _shape_findings(shape, members, rows, pos)
+        except (ValueError, IndexError):  # a negative column's shift, a row past n
+            findings = [f"members {members} lie outside the triangle"]
         if findings:
             raise LadderStuck(None, target, None, findings[0])
         if new is not members:
             i, row = first = members[0]
             bit = 1 << row * row + i
             made = None
-            if row < j and not grown & bit:
+            if 0 < row < j and not grown & bit:
                 # without a match, ``made`` is None or another group
                 for _, made, _ in path[row]:
                     if made[0] == first:
@@ -513,6 +522,8 @@ def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
         elif shape.heavy:
             heavy_formed += 1
         for i, row in new:
+            if row < 0:  # the lists would wrap round
+                raise LadderStuck(None, target, None, f"pair {(i, row)} lies outside the triangle")
             left = unseen[row]
             if not left >> i & 1:
                 raise LadderStuck(None, target, None, f"pair {(i, row)} taken twice")
@@ -539,8 +550,8 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
     heavy count, |K| and target into column ``s`` and yields nothing; else
     the leaves yield, in key order, the heavy target, the ordered groups of
     K and of J (:func:`_ordered_groups`) and K's row reports (the walk's own
-    per-depth list, index 0 empty, good until the walk goes on), or their
-    :class:`LadderStuck`.
+    per-depth list, index 0 empty, good until the walk goes on), and a
+    flagged leaf raises its :class:`LadderStuck` again, naming its pattern.
 
     A pattern's key is its index bit-reversed over ``n`` bits, so sign 1 is
     the top key bit and the patterns below any sign prefix hold one
@@ -560,13 +571,13 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
 
     :func:`_checked_row` checks each node's rows and :func:`_checked_leaf`
     each leaf, as ``validate_partition`` checks a partition.  Either raises
-    ``LadderStuck``, which flags every pattern below the node: it is their
-    leaf, or their heavy = -1 in ``walked``.  |J| is not counted: J and K
-    split the ``n(n+1)/2`` pairs of the triangle.  A leaf's groups are its
-    path's reports, keyed by first member as in :func:`search_partition`,
-    and its positive free pairs; each has passed the checks, which let a
-    report replace only the live group it grows, so they need no
-    ``validate_partition``.
+    ``LadderStuck``, which flags every pattern below the node: the first
+    such leaf raises it, which ends the walk, or each writes heavy = -1 in
+    ``walked``.  |J| is not counted: J and K split the ``n(n+1)/2`` pairs
+    of the triangle.  A leaf's groups are its path's reports, keyed by
+    first member as in :func:`search_partition`, and its positive free
+    pairs; each has passed the checks, which let a report replace only the
+    live group it grows, so they need no ``validate_partition``.
     """
     if walked is not None:
         heavy_out, k_out, target_out = walked
@@ -603,9 +614,12 @@ def _prefix_walk(n: int, keys: Sequence[int], walked: Optional[Sequence] = None)
                 except LadderStuck as stuck:
                     k_state, j_state = None, stuck
             if walked is None:
-                leaf = j_state if k_state is None else (
-                    target, _ordered_groups(k_reports, k_state.free_row),
-                    _ordered_groups(j_reports, j_state.free_row), k_reports)
+                if k_state is None:  # flagged: sign i of its pattern is key bit n - i
+                    sigma = SignVector(tuple(-1 if key >> n - i & 1 else 1
+                                             for i in range(1, n + 1)))
+                    raise LadderStuck(sigma, j_state.target, j_state.negative, j_state.reason)
+                leaf = (target, _ordered_groups(k_reports, k_state.free_row),
+                        _ordered_groups(j_reports, j_state.free_row), k_reports)
                 if not stack:  # the last leaf: free the ladder states and their row-mate table
                     k_root = k_state = j_state = None
                 yield leaf
@@ -677,13 +691,11 @@ def _walk_one(ctx: PatternContext, target: str) -> tuple[GoodPartition, list[lis
     """The good partition of ``target``, K or J, and K's row reports, from
     the one leaf of a walk over the pattern of ``ctx`` alone, keyed by its
     code with the bits reversed.  The walk builds and checks both targets,
-    so a fault in either raises :class:`LadderStuck` naming the pattern."""
+    so a fault in either raises :class:`LadderStuck` in the walk, naming the
+    pattern."""
     n = ctx.n
     key = sum(1 << n - j for j, s in enumerate(ctx.sigma.entries, 1) if s < 0)
-    leaf = next(_prefix_walk(n, [key]))
-    if isinstance(leaf, LadderStuck):
-        raise LadderStuck(ctx.sigma, leaf.target, leaf.negative, leaf.reason)
-    _, k_groups, j_groups, k_reports = leaf
+    _, k_groups, j_groups, k_reports = next(_prefix_walk(n, [key]))
     heavy = target == "K"
     groups = tuple(PartitionGroup(shape, members)
                    for shape, members, _ in (k_groups if heavy else j_groups))
@@ -712,6 +724,12 @@ def build_pi(sigma: SignVector | PatternContext) -> GoodPartition:
     return _walk_one(_context(sigma), "J")[0]
 
 
+def check_search_length(n: int) -> None:
+    """Raise ``ValueError`` unless :func:`search_partition` takes length ``n``."""
+    if n > MAX_SEARCH_N:
+        raise ValueError(f"the search handles patterns of length at most {MAX_SEARCH_N}, got {n}")
+
+
 def search_partition(
     sigma: SignVector, target: str, heavy_budget: int
 ) -> Optional[GoodPartition]:
@@ -736,10 +754,7 @@ def search_partition(
     """
     if target not in ("J", "K"):
         raise ValueError(f"unknown partition target {target!r}")
-    if len(sigma) > MAX_SEARCH_N:
-        raise ValueError(
-            f"the search handles patterns of length at most {MAX_SEARCH_N}, got {len(sigma)}"
-        )
+    check_search_length(len(sigma))
     if target == "J" and heavy_budget:
         raise ValueError("J partitions admit no heavy groups")
     rows, pos = PatternContext(sigma).rows(target)

@@ -95,11 +95,18 @@ class TestPartition:
 
 
     @pytest.mark.parametrize("mode", ["search", "both"])
-    def test_search_length_limit(self, capsys, mode):
-        # 1056 negative pairs: deeper than the default recursion limit
-        code, doc = run(capsys, "partition", "-" * 64, "k", mode)
-        assert code == 2
-        assert "at most 48" in doc["error"]
+    def test_search_length_limit(self, capsys, monkeypatch, mode):
+        # 1056 negative pairs: deeper than the default recursion limit; the
+        # length is refused before either ladder is built
+        def refuse(*args):
+            raise AssertionError("a ladder was built for a pattern the search refuses")
+
+        monkeypatch.setattr(cli, "construct_eta", refuse)
+        monkeypatch.setattr(cli, "build_pi", refuse)
+        for target in "kj":
+            code, doc = run(capsys, "partition", "-" * 64, target, mode)
+            assert code == 2
+            assert "at most 48" in doc["error"]
 
     def test_ladder_mode_has_no_length_limit(self, capsys):
         code, doc = run(capsys, "partition", "-" * 64, "k", "ladder")

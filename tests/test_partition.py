@@ -657,7 +657,7 @@ def perturbed(members, n):
         yield tuple(swapped)
 
 
-FAULTS = ("drop", "repeat", "swap", "relabel", "steal", "regrow", "defer")
+FAULTS = ("drop", "repeat", "swap", "relabel", "steal", "regrow", "defer", "range")
 
 
 def faulty_row_step(real, fault, target, pos, rng):
@@ -689,6 +689,14 @@ def faulty_row_step(real, fault, target, pos, rng):
             return None
         if not reports:
             return None
+        if fault == "range" and j == len(pos) - 1:
+            # row n's members relabelled as row -1, which the per-row lists
+            # wrap round to row n; a grown group's new members stay its tail
+            relabelled = []
+            for shape, members, new in reports:
+                moved = tuple((i, -1 if r == j else r) for i, r in members)
+                relabelled.append((shape, moved, moved if new is members else moved[-len(new):]))
+            return relabelled
         k = rng.randrange(len(reports))
         shape, members, new = reports[k]
         if fault == "drop":
@@ -714,6 +722,11 @@ def faulty_row_step(real, fault, target, pos, rng):
             swapped = list(members)
             swapped[a], swapped[b] = swapped[b], swapped[a]
             members = tuple(swapped)
+        elif fault == "range":
+            # on an earlier row, one member's column negated
+            m, formed = rng.randrange(len(members)), new is members
+            members = members[:m] + ((-members[m][0], members[m][1]),) + members[m + 1:]
+            new = members if formed else members[-len(new):]
         else:
             # "steal": a new group takes a positive pair that another group
             # holds, and the positive it took is set free again
@@ -804,7 +817,7 @@ class TestWalkChecks:
         assert info.value.reason == "no live group starts at (2, 2)"
 
     def test_faulty_row_steps_never_yield_an_invalid_partition(self, monkeypatch):
-        # every pattern with n <= 7, both targets and seven seeded faults: the
+        # every pattern with n <= 7, both targets and eight seeded faults: the
         # walk raises LadderStuck naming the pattern and target, or hands out
         # a partition that the validator accepts
         import pohst.partition as partition

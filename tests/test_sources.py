@@ -162,6 +162,49 @@ def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
 
 
+def fault_handling(source: str) -> list[str]:
+    """``"construct"`` for each call of ``LadderStuck`` in ``source`` and
+    ``"isinstance"`` for each ``isinstance`` test against it, in source
+    order; the class counts by name or as an attribute, alone or in a tuple."""
+    def named(node: ast.AST) -> bool:
+        return getattr(node, "id", getattr(node, "attr", None)) == "LadderStuck"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if named(node.func):
+            found.append((node.lineno, node.col_offset, "construct"))
+        elif getattr(node.func, "id", None) == "isinstance" and any(
+                named(part) for arg in node.args[1:] for part in ast.walk(arg)):
+            found.append((node.lineno, node.col_offset, "isinstance"))
+    return [kind for *_, kind in sorted(found)]
+
+
+def test_fault_checker_flags_calls_and_type_tests():
+    source = (
+        "import pohst.partition as partition\n"
+        "from pohst.partition import LadderStuck\n"
+        "def f(leaf):\n"
+        "    if isinstance(leaf, (ValueError, partition.LadderStuck)):\n"
+        "        raise LadderStuck(None, 'K', None, leaf.reason)\n"
+        "    try:\n"
+        "        return isinstance(leaf, tuple)\n"
+        "    except LadderStuck:\n"
+        "        raise partition.LadderStuck(None, 'J', None, 'again') from None\n"
+    )
+    assert fault_handling(source) == ["isinstance", "construct", "construct"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_walk_names_a_fault(path):
+    # the walk raises a flagged leaf's LadderStuck itself, naming its
+    # pattern, so no reader of leaves type-tests one or raises it again,
+    # and no module but the one that owns the walk constructs one
+    allowed = {"construct"} if path.stem == "partition" else set()
+    assert set(fault_handling(path.read_text())) <= allowed
+
+
 def unread_slots(modules: dict[str, str]) -> list[str]:
     """``module.Class.name`` for each name in the ``__slots__`` of a class
     of ``modules`` (module name to source) that no source there reads as an
