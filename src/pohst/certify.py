@@ -416,9 +416,14 @@ class _PairLRU:
     def entries(self, n: int, codes: list[int]) -> Iterator[PatternEntry]:
         """The entries of the patterns ``codes``, in order: the held ones
         looked up at once, the others stored as one lazy walk over their walk
-        keys, the codes' bits reversed, yields them.  Unless those keys ascend
-        strictly, raises ``ValueError`` before anything is counted or stored."""
-        keys = [int(f"{code:0{n}b}"[::-1], 2) for code in codes if (n, code) not in self._entries]
+        keys, the codes' bits reversed, yields them.  Unless those codes lie
+        in ``0 <= code < 2**n`` and their keys ascend strictly, raises
+        ``ValueError`` before anything is counted or stored."""
+        missing = [code for code in codes if (n, code) not in self._entries]
+        for code in missing:
+            if not 0 <= code < 1 << n:
+                raise ValueError(f"code {code} is no pattern of length {n}")
+        keys = [int(f"{code:0{n}b}"[::-1], 2) for code in missing]
         for before, key in zip(keys, keys[1:]):
             if key <= before:
                 raise ValueError(f"missing patterns need ascending walk keys: {key} after {before}")

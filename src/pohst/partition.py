@@ -13,8 +13,8 @@ other arguments:
 
 * ``PositiveSingleton`` ``(+)`` -- one pair; a >= 0 bounds its factor by 1;
 * ``NegativeSingleton`` ``(-)`` -- one pair, elementary case 1;
-* ``MixedPair`` ``(+, -)`` -- first and last share exactly one column or
-  one row, case 2;
+* ``MixedPair`` ``(+, -)`` -- the last member extends the first along
+  their one shared row (``c1 < c2``) or column (``r1 < r2``), case 2;
 * ``LTriple`` ``(-, -, +)`` -- ``(c, r1), (r1 + 1, r2), (c, r2)``, case 3;
 * ``RectangleQuad`` ``(+, -, -, +)`` -- ``(c2, r1), (c1, r1), (c2, r2),
   (c1, r2)``, case 4.
@@ -25,8 +25,11 @@ rather than 1, and a good partition of K must contain exactly
 One shape rule, ``_shape_findings``, holds a group's members, taken in
 construction order, to its geometry and its sign tuple: each shape unpacks
 its members and tests their bits in ``rows & pos`` and ``rows & ~pos``,
-building nothing, and only a mismatch has findings worded; the validator,
-which sorts each group once, and the sweep walk's row check share it.
+building nothing, and only a mismatch has findings worded.  Its geometry
+also keeps each row within the bit rows and each column non-negative, so
+it alone decides where a member may lie and none of its reads raises or
+wraps.  The validator, which sorts each group once, and the sweep walk's
+row check share it.
 
 One deterministic case ladder builds both partitions: negatives are
 absorbed in construction order, each one either mated to a free positive
@@ -244,30 +247,34 @@ def _shape_findings(
     state is 2 for a positive pair of the target set, 1 for a negative one
     and 0 for a pair outside it.  Each shape unpacks its members and tests
     its geometry, then their states as bits of ``rows & pos`` (2) and
-    ``rows & ~pos`` (1); only a mismatch has findings worded.
+    ``rows & ~pos`` (1); only a mismatch has findings worded.  The
+    geometry holds every row to ``0 <= row < len(rows)`` and every column
+    to ``>= 0``, and a mixed pair to case 2's orientation, ``c1 <= c2`` and
+    ``r1 <= r2``, so this rule alone decides where a member may lie.
     """
     fits = False
     if shape is _MIXED_PAIR and len(members) == 2:
         (c2, r1), (c1, r2) = members
-        fits = (c1 == c2) != (r1 == r2)
+        fits = (c1 == c2) != (r1 == r2) and 0 <= c1 <= c2 and 0 <= r1 <= r2 < len(rows)
         if fits and (rows[r1] & pos[r1]) >> c2 & (rows[r2] & ~pos[r2]) >> c1 & 1:
             return []
     elif shape is _RECTANGLE_QUAD and len(members) == 4:
         (c2, r1), (c1, r), (c, r2), (i, j) = members
-        fits = r == r1 and c == c2 and i == c1 and j == r2 and c1 < c2 and r1 < r2
+        fits = r == r1 and c == c2 and i == c1 and j == r2 \
+            and 0 <= c1 < c2 and 0 <= r1 < r2 < len(rows)
         if fits and (rows[r1] & pos[r1]) >> c2 & (rows[r1] & ~pos[r1]) >> c1 \
                 & (rows[r2] & ~pos[r2]) >> c2 & (rows[r2] & pos[r2]) >> c1 & 1:
             return []
     elif shape is _L_TRIPLE and len(members) == 3:
         (c2, r1), (c, r), (c1, r2) = members
-        fits = c1 == c2 and c == r1 + 1 and r == r2
+        fits = c1 == c2 >= 0 and c == r1 + 1 and r == r2 and 0 <= r1 < r2 < len(rows)
         if fits and (rows[r1] & ~pos[r1]) >> c2 & (rows[r2] & ~pos[r2]) >> c \
                 & (rows[r2] & pos[r2]) >> c1 & 1:
             return []
     elif len(members) == len(shape.states) == 1:
-        fits = True
         (i, j), = members
-        if ((pos[j] if shape is _POSITIVE_SINGLETON else ~pos[j]) & rows[j]) >> i & 1:
+        fits = i >= 0 and 0 <= j < len(rows)
+        if fits and ((pos[j] if shape is _POSITIVE_SINGLETON else ~pos[j]) & rows[j]) >> i & 1:
             return []
     if not fits:
         return [f"members {members} do not match the shape's geometry"]
@@ -496,22 +503,21 @@ def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
     first member, formed in ``path`` on that member's row, and must repeat
     its members; the group is then grown, and grows no more.  New members
     must be ``unseen`` and leave it; only formed groups count as heavy.  A
-    member outside ``1 <= i <= row <= j`` raises too."""
+    member outside ``1 <= i <= row <= j`` raises too: the shape rule keeps
+    it on the bit rows and in the target set, and no row past ``j`` holds
+    an unseen pair."""
     unseen, grown, heavy_formed = state.unseen, state.grown, state.heavy_formed
     unseen[j] = rows[j]
     path[j] = reports = _ladder_row(state, j, rows[j], pos[j], stable, target == "K")
     for shape, members, new in reports:
-        try:  # free on CPython 3.11 unless it catches
-            findings = _shape_findings(shape, members, rows, pos)
-        except (ValueError, IndexError):  # a negative column's shift, a row past n
-            findings = [f"members {members} lie outside the triangle"]
+        findings = _shape_findings(shape, members, rows, pos)
         if findings:
             raise LadderStuck(None, target, None, findings[0])
         if new is not members:
             i, row = first = members[0]
             bit = 1 << row * row + i
             made = None
-            if 0 < row < j and not grown & bit:
+            if row < j and not grown & bit:
                 # without a match, ``made`` is None or another group
                 for _, made, _ in path[row]:
                     if made[0] == first:
@@ -522,8 +528,6 @@ def _checked_row(state: _LadderState, j: int, stable: bool, target: str,
         elif shape.heavy:
             heavy_formed += 1
         for i, row in new:
-            if row < 0:  # the lists would wrap round
-                raise LadderStuck(None, target, None, f"pair {(i, row)} lies outside the triangle")
             left = unseen[row]
             if not left >> i & 1:
                 raise LadderStuck(None, target, None, f"pair {(i, row)} taken twice")

@@ -52,8 +52,8 @@ class SignVector:
 
     @classmethod
     def from_reals(cls, values: Sequence[float]) -> "SignVector":
-        if any(v == 0 for v in values):
-            raise ValueError("cannot take the sign pattern of a zero entry")
+        if any(v == 0 or v != v for v in values):  # NaN compares unequal to itself
+            raise ValueError("cannot take the sign pattern of a zero or NaN entry")
         return cls(tuple(1 if v > 0 else -1 for v in values))
 
     def to_string(self) -> str:

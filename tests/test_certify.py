@@ -455,6 +455,16 @@ class TestPartitionCache:
         assert partitions_for.cache_info()[:2] == (1, 2)
         partitions_for.cache_clear()
 
+    def test_codes_outside_the_pattern_range_raise(self):
+        # f"{8:03b}" has four digits: walked, code 8 would store the groups of
+        # ++- (walk key 1) as an entry whose fields read +++
+        partitions_for.cache_clear()
+        for call in (lambda: partitions_for(3, 8), lambda: partitions_for(3, -1),
+                     lambda: pattern_entries(3, [8])):
+            with pytest.raises(ValueError, match="no pattern of length 3"):
+                call()
+            assert partitions_for.cache_info() == (0, 0, 4096 * 78, 0)
+
     def test_storing_a_held_pattern_replaces_it(self):
         # a call that stores (3, 4) between two steps of a walk that lacked it
         # leaves one entry of it, whose pairs count once

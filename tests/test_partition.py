@@ -614,7 +614,7 @@ def reference_shape_findings(shape, members, rows, pos):
     def geometry(first, last):
         (c2, r1), (c1, r2) = first, last
         if shape is Shape.MIXED_PAIR:
-            return (first, last) if (c1 == c2) != (r1 == r2) else None
+            return (first, last) if (c1 == c2) != (r1 == r2) and c1 <= c2 and r1 <= r2 else None
         if shape is Shape.L_TRIPLE:
             return (first, (r1 + 1, r2), last) if c1 == c2 else None
         if shape is Shape.RECTANGLE_QUAD:
@@ -657,7 +657,7 @@ def perturbed(members, n):
         yield tuple(swapped)
 
 
-FAULTS = ("drop", "repeat", "swap", "relabel", "steal", "regrow", "defer", "range")
+FAULTS = ("drop", "repeat", "swap", "relabel", "steal", "regrow", "defer", "range", "reverse")
 
 
 def faulty_row_step(real, fault, target, pos, rng):
@@ -711,6 +711,22 @@ def faulty_row_step(real, fault, target, pos, rng):
             state.free_row[r0] |= 1 << i0
             deferred.append(negative)
             return reports[:k] + reports[k + 1:]
+        if fault == "reverse":
+            # undo a row-mate pair (its positive free again, and no rectangle
+            # to grow it) and mate its negative (i, j) with a free positive
+            # (i3, j), i3 < i, reported first: a pair that is valid only with
+            # its members swapped
+            if shape is not Shape.MIXED_PAIR or new != members or members[0][1] != j:
+                return None
+            (i2, _), (i, _) = members
+            below = state.free_row[j] & (1 << i) - 1
+            if not below:
+                return None
+            i3 = below.bit_length() - 1
+            state.free_row[j] ^= 1 << i2 | 1 << i3
+            state.row_pairs[i2] &= ~(1 << j)
+            members = ((i3, j), (i, j))
+            return reports[:k] + [(shape, members, members)] + reports[k + 1:]
         if fault == "repeat":
             return reports[:k + 1] + reports[k:]
         if fault == "relabel":
@@ -817,7 +833,7 @@ class TestWalkChecks:
         assert info.value.reason == "no live group starts at (2, 2)"
 
     def test_faulty_row_steps_never_yield_an_invalid_partition(self, monkeypatch):
-        # every pattern with n <= 7, both targets and eight seeded faults: the
+        # every pattern with n <= 7, both targets and each seeded fault: the
         # walk raises LadderStuck naming the pattern and target, or hands out
         # a partition that the validator accepts
         import pohst.partition as partition

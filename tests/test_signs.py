@@ -72,6 +72,8 @@ class TestSignVector:
             SignVector.from_string("x+")
         with pytest.raises(ValueError):
             SignVector.from_reals([0.5, 0.0])
+        with pytest.raises(ValueError):
+            SignVector.from_reals([0.5, float("nan")])
 
     def test_from_reals(self):
         assert SignVector.from_reals([-0.5, 0.5]).to_string() == "-+"
