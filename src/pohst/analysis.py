@@ -122,11 +122,13 @@ class SweepRecord:
 def _sweep_indices(n: int, seed: int, exhaustive_cap: int) -> np.ndarray:
     total = 1 << n
     if not sweep_is_sampled(n, exhaustive_cap):
-        return np.arange(total, dtype=np.int64)
+        return np.arange(total, dtype=np.int32)
     stride = total // exhaustive_cap
     drawn = np.random.default_rng(seed).integers(0, total, SUBSAMPLE_RANDOM_COUNT)
-    # one int64 array: 8 bytes per index, against about 40 in a list of Python ints
-    return np.unique(np.concatenate((np.arange(0, total, stride, dtype=np.int64), drawn)))
+    # one int32 array: 4 bytes per index, against about 40 in a list of Python
+    # ints; MAX_SWEEP_N keeps every index below 2**31
+    strided = np.arange(0, total, stride, dtype=np.int32)
+    return np.unique(np.concatenate((strided, drawn.astype(np.int32))))
 
 
 def _bit_reversed(n: int, values: np.ndarray, dtype: type) -> np.ndarray:
@@ -179,22 +181,19 @@ def _walk_all(n: int, keys: np.ndarray, jobs: int) -> np.ndarray:
 def _walk_records(n: int, indices: np.ndarray, jobs: int) -> Iterator[SweepRecord]:
     """Records of the walk over the ascending ``indices``, in their order.
 
-    The first record comes once the whole walk is done.
+    The first record comes once the whole walk is done.  Row s of the walk
+    belongs to the s-th smallest key, so each block of records finds its rows
+    by a binary search of its own keys in the sorted ones.
     """
-    keys = _bit_reversed(n, indices, np.int32)
-    # slot s of the walk belongs to indices[order[s]]; int32 and no unsorted
-    # keys, since parallel workers inherit what the parent holds at the fork
-    order = np.argsort(keys).astype(np.int32)
-    keys = keys[order]
+    keys = np.sort(_bit_reversed(n, indices, np.int32))
     walked = _walk_all(n, keys, jobs)
-    rows = np.empty_like(walked)
-    rows[order] = walked
     pairs = n * (n + 1) // 2
     flip = str.maketrans("01", "+-")
     block = 1 << 16  # Python ints for one block of records at a time
     for start in range(0, len(indices), block):
-        stop = start + block
-        for index, (h, k_size, t) in zip(indices[start:stop].tolist(), rows[start:stop].tolist()):
+        part = indices[start:start + block]
+        rows = walked[np.searchsorted(keys, _bit_reversed(n, part, np.int32))]
+        for index, (h, k_size, t) in zip(part.tolist(), rows.tolist()):
             sigma = format(index, f"0{n}b")[::-1].translate(flip)
             yield SweepRecord(sigma, pairs - k_size, k_size, h, t)
 

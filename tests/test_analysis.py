@@ -202,6 +202,51 @@ class TestSweep:
         assert len(lines) == count
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
+    def test_parent_holds_eight_bytes_per_pattern_when_the_walk_starts(self, monkeypatch):
+        # int32 indices and int32 sorted keys, and nothing else: parallel
+        # workers inherit what the parent holds at the fork
+        import pohst.analysis as analysis
+
+        held = []
+
+        def stub(n, keys, jobs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return np.zeros((len(keys), 3), np.int16)
+
+        monkeypatch.setattr(analysis, "_walk_all", stub)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            records = sweep(16)
+            next(records)
+        finally:
+            tracemalloc.stop()
+        records.close()
+        assert len(held) == 1
+        assert held[0] - baseline <= 9 * 2 ** 16
+
+    @pytest.mark.parametrize("cap", [2 ** 20, 2 ** 15], ids=["exhaustive", "sampled"])
+    def test_records_find_their_rows_across_blocks(self, monkeypatch, cap):
+        # the walk's rows encode their keys (heavy the low 14 bits, |K| the
+        # rest), so each record must carry its own index's bit-reversed key,
+        # in every block of 2**16 records
+        import pohst.analysis as analysis
+
+        def stub(n, keys, jobs):
+            assert np.all(keys[1:] > keys[:-1])
+            low = keys & 0x3fff
+            return np.stack((low, keys >> 14, low), axis=1).astype(np.int16)
+
+        monkeypatch.setattr(analysis, "_walk_all", stub)
+        n = 17
+        indices = analysis._sweep_indices(n, 0, cap)
+        assert len(indices) > 1 << 16
+        records = list(analysis._walk_records(n, indices, 1))
+        indices = indices.tolist()
+        assert [rec.sigma for rec in records] == [
+            pattern_from_index(n, index).to_string() for index in indices]
+        assert [rec.heavy | rec.K << 14 for rec in records] == [key_of(n, i) for i in indices]
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             list(sweep(25))
